@@ -1002,13 +1002,15 @@ def run_gate_incremental(
         )
         # distinct content hashes of the new epoch (24 B rows; ONE
         # hash-key pre-combine via groupby — the text never leaves
-        # the epoch's parquet)
+        # the epoch's parquet). Materialized once: both the seen-store
+        # probe and the seen-store write consume it.
         hash_cols = ["content_hash", "content_hash2"]
         new_hashes = (
             rd.read_parquet(os.path.join(ep_dir, "docs"), columns=hash_cols)
             .groupby(hash_cols)
             .count()
             .select_columns(hash_cols)
+            .materialize()
         )
         seen_files = _glob.glob(os.path.join(seen_dir, "*", "*.parquet"))
         if seen_files:

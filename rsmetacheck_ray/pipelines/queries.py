@@ -1660,8 +1660,8 @@ def _sql_gate_flags_ctes() -> str:
     lang_mismatch = """
   (lang IN ('en','fr','es','de','zh') AND detected_lang IN ('en','fr','es','de','zh')
    AND lang != detected_lang)"""
-    # repetition mirrors stages/rules._bigram_line_stats exactly:
-    # whitespace tokens, first 512 after the >=4 check, adjacent-pair
+    # repetition mirrors functions/tokenize.ws_token_stats exactly:
+    # \S+ tokens, first 512 after the >=4 check, adjacent-pair
     # histogram max over (len-1), dup-line fraction over \n lines
     return f"""
 pages AS ({{pages}}),

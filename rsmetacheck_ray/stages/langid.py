@@ -5,13 +5,21 @@ stages, SURVEY §2.4; its closest pattern is the module-level compiled
 regex lists, ``p002.py:37-51``). Implemented as marker-word density
 scoring: for each known language, count whole-word hits of that
 language's (disjoint) marker set with ONE vectorized RE2 pass per
-language (`pyarrow.compute.count_substring_regex`), plus a CJK
-character-ratio detector for zh. Detected language = argmax density,
-``"und"`` below the confidence floor.
+language (`pyarrow.compute.count_substring_regex`) over a bounded
+document prefix, plus a CJK character-ratio detector for zh. Detected
+language = argmax density, ``"und"`` below the confidence floor.
 
-State (the per-language compiled patterns) is built once per actor in
-``__init__`` — the ActorPoolStrategy contract. Scoring is deterministic
-and seed-free.
+The density denominators, and the Gopher repetition stats the rule
+stage reads, come from ONE byte-level tokenization of the batch
+(:func:`~rsmetacheck_ray.functions.tokenize.ws_token_stats`): the stage
+appends ``n_tokens``, ``n_tokens_scan``, ``top_bigram_frac``,
+``n_lines`` and ``dup_line_frac``, and nothing downstream tokenizes
+again. Marker hits stay RE2 ``\\b`` matches, which count ``"the,"``
+where a whitespace-token lookup would not.
+
+State (the per-language compiled patterns, an optional lid model) is
+built once per actor in ``__init__`` — the ActorPoolStrategy contract.
+Scoring is deterministic and seed-free.
 """
 
 from __future__ import annotations
@@ -21,10 +29,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
+from ..functions.tokenize import ws_token_stats
 from ..functions.vocab import MARKERS
 
 _CJK_PATTERN = r"[\x{4E00}-\x{9FFF}]"
-_TOKEN_PATTERN = r"\S+"
+# the model path memoizes token -> input-row ids per actor; cleared when
+# full, so a stream of distinct OOV tokens cannot grow it without bound
+_TOKEN_MEMO_MAX = 1 << 17
 
 
 def marker_pattern(lang: str) -> str:
@@ -120,6 +131,8 @@ class LangIdScorer:
                 got = memo.get(tok)
                 if got is None:
                     got = model.token_ids(tok)
+                    if len(memo) >= _TOKEN_MEMO_MAX:
+                        memo.clear()
                     memo[tok] = got
                 ids.extend(got)
             if not ids:
@@ -140,21 +153,18 @@ class LangIdScorer:
             text = text.combine_chunks()
         n = len(batch)
 
-        n_tokens = pc.count_substring_regex(text, _TOKEN_PATTERN).to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.float64)
-        tok_safe = np.maximum(n_tokens, 1.0)
+        stats = ws_token_stats(
+            text, self.cfg.langid_scan_chars, self.cfg.repetition_scan_tokens
+        )
+        n_tokens = stats["n_tokens"]
+        n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
 
         # all detection scans read only a bounded document PREFIX —
         # per-doc cost is O(langid_scan_chars) however big the page is;
         # densities are computed against the PREFIX token/char counts
         scan = pc.utf8_slice_codeunits(text, 0, self.cfg.langid_scan_chars)
-        scan_tokens = pc.count_substring_regex(scan, _TOKEN_PATTERN).to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
         scan_chars = pc.utf8_length(scan).to_numpy(zero_copy_only=False).astype(np.float64)
-        scan_tok_safe = np.maximum(scan_tokens, 1.0)
+        scan_tok_safe = np.maximum(stats["n_tokens_scan"], 1)
         scan_chr_safe = np.maximum(scan_chars, 1.0)
 
         langs = list(self.patterns)
@@ -184,12 +194,15 @@ class LangIdScorer:
 
         if self.model is not None:
             detected, conf = self._model_detect(scan)
-            detected = np.where(n_tokens == 0, "und", detected)
+            # the same floor-to-"und" discipline as the marker path
+            detected = np.where(
+                (n_tokens == 0) | (conf < self.cfg.langid_min_conf), "und", detected
+            )
 
         out = batch.append_column("detected_lang", pa.array(detected, pa.string()))
         out = out.append_column("langid_conf", pa.array(conf, pa.float64()))
-        out = out.append_column("n_tokens", pa.array(n_tokens.astype(np.int64), pa.int64()))
-        out = out.append_column("n_chars", pa.array(n_chars.astype(np.int64), pa.int64()))
+        out = out.append_column("n_tokens", pa.array(n_tokens, pa.int64()))
+        out = out.append_column("n_chars", pa.array(n_chars, pa.int64()))
         # Stopword-ratio basis: marker hits of the detected language;
         # when detection is "und"/zh, fall back to the DECLARED language
         # (null ⇒ the stopword rule skips — the reference's "missing key
@@ -214,8 +227,8 @@ class LangIdScorer:
         )
         out = out.append_column("stopword_hits", pa.array(stop_hits, pa.int64()))
         # prefix token count — the denominator for the stopword-density
-        # rule (hits were counted in the same prefix)
-        out = out.append_column(
-            "n_tokens_scan", pa.array(scan_tokens.astype(np.int64), pa.int64())
-        )
+        # rule (hits were counted in the same prefix) — then the
+        # repetition stats the rule stage reads
+        for name in ("n_tokens_scan", "top_bigram_frac", "n_lines", "dup_line_frac"):
+            out = out.append_column(name, pa.array(stats[name]))
         return out

@@ -428,27 +428,23 @@ _EVIDENCE_MAX_CHARS = 160
 
 
 def _ev_first(col: str, pattern: str):
-    """Evidence = first regex match in ``col`` — extracted only over
-    rows where the rule fired (masked to null elsewhere, so the RE2
-    pass touches fired bytes only)."""
+    """Evidence = first regex match in ``col``, extracted from the
+    fired rows only (taken out first, so the RE2 pass and the Python
+    conversion touch fired rows alone)."""
 
-    def ev(ctx, fired: np.ndarray):
-        src = ctx[col]
-        masked = pc.if_else(pa.array(fired), src, pa.scalar(None, pa.string()))
-        ex = pc.extract_regex(masked, f"(?P<m>{pattern})")
+    def ev(ctx, idx: np.ndarray) -> list:
+        rows = ctx[col].take(pa.array(idx))
+        ex = pc.extract_regex(rows, f"(?P<m>{pattern})")
         return pc.struct_field(ex, "m").to_pylist()
 
     return ev
 
 
 def _ev_fmt(fmt: Callable[[dict, int], str]):
-    """Evidence = formatted stats values, computed per fired row only."""
+    """Evidence = formatted stats values of the fired rows."""
 
-    def ev(ctx, fired: np.ndarray):
-        vals: list = [None] * len(fired)
-        for i in np.nonzero(fired)[0]:
-            vals[i] = fmt(ctx, int(i))
-        return vals
+    def ev(ctx, idx: np.ndarray) -> list:
+        return [fmt(ctx, int(i)) for i in idx]
 
     return ev
 
@@ -560,43 +556,18 @@ def _np_int(arr) -> np.ndarray:
     return arr.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _bigram_line_stats(text: pa.Array, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounded per-document repetition stats (Gopher-style): share of
-    the most frequent adjacent word pair over the first ``limit``
-    tokens, plus line counts and duplicate-line fraction. The per-row
-    Counter pass is bounded by ``limit`` tokens so per-doc work is O(1)
-    at 100 TB scale. (A polars tokenize→explode→groupby variant was
-    measured SLOWER in both short- and long-doc regimes — 46 vs 32 and
-    181 vs 91 µs/doc — the regex tokenization dominates.) Semantics:
-    tokens = whitespace runs; empty/null text ⇒ all zeros; top-bigram
-    only for docs with ≥4 tokens, denominator ``min(n_tokens, limit)-1``."""
-    return _bigram_line_stats_py(text.to_pylist(), limit)
-
-
-def _bigram_line_stats_py(texts: list, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(texts)
-    top_frac = np.zeros(n, dtype=np.float64)
-    n_lines = np.zeros(n, dtype=np.int64)
-    dup_frac = np.zeros(n, dtype=np.float64)
-    from collections import Counter
-
-    for i, t in enumerate(texts):
-        if not t:
-            continue
-        lines = t.split("\n")
-        n_lines[i] = len(lines)
-        if len(lines) > 1:
-            dup_frac[i] = 1.0 - len(set(lines)) / len(lines)
-        toks = t.split()
-        if len(toks) >= 4:
-            toks = toks[:limit]
-            pairs = Counter(zip(toks, toks[1:]))
-            top_frac[i] = max(pairs.values()) / (len(toks) - 1)
-    return top_frac, n_lines, dup_frac
-
-
 def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
-    """Compute the shared stats context for one Arrow batch."""
+    """The shared stats context for one Arrow batch, which every rule
+    predicate and evidence provider reads.
+
+    The batch must carry the langid stage's columns: ``n_tokens``,
+    ``n_chars``, ``n_tokens_scan``, ``stopword_hits``/``stopword_lang``,
+    ``detected_lang`` and the repetition stats ``top_bigram_frac``,
+    ``n_lines`` and ``dup_line_frac`` (all from one
+    :func:`~rsmetacheck_ray.functions.tokenize.ws_token_stats` pass), plus
+    ``bits_per_char`` from perplexity. The rule stage does no
+    tokenization of its own: it adds only the regex-derived columns
+    (symbol count, staleness date, scrub-pattern hits)."""
     text = batch.column("extracted_text")
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
@@ -610,8 +581,6 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
     n_tokens = _np_int(batch.column("n_tokens"))
     n_chars = _np_int(batch.column("n_chars"))
     symbol_chars = _np_int(pc.count_substring_regex(text, _SYMBOL_RE))
-
-    top_frac, n_lines, dup_frac = _bigram_line_stats(text, cfg.repetition_scan_tokens)
 
     declared = (
         pc.fill_null(declared_raw, "")
@@ -667,9 +636,9 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         "n_tokens": n_tokens,
         "n_chars": n_chars,
         "symbol_chars": symbol_chars,
-        "top_bigram_frac": top_frac,
-        "n_lines": n_lines,
-        "dup_line_frac": dup_frac,
+        "top_bigram_frac": batch.column("top_bigram_frac").to_numpy(zero_copy_only=False),
+        "n_lines": _np_int(batch.column("n_lines")),
+        "dup_line_frac": batch.column("dup_line_frac").to_numpy(zero_copy_only=False),
         "bits_per_char": batch.column("bits_per_char").to_numpy(zero_copy_only=False),
         "stale_days": stale_days,
         "scrub_hits": scrub_hits,
@@ -700,7 +669,7 @@ def rule_stage_fn(
     ``evidence_json`` string column carrying each fired rule's specific
     offending value (the CheckResult payload of
     ``utils/json_ld_utils.py:447-493``) — cost is bounded by fired
-    rows: regex evidence extraction runs over null-masked columns.
+    rows: evidence is extracted from, and assembled for, those rows only.
     ``with_rule_hits`` emits the long-form ``rule_hits`` list-of-struct
     (evidence sink only — the per-row Python dicts cost more than every
     rule combined, so the hot path skips it)."""
@@ -721,18 +690,21 @@ def rule_stage_fn(
         drop |= fired[code]
     keep = ~drop
 
-    payload: dict[str, list] = {}
+    # per rule, {row: evidence} over the rows where it fired and its
+    # provider found a value
+    payload: dict[str, dict[int, str]] = {}
     if with_evidence or with_rule_hits:
         for rule in CATALOG:
             evfn = EVIDENCE.get(rule.code)
-            if evfn is None or not fired[rule.code].any():
+            idx = np.flatnonzero(fired[rule.code])
+            if evfn is None or len(idx) == 0:
                 continue
             try:
-                vals = evfn(ctx, fired[rule.code])
-                payload[rule.code] = [
-                    v[:_EVIDENCE_MAX_CHARS] if isinstance(v, str) else v
-                    for v in vals
-                ]
+                vals = evfn(ctx, idx)
+                payload[rule.code] = {
+                    int(i): v[:_EVIDENCE_MAX_CHARS]
+                    for i, v in zip(idx, vals) if v is not None
+                }
             except Exception as exc:  # same isolation discipline as rules
                 errors.append(f"evidence:{rule.code}: {type(exc).__name__}: {exc}")
 
@@ -745,18 +717,13 @@ def rule_stage_fn(
     if with_evidence:
         import json as _json
 
-        any_fired = np.zeros(n, dtype=bool)
-        for code in RULE_CODES:
-            any_fired |= fired[code]
+        by_row: dict[int, dict[str, str]] = {}
+        for code, rows in payload.items():
+            for i, v in rows.items():
+                by_row.setdefault(i, {})[code] = v
         ev_vals: list = [None] * n
-        for i in np.nonzero(any_fired)[0]:
-            d = {
-                c: payload[c][i]
-                for c in payload
-                if fired[c][i] and payload[c][i] is not None
-            }
-            if d:
-                ev_vals[i] = _json.dumps(d, sort_keys=True)
+        for i, d in by_row.items():
+            ev_vals[i] = _json.dumps(d, sort_keys=True)
         out = out.append_column("evidence_json", pa.array(ev_vals, pa.string()))
     if with_rule_hits:
         # rule_hits list<struct> in catalog order (evidence sink only)
@@ -764,9 +731,9 @@ def rule_stage_fn(
         hits_col: list[list[dict]] = [[] for _ in range(n)]
         for rule in CATALOG:
             f = fired[rule.code]
-            pl = payload.get(rule.code)
+            pl = payload.get(rule.code, {})
             for i in np.nonzero(f)[0]:
-                ev = pl[i] if pl is not None and pl[i] is not None else rule.suggestion
+                ev = pl.get(int(i), rule.suggestion)
                 hits_col[i].append(
                     {"rule": rule.code, "severity": sev[rule.code], "evidence": ev}
                 )

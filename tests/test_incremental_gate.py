@@ -116,6 +116,45 @@ def test_cross_epoch_duplicates_counted(ray_session, small_corpus, tmp_path):
     assert m2["total_documents"] == n1 * 2 + pq.read_table(files[1]).num_rows
 
 
+def test_epoch_hash_read_runs_once(
+    ray_session, small_corpus, tmp_path, monkeypatch
+):
+    """The epoch's distinct-hash dataset feeds both the seen-store probe
+    and the seen-store write; its parquet read executes once per epoch,
+    not once per consumer."""
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    log = tmp_path / "hash_reads.log"
+    orig = rd.read_parquet
+
+    def counting_read(paths, *args, columns=None, **kwargs):
+        ds = orig(paths, *args, columns=columns, **kwargs)
+        if columns != ["content_hash", "content_hash2"] or not str(paths).endswith("docs"):
+            return ds
+
+        def note(b):
+            with open(log, "a") as fh:
+                fh.write(f"{len(b)}\n")
+            return b
+
+        return ds.map_batches(note, batch_format="pyarrow")
+
+    monkeypatch.setattr(qg.rd, "read_parquet", counting_read)
+    pages_dir, _ = small_corpus
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    lake = tmp_path / "lake"
+    os.makedirs(lake)
+    shutil.copy(files[0], lake)
+    out = tmp_path / "inc"
+    m1 = qg.run_gate_incremental(str(lake), str(out), n_partitions=1)
+    shutil.copy(files[1], lake)
+    m2 = qg.run_gate_incremental(str(lake), str(out), n_partitions=1)
+    rows_read = sum(int(x) for x in log.read_text().split())
+    assert rows_read == m1["total_documents"] + m2["incremental"]["new_documents"]
+
+
 def test_incremental_composes_with_auto_format(
     ray_session, small_corpus, tmp_path
 ):

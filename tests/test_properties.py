@@ -14,9 +14,20 @@ from hypothesis import strategies as st
 
 from rsmetacheck_ray.config import DEFAULT_CONFIG
 from rsmetacheck_ray.functions import fingerprint as fp
+from rsmetacheck_ray.functions.tokenize import ws_token_stats
 from rsmetacheck_ray.stages.rules import DROP_CODES, RULE_CODES, apply_scrub, rule_stage_fn
 
 _TEXT = st.text(max_size=400)
+
+
+def _token_columns(texts: list[str]) -> dict:
+    """The token/repetition columns the langid stage would attach."""
+    stats = ws_token_stats(
+        pa.array(texts, pa.string()),
+        DEFAULT_CONFIG.langid_scan_chars,
+        DEFAULT_CONFIG.repetition_scan_tokens,
+    )
+    return {k: pa.array(v) for k, v in stats.items()}
 
 
 def _gate_batch(texts: list[str], urls: list[str] | None = None) -> pa.Table:
@@ -29,14 +40,13 @@ def _gate_batch(texts: list[str], urls: list[str] | None = None) -> pa.Table:
             "warc_ts": pa.array([1_672_531_200_000_000] * n, pa.timestamp("us")),
             "extracted_text": pa.array(texts),
             "lang": pa.array(["en"] * n),
-            "n_tokens": pa.array([len(t.split()) for t in texts], pa.int64()),
             "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            "n_tokens_scan": pa.array([len(t.split()) for t in texts], pa.int64()),
             "stopword_hits": pa.array([0] * n, pa.int64()),
             "stopword_lang": pa.array([None] * n, pa.string()),
             "detected_lang": pa.array(["und"] * n, pa.string()),
             "langid_conf": pa.array([0.0] * n, pa.float64()),
             "bits_per_char": pa.array([1.0] * n, pa.float64()),
+            **_token_columns(texts),
         }
     )
 

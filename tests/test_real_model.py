@@ -84,6 +84,55 @@ def test_roundtrip_and_predict(tmp_path):
     assert m.predict(["zzz"]) == (-1, 0.0)
 
 
+def _langid_batch(texts):
+    import pyarrow as pa
+
+    n = len(texts)
+    return pa.table({
+        "url": [f"u{i}" for i in range(n)],
+        "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+        "lang": [None] * n,
+        "extracted_text": texts,
+    })
+
+
+def test_langid_model_path_applies_min_conf_floor(tmp_path):
+    """A model label below ``langid_min_conf`` becomes "und", as on the
+    marker path; the confidence itself is still reported."""
+    import dataclasses
+
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.stages.langid import LangIdScorer
+
+    path, *_ = _tiny_model(tmp_path)
+    cfg = dataclasses.replace(DEFAULT_CONFIG, langid_min_conf=0.6)
+    out = LangIdScorer(cfg, model_path=path)(
+        _langid_batch(["alpha alpha", "alpha beta", "beta"])
+    )
+    # alpha/beta alone: softmax(1, 0) = 0.73; mixed: a 0.5 tie
+    assert out.column("detected_lang").to_pylist() == ["xx", "und", "yy"]
+    conf = out.column("langid_conf").to_pylist()
+    assert conf[1] == pytest.approx(0.5) and conf[0] > 0.6
+
+
+def test_langid_model_token_memo_is_bounded(tmp_path, monkeypatch):
+    """Distinct OOV tokens cannot grow the per-actor token memo past
+    its bound; predictions are unchanged by the clearing."""
+    from rsmetacheck_ray.stages import langid
+
+    path, *_ = _tiny_model(tmp_path, minn=2, maxn=3)
+    monkeypatch.setattr(langid, "_TOKEN_MEMO_MAX", 8)
+    sc = langid.LangIdScorer(model_path=path)
+    texts = [f"alpha oov{i} tok{i}x" for i in range(20)]
+    out = sc(_langid_batch(texts))
+    assert 0 < len(sc._token_ids_memo) <= 8
+    fresh = langid.LangIdScorer(model_path=path)
+    monkeypatch.setattr(langid, "_TOKEN_MEMO_MAX", 1 << 20)
+    assert out.column("detected_lang").to_pylist() == (
+        fresh(_langid_batch(texts)).column("detected_lang").to_pylist()
+    )
+
+
 def test_magic_and_version_guards(tmp_path):
     p = str(tmp_path / "bad.bin")
     with open(p, "wb") as fh:

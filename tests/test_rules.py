@@ -5,11 +5,19 @@ result-shape invariants hold (``test_p001.py:230-240``)."""
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmetacheck_ray.datagen import FAMILIES, generate_tables
+from rsmetacheck_ray.functions import tokenize
+from rsmetacheck_ray.functions.tokenize import ws_token_stats
 from rsmetacheck_ray.stages.extract import extract_stage
 from rsmetacheck_ray.stages.langid import LangIdScorer
 from rsmetacheck_ray.stages.perplexity import PerplexityScorer
@@ -125,11 +133,50 @@ def test_scrub_unit_cases(raw, expected):
     assert out.to_pylist() == [expected]
 
 
-def test_bigram_stats_vectorized_matches_reference():
-    """The polars fast path must reproduce the Python spec exactly,
-    including newline/multi-space/empty edge cases."""
-    from rsmetacheck_ray.stages.rules import _bigram_line_stats, _bigram_line_stats_py
+_RE2_TOKEN = re.compile(r"[^\t\n\f\r ]+")
 
+
+def _ws_token_stats_spec(texts: list, scan_chars: int, limit: int) -> dict:
+    """Per-row reference for ``ws_token_stats``: tokens are runs of
+    anything but RE2's ``\\s`` (``[\\t\\n\\f\\r ]``), null is ``""``,
+    the top-bigram share looks at the first ``limit`` tokens of
+    documents with at least 4, and lines split at ``"\\n"``."""
+    n = len(texts)
+    out = {
+        "n_tokens": np.zeros(n, np.int64),
+        "n_tokens_scan": np.zeros(n, np.int64),
+        "top_bigram_frac": np.zeros(n, np.float64),
+        "n_lines": np.zeros(n, np.int64),
+        "dup_line_frac": np.zeros(n, np.float64),
+    }
+    for i, t in enumerate(texts):
+        if not t:
+            continue
+        toks = _RE2_TOKEN.findall(t)
+        out["n_tokens"][i] = len(toks)
+        out["n_tokens_scan"][i] = len(_RE2_TOKEN.findall(t[:scan_chars]))
+        lines = t.split("\n")
+        out["n_lines"][i] = len(lines)
+        if len(lines) > 1:
+            out["dup_line_frac"][i] = 1.0 - len(set(lines)) / len(lines)
+        if len(toks) >= 4:
+            toks = toks[:limit]
+            pairs = Counter(zip(toks, toks[1:]))
+            out["top_bigram_frac"][i] = max(pairs.values()) / (len(toks) - 1)
+    return out
+
+
+def _assert_stats_equal(got: dict, exp: dict):
+    assert set(got) == set(exp)
+    for k in exp:
+        assert got[k].dtype == exp[k].dtype, k
+        assert np.array_equal(got[k], exp[k]), (k, got[k], exp[k])
+
+
+def test_bigram_stats_vectorized_matches_reference():
+    """The one-pass tokenizer reproduces the per-row spec exactly on
+    newline/multi-space/empty/null edge cases, non-ASCII whitespace
+    (not a separator under RE2) and the 512-token scan bound."""
     texts = [
         "",
         "a b a b a b a b",
@@ -139,10 +186,102 @@ def test_bigram_stats_vectorized_matches_reference():
         "single line no repeat here at all",
         "w " * 600,                  # exceeds the 512-token scan bound
         None,
+        "red\vfox a red\xa0fox b red\u3000fox c red\u2003fox d",
+        "ab",
+        "",                          # empty between two joined tokens
+        "cd",
+        "\n",
     ]
-    arr = pa.array(texts, pa.string())
-    tf_v, nl_v, df_v = _bigram_line_stats(arr, 512)
-    tf_p, nl_p, df_p = _bigram_line_stats_py(["" if t is None else t for t in texts], 512)
-    assert np.allclose(tf_v, tf_p, rtol=0, atol=0), (tf_v, tf_p)
-    assert (nl_v == nl_p).all()
-    assert np.allclose(df_v, df_p, rtol=0, atol=0)
+    got = ws_token_stats(pa.array(texts, pa.string()), 2048, 512)
+    _assert_stats_equal(got, _ws_token_stats_spec(texts, 2048, 512))
+
+
+_WS_CHARS = ["\t", "\n", "\f", "\r", " ", "\v", "\xa0", "\u3000", "\u2003", "\x85"]
+_DOC = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(max_size=60),
+    # few distinct tokens and lines, so pairs and lines repeat
+    st.lists(
+        st.sampled_from(_WS_CHARS + ["a", "b", "é", "日本", "the,"]), max_size=80
+    ).map("".join),
+    # over the 512-token bound
+    st.builds(
+        lambda unit, k: unit * k,
+        st.sampled_from(["a b ", "w ", "x\ny ", "p\xa0q r "]),
+        st.integers(130, 300),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(_DOC, max_size=8),
+    large=st.booleans(),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    scan_chars=st.sampled_from([3, 16, 2048]),
+    limit=st.sampled_from([5, 512]),
+    lexsort=st.booleans(),
+)
+def test_ws_token_stats_matches_spec(texts, large, pad, scan_chars, limit, lexsort):
+    """Property: ``ws_token_stats`` equals the per-row spec on arbitrary
+    unicode, for string and large_string, on a sliced array (offset
+    != 0, neighbours that share the buffer), and through either sort of
+    the pair keys (packed int64 or the lexsort used past its bound)."""
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(["lead x"] * pad[0] + texts + ["tail y"] * pad[1], typ)
+    arr = arr.slice(pad[0], len(texts))
+    bound = 0 if lexsort else tokenize._INT64_KEYS
+    with mock.patch.object(tokenize, "_INT64_KEYS", bound):
+        got = ws_token_stats(arr, scan_chars, limit)
+    _assert_stats_equal(got, _ws_token_stats_spec(texts, scan_chars, limit))
+
+
+def test_repetition_uses_re2_whitespace_like_the_oracle(ray_session, tmp_path):
+    """Engine vs DuckDB ``gate_decisions`` on documents whose repetition
+    verdict depends on what counts as whitespace: a phrase glued by
+    U+00A0 / U+3000 / U+2003 / U+0085 / \\v repeats as ONE ``\\S+`` token
+    between distinct words, so no bigram repeats; splitting on Unicode
+    whitespace would repeat its inner pair in every unit and drop it."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from rsmetacheck_ray.pipelines.queries import _sql_gate_decisions, q_gate_decisions
+    from rsmetacheck_ray.sources.pages_from_documents import pages_cte
+
+    from rsmetacheck_ray.functions.vocab import CONTENT
+
+    glue = ["\xa0", "\u3000", "\u2003", "\x85", "\v"]
+    texts = [
+        " ".join(f"the{g}system {w}" for w in CONTENT["en"][:20])
+        for g in glue + [" "]
+    ]
+    # the spec under Unicode splitting would call every doc repetitive
+    for t in texts:
+        toks = t.split()
+        assert max(Counter(zip(toks, toks[1:])).values()) / (len(toks) - 1) > 0.2
+    # page synthesis picks URL and injected text by doc_id mod 11 / 13;
+    # ids 100-105 avoid the dead-URL and placeholder (drop) residues
+    ids = list(range(100, 100 + len(texts)))
+    docs = pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array(texts),
+        "lang": pa.array(["en"] * len(texts)),
+    })
+    pq.write_table(docs, tmp_path / "documents.parquet")
+
+    got = q_gate_decisions(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
+    )
+    exp = con.execute(_sql_gate_decisions().replace("{pages}", pages_cte())).df()
+    cols = ["doc_id", "keep", "detected_lang", "n_tokens"]
+    got = got[cols].sort_values("doc_id", ignore_index=True)
+    exp = exp[cols].sort_values("doc_id", ignore_index=True)
+    assert got["keep"].tolist() == exp["keep"].tolist()
+    assert got["detected_lang"].tolist() == exp["detected_lang"].tolist()
+    assert got["n_tokens"].tolist() == exp["n_tokens"].astype("int64").tolist()
+    # the glued docs are kept; the space-separated control is not
+    mine = got.set_index("doc_id").loc[ids, "keep"].tolist()
+    assert mine == [True] * len(glue) + [False]

@@ -10,12 +10,23 @@ import pyarrow as pa
 import pytest
 
 from rsmetacheck_ray.config import DEFAULT_CONFIG
+from rsmetacheck_ray.functions.tokenize import ws_token_stats
 from rsmetacheck_ray.stages.rules import rule_stage_fn
 
 _BASE = (
     "the quick brown fox was seen near the river bank and this text "
     "have enough regular english words that no shape rule fires here"
 )
+
+
+def _token_columns(texts: list[str]) -> dict:
+    """The token/repetition columns the langid stage would attach."""
+    stats = ws_token_stats(
+        pa.array(texts, pa.string()),
+        DEFAULT_CONFIG.langid_scan_chars,
+        DEFAULT_CONFIG.repetition_scan_tokens,
+    )
+    return {k: pa.array(v) for k, v in stats.items()}
 
 
 def _gate_texts(texts: list[str]) -> pa.Table:
@@ -27,14 +38,13 @@ def _gate_texts(texts: list[str]) -> pa.Table:
             "warc_ts": pa.array([1_672_531_200_000_000] * n, pa.timestamp("us")),
             "extracted_text": pa.array(texts),
             "lang": pa.array(["en"] * n),
-            "n_tokens": pa.array([len(t.split()) for t in texts], pa.int64()),
             "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            "n_tokens_scan": pa.array([len(t.split()) for t in texts], pa.int64()),
             "stopword_hits": pa.array([8] * n, pa.int64()),
             "stopword_lang": pa.array(["en"] * n),
             "detected_lang": pa.array(["en"] * n),
             "langid_conf": pa.array([0.9] * n, pa.float64()),
             "bits_per_char": pa.array([1.0] * n, pa.float64()),
+            **_token_columns(texts),
         }
     )
     return rule_stage_fn(batch, DEFAULT_CONFIG)
@@ -188,14 +198,13 @@ def test_version_mismatch_url_vs_text():
             "warc_ts": pa.array([1_672_531_200_000_000] * n, pa.timestamp("us")),
             "extracted_text": pa.array(texts),
             "lang": pa.array(["en"] * n),
-            "n_tokens": pa.array([len(t.split()) for t in texts], pa.int64()),
             "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-            "n_tokens_scan": pa.array([len(t.split()) for t in texts], pa.int64()),
             "stopword_hits": pa.array([8] * n, pa.int64()),
             "stopword_lang": pa.array(["en"] * n),
             "detected_lang": pa.array(["en"] * n),
             "langid_conf": pa.array([0.9] * n, pa.float64()),
             "bits_per_char": pa.array([1.0] * n, pa.float64()),
+            **_token_columns(texts),
         }
     )
     out = rule_stage_fn(batch)
