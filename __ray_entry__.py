@@ -7,8 +7,8 @@ nothing here (nor in the library) initialises or shuts down Ray.
   lifecycle") over pages synthesized from ``sf0.001/documents``.
 - ``queries()`` / ``oracle_sql()``: the operator registry from
   ``rsmetacheck_ray/pipelines/queries.py`` — one entry per implemented
-  operator family of SURVEY §2 plus the large-scale additions (dedup,
-  similarity search, multimodal plumbing).
+  operator family of SURVEY §2 plus the curation work after the gate
+  (dedup, similarity search, sampling, corpus statistics).
 """
 
 from __future__ import annotations

@@ -510,7 +510,6 @@ BENCH_QUERIES = [
     "events_latest_per_user",
     "session_duration_quantiles",
     "user_event_sequences",
-    "multimodal_wav_features",
     "approx_quantiles_sampled",
     # sixth-session operators
     "local_supplier_volume",
@@ -523,43 +522,25 @@ BENCH_QUERIES = [
     "top_tokens_by_lang",
     "lang_keyness",
     "lang_confusion",
-    "customer_cohorts",
-    "orders_backlog",
-    "part_brand_hhi",
-    "user_interarrival_stats",
     "doc_script_mix",
     "lang_ttr",
     "vocab_growth",
     "label_centroids",
     "lang_hapax",
     "lang_zipf",
-    "events_winsorized_stats",
     "lang_vocab_overlap",
     "dedup_graph_assortativity",
     "dedup_graph_kcore",
     "dedup_component_sizes",
     "token_dispersion",
-    "order_fill_times",
-    "events_hourly_anomaly",
-    "events_mannwhitney",
     "source_ks_length",
-    "order_event_days_outer",
-    "brand_discount_trend",
     "label_centroid_similarity",
     "source_quality_corr",
-    "customer_segment_migration",
-    "event_transition_predictability",
-    "event_type_user_overlap",
-    "supplier_ship_delay",
     "dedup_savings",
-    "benford_digits",
     "part_name_top_terms",
-    "order_size_histogram",
-    "order_gap_quantiles",
     "gate_host_keep_rate",
     "gate_rule_cooccurrence",
     "split_leakage",
-    "events_seasonality_index",
     "split_balance",
     "rank_dedup_graph",
     "dedup_graph_bfs",
@@ -578,31 +559,15 @@ BENCH_QUERIES = [
     "term_postings",
     "token_budget_sample",
     # seventh-session operators
-    "nation_volume",
-    "urgent_lines_by_status",
-    "top_supplier",
-    "small_qty_revenue",
-    "rich_inactive_customers",
     "price_quantiles",
-    "dominant_suppliers",
     "collocations",
     "events_ewma",
     "common_users_by_type",
-    "part_copurchase",
-    "basket_rules",
     "price_quantiles_by_flag",
     "events_zorder",
     "user_type_islands",
     "events_value_share",
     # round-4 TPC-H shapes (built on the generic join API)
-    "waiting_suppliers",
-    "min_cost_supplier",
-    "product_type_profit",
-    "nation_market_share",
-    "returned_item_customers",
-    "important_parts",
-    "order_priority_check",
-    "forecast_revenue_change",
     # round-4 batch 2: the heaviest previously-unbenched pipelines
     # (join showcase, actor-pool codec path) + this round's
     # oracle-conversion queries
@@ -613,10 +578,6 @@ BENCH_QUERIES = [
     "curate_semantic",
     "knn_ivf",
     "bpe_token_counts",
-    "multimodal_mixed_knn",
-    "multimodal_phash_pairs",
-    "multimodal_audio_fp_pairs",
-    "multimodal_video_fp_pairs",
     # round-4 continuation: statistics batch
     "source_spearman",
     "events_mutual_info",
@@ -630,15 +591,11 @@ BENCH_QUERIES = [
     "events_temporal_gini",
     "price_quantiles_weighted",
     "doc_token_novelty",
-    "cohort_revenue",
     "part_soundex_blocks",
     "event_value_heavy_hitters",
-    "revenue_proration",
     "lang_shannon",
     "dedup_degree_hist",
     "source_score_calibration",
-    "customer_trend_mix",
-    "customer_km_survival",
     "blocking_recall",
     # round-5 additions
     "moore_lewis_select",

@@ -54,11 +54,6 @@ class GateConfig:
     # faster at 1M docs (218k vs 212k docs/s) — per-batch kernel-launch
     # overhead is already amortized at 2048 rows.
     batch_size: int = 2048
-    # None ⇒ autoscale pool cap to half the cluster CPUs (per stage);
-    # the two scorer pools together then cover the cluster while the
-    # read / rules / write task pools fill the gaps under backpressure
-    langid_actors: int | None = None
-    perplexity_actors: int | None = None
     # real-model tier (opt-in): path to a fastText-format lid model;
     # each langid actor loads it once in __init__ (stages/langid.py).
     # None ⇒ the deterministic marker-density scorer (the default and

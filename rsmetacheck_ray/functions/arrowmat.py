@@ -50,10 +50,20 @@ def list_column_matrix(col, dtype=np.float64) -> np.ndarray:
     )
 
 
+_INT32_MAX = 2**31 - 1
+
+
 def matrix_list_array(mat: np.ndarray) -> pa.ListArray:
     """`list<float64>` array from an (n, d) matrix — one offsets
-    buffer + the ravel'd values, no per-row `.tolist()`."""
+    buffer + the ravel'd values, no per-row `.tolist()`. The offsets
+    are int32, so a matrix of more than 2**31 - 1 elements raises
+    instead of wrapping into a corrupt array."""
     n, d = mat.shape
+    if n * d > _INT32_MAX:
+        raise ValueError(
+            f"matrix_list_array: {n} x {d} = {n * d} values exceed the "
+            f"int32 list offsets ({_INT32_MAX}); split the batch"
+        )
     offsets = pa.array(
         np.arange(0, (n + 1) * d, d, dtype=np.int32), pa.int32()
     )

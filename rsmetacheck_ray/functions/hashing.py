@@ -27,11 +27,6 @@ def row_u64(seed: int, index: int, stream: int) -> int:
     return splitmix64(seed ^ splitmix64((stream * 0x9E3779B97F4A7C15 + index) & _MASK))
 
 
-def row_uniform(seed: int, index: int, stream: int) -> float:
-    """Pure per-row uniform in [0, 1)."""
-    return row_u64(seed, index, stream) / 2.0**64
-
-
 def splitmix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 over a uint64 ndarray (wrapping arithmetic)."""
     with np.errstate(over="ignore"):
@@ -52,24 +47,6 @@ def hash_bytes_u64(data: bytes, seed: int = 0) -> int:
 
     h = hashlib.blake2b(data, digest_size=8, key=seed.to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little")
-
-
-def hash_bytes_u128(data: bytes, seed: int = 0) -> tuple[int, int]:
-    """Deterministic 128-bit content hash as two uint64 halves.
-
-    The EXACT-DEDUP key: at 10⁹–10¹² documents a 64-bit digest has a
-    real birthday-collision probability (~2.6 % at 10⁹), which would
-    silently merge distinct documents; 128 bits pushes it below 10⁻¹⁵
-    at 10¹² docs. blake2b at digest_size=16 is the same one C call as
-    the 8-byte variant."""
-    import hashlib
-
-    h = hashlib.blake2b(data, digest_size=16, key=seed.to_bytes(8, "little"))
-    d = h.digest()
-    return (
-        int.from_bytes(d[:8], "little"),
-        int.from_bytes(d[8:], "little"),
-    )
 
 
 def hash_str_array_u128(values, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -127,20 +104,6 @@ def hash_str_arrow_u128(arr, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         .astype(np.uint64, copy=False)
     )
     return lo, hi
-
-
-def hash_str_array_u64(values, seed: int = 0) -> np.ndarray:
-    """Content hash of a string sequence → uint64 ndarray.
-
-    One C-backed blake2b call per element; runs inside map_batches
-    workers, not on the driver.
-    """
-    out = np.empty(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        out[i] = hash_bytes_u64(
-            v.encode("utf-8") if isinstance(v, str) else bytes(v or b""), seed
-        )
-    return out
 
 
 def token_partitions(tokens: np.ndarray, n_parts: int) -> np.ndarray:

@@ -33,7 +33,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from ..pipelines.relational import bounded_group_table_strict
+from ..partitioning import bounded_group_table_strict
 
 _MAX_VALUE = (1 << 32) - 1
 

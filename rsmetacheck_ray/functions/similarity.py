@@ -781,6 +781,7 @@ def mmr_select(
         int(r[id_col]): np.asarray(r["embedding"], dtype=np.float64)
         for r in rows
     }
+    tiny = np.finfo(np.float64).tiny
     out_q, out_v, out_p = [], [], []
     for qi, qid in enumerate(qids.tolist()):
         cands = pool_ids.get(int(qid), [])
@@ -793,15 +794,20 @@ def mmr_select(
         # commutative — so every rel and pairwise sim matches the
         # oracle's doubles and the k-step greedy argmax chain cannot
         # diverge on a 1-ulp near-tie (kmeans_margin discipline).
+        # The zero-norm guard sits on the norm PRODUCTS (guarding each
+        # norm alone still gives tiny * tiny = 0): a zero vector has
+        # cosine 0 to everything, never NaN. Pairwise sims fold one row
+        # at a time: O(pool·d) memory.
         mat = np.stack([vecs[c] for c in cands])
         qv = qraw[qi]
         nr = np.sqrt(np.cumsum(mat * mat, axis=1)[:, -1])
         nq = np.sqrt(np.cumsum(qv * qv)[-1])
-        rel = np.cumsum(mat * qv[None, :], axis=1)[:, -1] / (nq * nr)
-        pair_dots = np.cumsum(
-            mat[:, None, :] * mat[None, :, :], axis=2
-        )[:, :, -1]
-        sims = pair_dots / (nr[:, None] * nr[None, :])
+        rel = np.cumsum(mat * qv, axis=1)[:, -1] / np.maximum(nq * nr, tiny)
+        sims = np.empty((len(cands), len(cands)))
+        for i in range(len(cands)):
+            sims[i] = np.cumsum(mat[i] * mat, axis=1)[:, -1] / np.maximum(
+                nr[i] * nr, tiny
+            )
         chosen: list[int] = []
         remaining = list(range(len(cands)))
         for pick in range(min(k, len(cands))):

@@ -26,14 +26,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import (
-    _cents,
+from ..partitioning import (
     _part_of,
-    _read_pq,
+    adaptive_partitions,
     bounded_group_table,
     bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
 )
+from .relational import _cents
 
 # ---------------------------------------------------------------------------
 # FULL OUTER JOIN — per-user event activity ⟗ customer master
@@ -55,10 +56,10 @@ def user_customer_activity(
     no row-level shuffle of the event table, no broadcast of the
     (at-scale unbounded) customer side.
     """
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
     )
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_acctbal"],
     )
@@ -187,7 +188,7 @@ def orders_month_priority_pivot(sf_dir: str) -> rd.Dataset:
     tallies; the shuffle ships one partial row per (month, priority)
     per batch (bounded domain), and the pivot itself happens on the
     already-tiny aggregate."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderdate", "o_orderpriority"],
     )
@@ -307,7 +308,7 @@ def events_type_dow_cube(sf_dir: str) -> rd.Dataset:
     events; the three coarser levels re-aggregate the already-tiny
     fine table on the driver (the ``lang_source_rollup`` pattern,
     queries.py:2947, extended to the full cube)."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"]
     )
 
@@ -407,7 +408,7 @@ def _user_sorted(g: pa.Table):
 
 
 def _events_keyed(sf_dir: str, num_partitions: int | None):
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "value"],
     )
@@ -624,7 +625,7 @@ def user_type_islands(
     user OR the type changes in the partition lexsort; lengths come
     from one ``diff`` over start positions — no per-row or per-run
     Python."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -914,17 +915,17 @@ def shipping_priority(
     top-k inside each partition before the final k-row global sort.
     Empty filter results flow through as schema-true empty tables."""
     cutoff_ts = np.datetime64(cutoff, "us")
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey"],
         filter=(pc.field("c_mktsegment") == segment),
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=(pc.field("o_orderdate") < pa.scalar(cutoff_ts.item())),
     )
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=(pc.field("l_shipdate") > pa.scalar(cutoff_ts.item())),
@@ -1253,7 +1254,7 @@ def _events_cents_hist(sf_dir: str) -> "pa.Table | None":
     The shuffle input is |value domain| × #types rows per batch, never
     the corpus size (the events_value_percentiles discipline,
     relational.py:1200)."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "value"],
     )
@@ -1422,10 +1423,10 @@ def customers_except_event_users(
     shape). Both sides pre-shrink to per-batch DISTINCT keys before the
     ONE hashed-key shuffle, so only unique ids move; each partition
     resolves its difference with one sorted membership pass."""
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
     )
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
     )
     n_parts = num_partitions or adaptive_partitions(
@@ -1494,7 +1495,7 @@ def user_type_entropy(
 
     from ..functions.hashing import splitmix64_np
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_type"],
     )
@@ -1605,9 +1606,7 @@ def decayed_type_counts(sf_dir: str) -> pa.Table:
     """(event_type, n_events, decayed_count) with a 24 h half-life."""
     import math
 
-    from .relational import bounded_group_table_strict
-
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["ts", "event_type"],
     )
@@ -1715,7 +1714,7 @@ def event_attribution(
     shuffle, per-partition rollup, |event_types|+1-row final reduce."""
     from ray.data.aggregate import Sum
 
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "ts", "event_type", "value"],
     )
@@ -1822,7 +1821,7 @@ def purchase_next_touch(
     construction, not left to engine luck. Forward scan = the
     event_attribution sweep with a right-to-left minimum accumulate.
     ONE hashed user_id shuffle of 48 B rows."""
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "ts", "event_type"],
     )
@@ -1945,7 +1944,7 @@ def events_late_arrivals(
     import ray
     from ray.data.aggregate import Sum
 
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "ts", "event_type"],
     )
@@ -2074,9 +2073,7 @@ def events_value_near_pairs(
     n_c·n_(c+d) — exact int64 combinatorics, O(domain) on the driver,
     while the oracle pays the O(n²) self-join to derive the same
     number independently."""
-    from .relational import bounded_group_table_strict
-
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "value"],
     )

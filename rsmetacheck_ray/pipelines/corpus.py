@@ -7,11 +7,10 @@ construction.
 Scale discipline:
 
 - ``token_budget_sample`` never shuffles: the (lang, n_chars) token
-  histogram is a bounded-domain driver table (the events_value_ranks
-  plan), the budget boundary is resolved per language on the driver,
-  and exactly ONE n_chars bucket per language needs per-document
-  refinement — the other buckets are classified by a broadcast
-  threshold.
+  histogram is a bounded-domain driver table, the budget boundary
+  is resolved per language on the driver, and exactly ONE n_chars
+  bucket per language needs per-document refinement — the other
+  buckets are classified by a broadcast threshold.
 - ``quality_zscores`` is the exact-moments plan (three int64 sums per
   (batch, lang)); the per-row z attach is a broadcast lookup.
 - ``dataset_diff`` ships 24 B/row (doc_id + 128-bit content hash) per
@@ -40,12 +39,44 @@ import ray.data as rd
 
 from ..functions.hashing import hash_str_arrow_u128
 from ..functions.tokenize import WS_TOKEN_RE, count_ws_tokens, split_ws_tokens
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import _part_of, _read_pq, bounded_group_table_strict
+from ..partitioning import (
+    _part_of,
+    adaptive_partitions,
+    bounded_group_reduce,
+    bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
+)
 
 
 def _docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return _read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+    return read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+
+
+# ---------------------------------------------------------------------------
+# (lang, source) document histogram
+# ---------------------------------------------------------------------------
+
+def lang_source_hist(sf_dir: str) -> rd.Dataset:
+    """(lang, source) histogram — partial-combined per batch so the
+    groupby shuffle volume is bounded by #keys × #blocks (a few KB per
+    block), not the corpus row count."""
+    ds = _docs(sf_dir, ["lang", "source"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(["lang", "source"]).aggregate([("lang", "count")])
+        return g.rename_columns(["lang", "source", "n_docs"])
+
+    return bounded_group_reduce(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["lang", "source"],
+        [("n_docs", "sum")],
+    )
+
+
+LANG_SOURCE_SQL = """
+SELECT lang, source, COUNT(*) AS n_docs FROM documents GROUP BY lang, source
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1191,7 @@ QUALIFY ROW_NUMBER() OVER (ORDER BY score DESC, t.doc_id) <= {BM25_TOPK}
 
 def embedding_norms(sf_dir: str) -> rd.Dataset:
     """(vec_id, dim, norm): length and L2 norm of each embedding."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
     )

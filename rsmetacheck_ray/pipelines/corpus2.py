@@ -38,12 +38,16 @@ import ray.data as rd
 
 from ..functions.hashing import token_partitions
 from ..functions.tokenize import WS_TOKEN_RE, split_ws_tokens
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import _read_pq, bounded_group_table_strict
+from ..partitioning import (
+    adaptive_partitions,
+    bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
+)
 
 
 def _docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return _read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+    return read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +409,7 @@ def label_centroids(sf_dir: str) -> rd.Dataset:
     partial sums plus per-label counts — constant-size output per
     batch; the reduce and the final division are bounded by
     |labels| × dim."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["label", "embedding"],
     )
@@ -1139,7 +1143,7 @@ def label_centroid_similarity(sf_dir: str) -> rd.Dataset:
     rows), then a |labels|² driver walk."""
     import math
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["label", "embedding"],
     )
@@ -1262,7 +1266,7 @@ def source_quality_corr(sf_dir: str) -> rd.Dataset:
 
     from .queries import _EN_MARKER_RE, _TOKEN_RE
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["source", "text"],
     )
@@ -1548,7 +1552,7 @@ def part_name_top_terms(sf_dir: str, k: int = 20) -> rd.Dataset:
     question). Per-batch Arrow group_by pre-combines counts; the
     global reduce is bounded by the name vocabulary under the guard;
     the top-k cut happens on the reduced table."""
-    ds = _read_pq(os.path.join(sf_dir, "part.parquet"), columns=["p_name"])
+    ds = read_pq(os.path.join(sf_dir, "part.parquet"), columns=["p_name"])
 
     def partial(b: pa.Table) -> pa.Table:
         flat = split_ws_tokens(b.column("p_name")).flatten()
@@ -1626,7 +1630,7 @@ def split_balance(sf_dir: str) -> rd.Dataset:
     from ..functions.sampling import _md5_ranks
     from ..functions.split import DEFAULT_TRAIN_BUCKETS, DEFAULT_VAL_BUCKETS
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
     )

@@ -43,11 +43,11 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.tokenize import WS_TOKEN_RE, tokens_with_doc_index
-from .relational import _read_pq
+from ..partitioning import bounded_group_table_strict, read_pq
 
 
 def _docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
-    return _read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
+    return read_pq(os.path.join(sf_dir, "documents.parquet"), columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,6 @@ def neyman_allocation(sf_dir: str, budget: int = _NEYMAN_BUDGET) -> "pa.Table":
 
     ONE moment row (lang, n, Σx, Σx²) per (batch, stratum) enters the
     bounded reduce; the allocation solve is O(|strata|) on the driver."""
-    from .relational import bounded_group_table_strict
-
     ds = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
 
     def moments(b: pa.Table) -> pa.Table:
@@ -615,8 +613,6 @@ def alpha_mixture_weights(
     enters the bounded reduce; the solve is O(|langs|)."""
     import math
 
-    from .relational import bounded_group_table_strict
-
     ds = _docs(sf_dir, ["lang"])
 
     def counts(b: pa.Table) -> pa.Table:
@@ -711,8 +707,6 @@ def source_quality_shrunk(sf_dir: str, tau: int = _SHRINK_TAU) -> "pa.Table":
     source) enters the bounded reduce; the solve is O(|sources|)."""
     from ..functions.classifier import classify_quality
     from .join import join as generic_join
-    from .relational import bounded_group_table_strict
-
     raw = classify_quality(
         _docs(sf_dir, ["doc_id", "text"])
     ).map_batches(
@@ -835,8 +829,6 @@ def conformal_outliers(
     import ray
 
     from ..functions.classifier import classify_quality
-    from .relational import bounded_group_table_strict
-
     scored = classify_quality(_docs(sf_dir, ["doc_id", "text"])).map_batches(
         lambda b: b.select(["doc_id", "score_total"]),
         batch_format="pyarrow",
@@ -933,9 +925,7 @@ def events_hourly_decomposition(sf_dir: str) -> "pa.Table":
     bounded (~10⁵ rows for a decade of web crawl), so the count
     histogram rides ONE bounded reduce and the solve is a driver-side
     sliding sum."""
-    from .relational import bounded_group_table_strict
-
-    events = _read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
+    events = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
 
     def hour_hist(b: pa.Table) -> pa.Table:
         us = pc.cast(b.column("ts"), pa.int64()).to_numpy(
@@ -1061,8 +1051,6 @@ def source_wasserstein_length(sf_dir: str) -> "pa.Table":
 
     ONE bounded (source × n_chars) histogram reduce; the CDF walk is
     a driver-side numpy pass over the bounded support."""
-    from .relational import bounded_group_table_strict
-
     ds = _docs(sf_dir, ["source", "n_chars"])
 
     def hist(b: pa.Table) -> pa.Table:
@@ -1253,8 +1241,6 @@ def corpus_manifest(sf_dir: str) -> "pa.Table":
     without a distinct shuffle). mean_chars is the only float: one
     division of exact ints."""
     from ..functions.tokenize import count_ws_tokens
-    from .relational import bounded_group_table_strict
-
     ds = _docs(sf_dir, ["doc_id", "text", "lang", "source", "n_chars"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1400,8 +1386,6 @@ def ivm_lang_tokens(sf_dir: str) -> "pa.Table":
     reduce."""
     from .corpus import _DIFF_ADD_OFFSET  # noqa: F401  (id-space doc)
     from ..functions.tokenize import count_ws_tokens
-    from .relational import bounded_group_table_strict
-
     ds = _docs(sf_dir, ["doc_id", "text", "lang"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1751,8 +1735,6 @@ def source_quality_influence(sf_dir: str) -> "pa.Table":
     source_quality_shrunk."""
     from ..functions.classifier import classify_quality
     from .join import join as generic_join
-    from .relational import bounded_group_table_strict
-
     raw = classify_quality(
         _docs(sf_dir, ["doc_id", "text"])
     ).map_batches(

@@ -37,13 +37,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import (
-    _cents,
+from ..partitioning import (
     _part_of,
-    _read_pq,
+    adaptive_partitions,
     bounded_group_reduce,
+    bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
 )
+from .relational import _cents
 
 # ---------------------------------------------------------------------------
 # TPC-H Q5 shape: five-table star join, revenue per nation inside one
@@ -53,15 +55,107 @@ from .relational import (
 # supplier is broadcast as two sorted int64 arrays (suppkey →
 # nationkey). At 16 B/row the handle is 160 KB/SF-1 and ~160 MB at the
 # 10⁷-supplier extreme — past _SUPPLIER_BROADCAST_MAX rows the plan
-# falls back to decision3._li_supplier_copart: ONE extra tagged-union
+# falls back to _li_supplier_copart: ONE extra tagged-union
 # suppkey shuffle joining lineitem⋈supplier distributively (the
 # shipping_priority pattern), never a driver pull.
 _SUPPLIER_BROADCAST_MAX = 50_000_000
 
 # Q5's customer (custkey → nationkey) projection broadcast gate —
-# 16 B/row, ≈32 MB at the bound (the nation_volume pattern); past it
+# 16 B/row, ≈32 MB at the bound; past it
 # stage A's tagged-union custkey shuffle joins the side distributively
 _Q5_CUST_BROADCAST_MAX = 2_000_000
+
+
+def _supplier_rows_hint(sf_dir: str) -> int:
+    """Supplier row count from parquet footer metadata only — the
+    broadcast-vs-co-partition gate must not read the table to decide."""
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(
+        os.path.join(sf_dir, "supplier.parquet")
+    ).metadata.num_rows
+
+
+def _li_supplier_copart(
+    li_rows: rd.Dataset,
+    sf_dir: str,
+    payload: list[str],
+    n_parts: int,
+) -> rd.Dataset:
+    """Co-partitioned lineitem⋈supplier on suppkey — the
+    past-the-broadcast-gate plan for the Q5/Q7 family. ``li_rows``
+    batches carry ``skey`` (l_suppkey, int64) plus int64 ``payload``
+    columns (already per-batch pre-combined by the caller); supplier
+    ships as (key → nationkey) 16 B rows. ONE tagged-union all-to-all
+    on hash(suppkey); the partition merge sorts its supplier slice
+    (suppkey is a PK) and searchsorted-probes the line rows. Returns
+    (snat, *payload) inner-join hits."""
+    # internal tagged-union columns use a "_c" prefix so payload
+    # names ("key", "okey", …) can never collide with them
+    assert not any(c.startswith("_c") for c in payload), payload
+    sup = read_pq(
+        os.path.join(sf_dir, "supplier.parquet"),
+        columns=["s_suppkey", "s_nationkey"],
+    )
+
+    def tag_sup(b: pa.Table) -> pa.Table:
+        n = len(b)
+        z = pa.array(np.zeros(n, np.int64), pa.int64())
+        cols = {
+            "_cpart": _part_of(b.column("s_suppkey"), n_parts),
+            "_ckey": pc.cast(b.column("s_suppkey"), pa.int64()),
+            "_ctag": pa.array(np.zeros(n, np.int8)),
+            "_cnat": pc.cast(b.column("s_nationkey"), pa.int64()),
+        }
+        for c in payload:
+            cols[c] = z
+        return pa.table(cols)
+
+    def tag_line(b: pa.Table) -> pa.Table:
+        n = len(b)
+        cols = {
+            "_cpart": _part_of(b.column("skey"), n_parts),
+            "_ckey": pc.cast(b.column("skey"), pa.int64()),
+            "_ctag": pa.array(np.ones(n, np.int8)),
+            "_cnat": pa.array(np.zeros(n, np.int64), pa.int64()),
+        }
+        for c in payload:
+            cols[c] = pc.cast(b.column(c), pa.int64())
+        return pa.table(cols)
+
+    both = sup.map_batches(tag_sup, batch_format="pyarrow").union(
+        li_rows.map_batches(tag_line, batch_format="pyarrow")
+    )
+    empty = pa.table(
+        {
+            "snat": pa.array([], pa.int64()),
+            **{c: pa.array([], pa.int64()) for c in payload},
+        }
+    )
+
+    def merge(g: pa.Table) -> pa.Table:
+        tag = g.column("_ctag").to_numpy(zero_copy_only=False)
+        key = g.column("_ckey").to_numpy(zero_copy_only=False)
+        ssel = tag == 0
+        sk = key[ssel]
+        sn = g.column("_cnat").to_numpy(zero_copy_only=False)[ssel]
+        lsel = ~ssel
+        lk = key[lsel]
+        if not len(sk) or not len(lk):
+            return empty
+        order = np.argsort(sk, kind="stable")  # suppkey is a PK: unique
+        sk, sn = sk[order], sn[order]
+        pos = np.minimum(np.searchsorted(sk, lk), len(sk) - 1)
+        hit = sk[pos] == lk
+        cols = {"snat": pa.array(sn[pos][hit], pa.int64())}
+        for c in payload:
+            cols[c] = pa.array(
+                g.column(c).to_numpy(zero_copy_only=False)[lsel][hit],
+                pa.int64(),
+            )
+        return pa.table(cols)
+
+    return both.groupby("_cpart").map_groups(merge, batch_format="pyarrow")
 
 
 def local_supplier_volume(
@@ -100,8 +194,6 @@ def local_supplier_volume(
     nat_name = {n["n_nationkey"]: n["n_name"] for n in nat}
     nat_arr = np.asarray(nat_keys, np.int64)
 
-    from .decision3 import _li_supplier_copart, _supplier_rows_hint
-
     use_sup_bcast = (
         _supplier_rows_hint(sf_dir) <= _SUPPLIER_BROADCAST_MAX
     )
@@ -126,7 +218,7 @@ def local_supplier_volume(
 
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey"],
         filter=(
@@ -134,7 +226,7 @@ def local_supplier_volume(
             & (pc.field("o_orderdate") < pa.scalar(hi.item()))
         ),
     )
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_nationkey"],
         filter=pc.field("c_nationkey").isin(pa.array(nat_keys, pa.int32())),
@@ -143,7 +235,7 @@ def local_supplier_volume(
         parquet_rows_hint(orders), row_bytes=24
     )
 
-    # size gate (the nation_volume pattern): while the (custkey →
+    # size gate: while the (custkey →
     # nationkey) projection is bounded, the region customers broadcast
     # as a sorted pair and stage A's shuffle disappears — orders map
     # straight to (okey, cnat) rows; past the gate the tagged-union
@@ -418,7 +510,7 @@ def local_supplier_volume(
 
 
 def _li_read(sf_dir: str) -> rd.Dataset:
-    return _read_pq(
+    return read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
@@ -459,7 +551,7 @@ def orders_above_customer_avg(
 ) -> rd.Dataset:
     """(o_orderkey, o_custkey, cents, n_orders, sum_cents): orders
     whose value exceeds their customer's average order value."""
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
@@ -570,7 +662,7 @@ def top_orders_per_customer(
 ) -> rd.Dataset:
     """(o_custkey, o_orderkey, cents, rk): each customer's top-``k``
     orders by value, ties broken by orderkey ascending."""
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_totalprice"],
     )
@@ -644,7 +736,7 @@ def events_first_last(
     sf_dir: str, num_partitions: int | None = None
 ) -> rd.Dataset:
     """(user_id, n_events, first_ts, first_type, last_ts, last_type)."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -760,7 +852,7 @@ def events_percent_rank(sf_dir: str) -> rd.Dataset:
     CUME_DIST of each event's value within its type, ascending."""
     from .analytics import _events_cents_hist
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "event_type", "value"],
     )
@@ -949,7 +1041,7 @@ GROUP BY d.event_type
 def events_regr_trend(sf_dir: str) -> rd.Dataset:
     """(event_type, n, slope, intercept, r2): OLS regression of
     value-cents on the event's epoch-day per type."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "ts", "value"],
     )
@@ -1068,7 +1160,7 @@ def user_funnel(
     """(user_id, first_view_ts, first_purchase_ts): users who did
     ``step1`` and then ``step2`` strictly later, with both first
     timestamps."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_type"],
     )
@@ -1173,7 +1265,7 @@ def user_retention(
 ) -> rd.Dataset:
     """(cohort_week, week_offset, n_users): distinct active users per
     cohort × offset cell."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
     )
     n_parts = num_partitions or adaptive_partitions(
@@ -1278,7 +1370,7 @@ FROM c GROUP BY cw, week_offset
 def events_props_stats(sf_dir: str) -> rd.Dataset:
     """(event_type, n, sum_k, min_k, max_k) over the JSON props
     field ``k``."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "props"],
     )
@@ -1343,7 +1435,7 @@ def events_value_fill(
     """(event_id, user_id, cents, filled_cents): value with nulls
     (event_id % 7 = 0) forward-filled within each user's (ts,
     event_id) order; leading nulls stay null."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "ts", "value"],
     )
@@ -1435,7 +1527,7 @@ def events_sliding_distinct_users(
 ) -> rd.Dataset:
     """(hour, n_users): distinct users active in [hour-2, hour] for
     every hour that has at least one event."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
     )
     n_parts = num_partitions or adaptive_partitions(
@@ -1503,8 +1595,6 @@ def events_sliding_distinct_users(
         .groupby("part")
         .map_groups(merge, batch_format="pyarrow")
     )
-    from .relational import bounded_group_table_strict
-
     tbl = bounded_group_table_strict(
         parts, ["hour"], [("delta", "sum"), ("present", "sum")]
     )
@@ -1558,7 +1648,7 @@ def event_transitions(
 ) -> rd.Dataset:
     """(prev_type, next_type, n): counts of consecutive event-type
     pairs within each user's (ts, event_id) order."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -1664,7 +1754,7 @@ def _skyline(cents: np.ndarray, days: np.ndarray, okey: np.ndarray):
 def orders_pareto(sf_dir: str) -> rd.Dataset:
     """(o_orderkey, cents, epoch_day): orders on the Pareto front of
     (price high, date early)."""
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_totalprice", "o_orderdate"],
     )
@@ -1756,7 +1846,7 @@ WHERE NOT EXISTS (
 def events_type_dow_chi2(sf_dir: str) -> rd.Dataset:
     """(chi2_fp_nano, dof, n): the chi-square statistic (×1e9,
     floored) for independence of event type and day-of-week."""
-    ev = _read_pq(
+    ev = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"]
     )
 
@@ -1774,8 +1864,6 @@ def events_type_dow_chi2(sf_dir: str) -> rd.Dataset:
         )
         g = t.group_by(["event_type", "dow"]).aggregate([([], "count_all")])
         return g.rename_columns(["event_type", "dow", "n"])
-
-    from .relational import bounded_group_table_strict
 
     tbl = bounded_group_table_strict(
         ev.map_batches(partial, batch_format="pyarrow"),

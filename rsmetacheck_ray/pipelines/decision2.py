@@ -37,15 +37,16 @@ import ray.data as rd
 
 from ..functions.editdist import byte_matrix, deletion_keys, within_edit1
 from ..functions.hashing import hash_str_arrow_u128, splitmix64_np
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import (
-    _cents,
+from ..partitioning import (
     _part_of,
-    _read_pq,
+    adaptive_partitions,
     bounded_group_reduce,
     bounded_group_table,
     bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
 )
+from .relational import _cents
 
 # part travels as sorted (p_partkey → attribute) arrays: 16-24 B/row,
 # ~4.8 MB at SF-1 (200k parts) and ~480 MB at the 10⁷-part extreme —
@@ -88,12 +89,12 @@ def orders_with_returns(
     side carries (orderkey, priority). Each partition merges with one
     sorted membership probe and emits ≤|priorities| count partials,
     reduced on the driver (bounded domain)."""
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey"],
         filter=pc.field("l_returnflag") == "R",
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_orderpriority"],
     )
@@ -191,7 +192,7 @@ def promo_revenue(
 
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_extendedprice", "l_discount"],
         filter=(
@@ -298,7 +299,7 @@ def big_orders(
     the HAVING compare is exact."""
     from ray.data.aggregate import Sum
 
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity"],
     )
@@ -373,7 +374,7 @@ def big_orders(
     o = np.argsort(qk, kind="stable")
     qual_ref = ray.put((qk[o], qq[o]))
 
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
@@ -433,7 +434,7 @@ def big_orders(
         )
     )
 
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_name"],
     )
@@ -500,15 +501,15 @@ def _big_orders_shuffle(
     ≤few-qualifying rows to their order row. Shuffle B (custkey):
     qualifying rows against (custkey, name) customer rows. Used when
     the qualifying set outgrows ``_Q18_QUALIFY_MAX``."""
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity"],
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"),
         columns=["c_custkey", "c_name"],
     )
@@ -774,7 +775,7 @@ def part_supplier_counts(
     bad_k = np.sort(bad.column("s_suppkey").to_numpy(zero_copy_only=False).astype(np.int64))
     ref = ray.put((pk[order], cid[order], bad_k))
 
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_suppkey"],
     )
@@ -903,7 +904,7 @@ def special_revenue(sf_dir: str) -> rd.Dataset:
     q_lo = np.array([b[3] for b in _Q19_BRANCHES], np.float64)
     q_hi = np.array([b[4] for b in _Q19_BRANCHES], np.float64)
 
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
         filter=(
@@ -980,7 +981,7 @@ def fuzzy_name_pairs(
     documented cost of losslessness, fine for short key fields.
     Partkeys pack into one int64 (< 2^31 each at any SF here); a
     >2^31-key corpus would switch the distinct to two-column form."""
-    part = _read_pq(
+    part = read_pq(
         os.path.join(sf_dir, "part.parquet"),
         columns=["p_partkey", "p_name", "p_brand"],
     )

@@ -1,11 +1,8 @@
 """Generic dataset-level join API.
 
-The engine's join shapes exist as bespoke tuned pipelines (broadcast
-lookup `relational.py:1007`, distributed hash join `relational.py:502`,
-as-of `relational.py:748`, range/band `relational.py:847`, anti
-`relational.py:1126`) — this module exposes them as ONE reusable
-``join(left, right, on, how)`` over arbitrary ``ray.data.Dataset``
-inputs, picking the physical plan by the same size gates:
+One reusable ``join(left, right, on, how)`` over arbitrary
+``ray.data.Dataset`` inputs (broadcast lookup, distributed hash join,
+as-of, range/band, anti), picking the physical plan by size gates:
 
 - ``how="inner" | "left" | "semi" | "anti"`` (equi-join, any key dtype,
   duplicate keys on both sides):
@@ -45,8 +42,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import _part_of
+from ..partitioning import _part_of, adaptive_partitions, parquet_rows_hint
 
 # right side travels as one ray.put table below this row count
 # (~32-64 MB for typical key+payload projections)

@@ -9,8 +9,8 @@ see SURVEY §3 "New-engine lifecycle"):
 The scoring chain defaults to a fused TASK stage (scorer state cached
 once per worker process; read → gate → write fuse into a single
 operator with no intermediate object-store hops); an ActorPoolStrategy
-layout for the same stage — or one pool per scorer — is selected with
-``build_gate(compute="actors")`` / ``fused=False`` for heavy models.
+layout for the same stage is selected with
+``build_gate(compute="actors")`` for heavy models.
 
 Scale design:
  - zero-copy Arrow batches end-to-end (``batch_format="pyarrow"``);
@@ -162,30 +162,27 @@ def _gate_task_fn(batch: pa.Table, cfg: GateConfig, write_dropped_text: bool,
 
 def build_gate(
     ds: rd.Dataset, cfg: GateConfig = DEFAULT_CONFIG, write_dropped_text: bool = False,
-    expose_flags: bool = False, fused: bool = True, compute: str = "tasks",
+    expose_flags: bool = False, compute: str = "tasks",
 ) -> rd.Dataset:
     """Assemble the lazy gate pipeline over a pages Dataset.
 
     Returns a Dataset of ALL rows with decision columns + scrubbed
     text (null for dropped rows unless ``write_dropped_text``).
 
-    ``fused=True, compute="tasks"`` (default): the whole scoring chain
-    as ONE task-pool ``map_batches`` — Ray fuses read → gate → write
-    into a single operator (no intermediate object-store hops), and
-    task workers cache the scorer state per process.
-    ``fused=True, compute="actors"``: same fused stage as a pre-sized
-    actor pool (the ActorPoolStrategy layout — right when per-actor
-    state is heavy enough to need placement control, e.g. real
-    fastText/KenLM models).
-    ``fused=False``: one operator per stage — for heavy per-stage
-    models wanting separate pools sized to their own memory/compute.
+    ``compute="tasks"`` (default): the whole scoring chain as ONE
+    task-pool ``map_batches`` — Ray fuses read → gate → write into a
+    single operator (no intermediate object-store hops), and task
+    workers cache the scorer state per process.
+    ``compute="actors"``: the same fused stage as a pre-sized actor
+    pool (the ActorPoolStrategy layout — right when per-actor state is
+    heavy enough to need placement control, e.g. real fastText/KenLM
+    models).
     """
     import functools
 
     import ray
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    if fused and compute == "tasks":
+    if compute == "tasks":
         return ds.map_batches(
             functools.partial(
                 _gate_task_fn, cfg=cfg,
@@ -195,42 +192,19 @@ def build_gate(
             batch_size=cfg.batch_size,
             zero_copy_batch=True,
         )
-    if fused:
-        # Pre-sized pool (ncpu-2 actors, 2 CPUs left for read/write
-        # tasks): the autoscaling (1..N) policy ramps up too slowly —
-        # measured 26 s vs 21 s on a 4M-doc run.
-        pool = max(2, ncpu - 2)
-        return ds.map_batches(
-            GateStage,
-            fn_constructor_args=(cfg, write_dropped_text, expose_flags),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=(pool, pool),
-            zero_copy_batch=True,
-        )
-    ds = ds.map_batches(extract_stage, batch_format="pyarrow", zero_copy_batch=True)
-    langid_max = cfg.langid_actors or max(2, ncpu // 2)
-    ppl_max = cfg.perplexity_actors or max(2, ncpu // 2)
-    ds = ds.map_batches(
-        LangIdScorer,
-        fn_constructor_args=(cfg,),
+    # Pre-sized pool (ncpu-2 actors, 2 CPUs left for read/write
+    # tasks): the autoscaling (1..N) policy ramps up too slowly —
+    # measured 26 s vs 21 s on a 4M-doc run.
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    pool = max(2, ncpu - 2)
+    return ds.map_batches(
+        GateStage,
+        fn_constructor_args=(cfg, write_dropped_text, expose_flags),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
-        concurrency=(1, langid_max),
-    )
-    ds = ds.map_batches(
-        PerplexityScorer,
-        fn_constructor_args=(cfg,),
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=(1, ppl_max),
-    )
-    ds = ds.map_batches(
-        _RuleStage(cfg, write_dropped_text, expose_flags),
-        batch_format="pyarrow",
+        concurrency=(pool, pool),
         zero_copy_batch=True,
     )
-    return ds
 
 
 def evidence_view(out_docs_dir: str) -> rd.Dataset:

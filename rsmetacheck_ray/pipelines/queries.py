@@ -30,8 +30,8 @@ from ray.data.aggregate import Sum
 
 from ..functions import dedup as dd
 from ..functions import similarity as sim
+from ..partitioning import _part_of, bounded_group_table_strict, read_pq
 from ..sources.pages_from_documents import pages_cte, synthesize_pages, trigger_table
-from ..stages import multimodal as mm
 from ..stages.skew import HOST_COUNTS_SQL_TEMPLATE
 from ..stages.langid import marker_pattern
 from ..stages.rules import (
@@ -64,11 +64,8 @@ from . import analytics as ana
 from . import corpus as cor
 from . import decision as dec
 from . import decision2 as dec2
-from . import decision3 as dec3
-from . import decision4 as dec4
 from . import corpus2 as cor2
 from . import corpus3 as cor3
-from . import decision5 as dec5
 from . import relational as rel
 from . import stats as st
 from .quality_gate import build_gate
@@ -220,7 +217,7 @@ def q_lang_confusion(sf_dir: str):
         )
         return g.rename_columns(["lang", "detected_lang", "n"])
 
-    res = rel.bounded_group_table_strict(
+    res = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["lang", "detected_lang"],
         [("n", "sum")],
@@ -396,7 +393,7 @@ def q_crawl_disallowed(sf_dir: str):
             }
         )
 
-    res = rel.bounded_group_table_strict(
+    res = bounded_group_table_strict(
         pages.map_batches(partial, batch_format="pyarrow"),
         ["host"],
         [("n_disallowed", "sum"), ("n_urls", "sum")],
@@ -596,7 +593,7 @@ def q_gate_host_keep_rate(sf_dir: str):
         g = t.group_by("host").aggregate([("kept", "sum"), ([], "count_all")])
         return g.rename_columns(["host", "n_kept", "n_docs"])
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["host"],
         [("n_kept", "sum"), ("n_docs", "sum")],
@@ -689,7 +686,7 @@ def q_gate_rule_cooccurrence(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["rule_a", "rule_b"],
         [("n_both", "sum")],
@@ -770,7 +767,7 @@ def q_gate_rule_marginal(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["rule"],
         [("n_hits", "sum"), ("n_sole", "sum")],
@@ -884,7 +881,7 @@ def q_classifier_best_f1(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         j.map_batches(partial, batch_format="pyarrow"),
         ["score_total", "kept"],
         [("n", "sum")],
@@ -1172,7 +1169,7 @@ def q_gate_classifier_calibration(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         j.map_batches(partial, batch_format="pyarrow"),
         ["bin"],
         [("n_kept", "sum"), ("n_docs", "sum")],
@@ -1272,7 +1269,7 @@ def q_gate_classifier_auc(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         j.map_batches(partial, batch_format="pyarrow"),
         ["score_total", "kept"],
         [("n", "sum")],
@@ -1386,7 +1383,7 @@ def q_gate_isotonic_calibration(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         j.map_batches(partial, batch_format="pyarrow"),
         ["score_total"],
         [("nk", "sum"), ("n", "sum")],
@@ -1474,7 +1471,7 @@ def q_source_classifier_auc(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         j.map_batches(partial, batch_format="pyarrow"),
         ["source", "score_total", "kept"],
         [("n", "sum")],
@@ -2121,7 +2118,7 @@ def q_kept_url_depth(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["depth"],
         [("n", "sum"), ("n_kept", "sum")],
@@ -2202,7 +2199,7 @@ def q_lang_keep_matrix(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["lang", "detected_lang"],
         [("n", "sum"), ("n_kept", "sum")],
@@ -2409,7 +2406,7 @@ def q_kept_host_entropy(sf_dir: str):
             }
         )
 
-    hist = rel.bounded_group_table_strict(
+    hist = bounded_group_table_strict(
         salted_host_counts(kept).map_batches(
             count_of_counts, batch_format="pyarrow"
         ),
@@ -2534,7 +2531,7 @@ def q_quality_dup_rate(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         docs.map_batches(rows, batch_format="pyarrow")
         .groupby(["h1", "h2"])
         .map_groups(per_group, batch_format="pyarrow"),
@@ -2701,7 +2698,7 @@ def q_curate_pack(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         packed.map_batches(rollup, batch_format="pyarrow"),
         ["shard", "bin"],
         [("n_docs", "sum"), ("n_tokens", "sum")],
@@ -2832,7 +2829,7 @@ def q_gate_ppl_sensitivity(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         out.map_batches(partial, batch_format="pyarrow"),
         ["threshold"],
         [("n_lm_dropped", "sum"), ("n_kept", "sum")],
@@ -2883,7 +2880,7 @@ def q_price_quantiles(sf_dir: str):
     passes, no sort, count partials only on the wire."""
     from ..functions.selection import radix_quantiles
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_extendedprice"],
     ).map_batches(
@@ -2933,7 +2930,7 @@ def q_price_quantiles_weighted(sf_dir: str):
     shuffle, identical plan at any scale."""
     from ..functions.selection import radix_weighted_quantiles
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_extendedprice", "l_quantity"],
     ).map_batches(
@@ -3021,11 +3018,11 @@ def q_source_score_calibration(sf_dir: str):
     CDF walks are driver-side over that bounded histogram."""
     import math
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "source", "text"],
     )
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(
             _SourceScoreHist, batch_format="pyarrow", concurrency=(1, 8)
         ),
@@ -3126,7 +3123,7 @@ def q_blocking_recall(sf_dir: str):
     from ..functions.phonetic import soundex_arrow
     from .decision2 import fuzzy_name_pairs
 
-    part = rel._read_pq(
+    part = read_pq(
         os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_name"]
     )
 
@@ -3184,7 +3181,7 @@ def q_blocking_recall(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         fuzzy_name_pairs(sf_dir).map_batches(probe, batch_format="pyarrow"),
         ["k"],
         [("n_pairs", "sum"), ("n_blocked", "sum")],
@@ -3246,7 +3243,7 @@ def q_event_value_heavy_hitters(sf_dir: str):
     passes, zero sorts, zero row shuffles."""
     from ..functions.selection import radix_heavy_hitters
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["value"]
     ).map_batches(
         lambda b: pa.table(
@@ -3300,7 +3297,7 @@ def q_part_soundex_blocks(sf_dir: str):
     |codes|-bounded driver work."""
     from ..functions.phonetic import soundex_arrow
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "part.parquet"), columns=["p_name"]
     )
 
@@ -3314,7 +3311,7 @@ def q_part_soundex_blocks(sf_dir: str):
         g = g.rename_columns(["soundex", "name", "n"])
         return g.set_column(2, "n", pc.cast(g.column(2), pa.int64()))
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["soundex", "name"],
         [("n", "sum")],
@@ -3358,7 +3355,7 @@ def q_part_golden_record(sf_dir: str):
     resolution is |codes|-bounded driver work."""
     from ..functions.phonetic import soundex_arrow
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "part.parquet"),
         columns=["p_partkey", "p_name", "p_brand", "p_type"],
     )
@@ -3389,7 +3386,7 @@ def q_part_golden_record(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["soundex", "p_brand", "p_type"],
         [("n", "sum"), ("min_key", "min")],
@@ -3506,7 +3503,7 @@ def q_price_quantiles_by_flag(sf_dir: str):
     sort; group domain = l_returnflag, bounded)."""
     from ..functions.selection import radix_quantiles_by_group
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_extendedprice"],
     ).map_batches(
@@ -4111,7 +4108,7 @@ def q_source_lang_kl(sf_dir: str):
         )
         return g.rename_columns(["source", "lang", "n"])
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["source", "lang"],
         [("n", "sum")],
@@ -4412,7 +4409,7 @@ def q_source_readability_drift(sf_dir: str):
         )
         return g.rename_columns(["source", "n_docs", "ch", "w", "s"])
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["source"],
         [("n_docs", "sum"), ("ch", "sum"), ("w", "sum"), ("s", "sum")],
@@ -4536,7 +4533,7 @@ def q_source_gini(sf_dir: str):
         )
         return g.rename_columns(["source", "x"])
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["source"],
         [("x", "sum")],
@@ -5416,7 +5413,7 @@ def q_curate_semantic(sf_dir: str):
 
     kept = gated.map_batches(kept_ids, batch_format="pyarrow")
 
-    emb = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    emb = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
 
     def template(b: pa.Table) -> pa.Table:
         # vectorized in-place rewrite: flatten the list column to its
@@ -5465,7 +5462,7 @@ def q_curate_semantic(sf_dir: str):
             ids = b.column("doc_id").to_numpy(zero_copy_only=False)
             return pa.table(
                 {
-                    "part": rel._part_of(b.column("doc_id"), n_parts),
+                    "part": _part_of(b.column("doc_id"), n_parts),
                     "key": pa.array(ids, pa.int64()),
                     "tag": pa.array(
                         np.full(len(ids), tag_val, np.int8)
@@ -6719,7 +6716,7 @@ def q_common_users_by_type(sf_dir: str):
         KMV_K, kmv_intersection, kmv_merge, kmv_partial,
     )
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "user_id"],
     )
@@ -6808,7 +6805,7 @@ def q_approx_distinct_users(sf_dir: str):
     tests/test_sketch.py against the exact distinct)."""
     from ..functions.sketch import approx_distinct_table
 
-    ds = rel._read_pq(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
+    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
     return approx_distinct_table(ds, "user_id")
 
 
@@ -6822,7 +6819,7 @@ def q_approx_distinct_users_by_type(sf_dir: str):
     tests/test_sketch.py."""
     from ..functions.sketch import approx_distinct_by_key
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "user_id"],
     )
@@ -6911,7 +6908,7 @@ def q_approx_quantiles_by_type(sf_dir: str):
     in tests/test_sketch.py."""
     from ..functions.sketch import approx_quantiles_by_key
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "value"],
     )
@@ -6951,7 +6948,7 @@ def q_approx_quantiles(sf_dir: str):
     tests/test_sketch.py."""
     from ..functions.sketch import approx_quantiles
 
-    ds = rel._read_pq(os.path.join(sf_dir, "events.parquet"), columns=["value"])
+    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["value"])
     levels_out: list = []
     t = approx_quantiles(ds, "value", levels_out=levels_out)
     _export_mrl_sketch(levels_out[0], "mrl_global.parquet")
@@ -7083,7 +7080,7 @@ def q_approx_quantiles_sampled(sf_dir: str):
     pair stays as the bounded-memory streaming alternative)."""
     from ..functions.sketch import sampled_quantiles
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["event_id", "value"]
     )
     return sampled_quantiles(ds, "event_id", "value")
@@ -7094,7 +7091,7 @@ def q_approx_quantiles_sampled_by_type(sf_dir: str):
     approx_quantiles_sampled (each group keeps its own bottom-k)."""
     from ..functions.sketch import sampled_quantiles_by_key
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "event_id", "value"],
     )
@@ -7730,7 +7727,7 @@ def q_dedup_component_sizes(sf_dir: str):
 
     corpus = _cc_corpus(sf_dir)
     comp = connected_components(_cc_edges(corpus))
-    per_comp = rel.bounded_group_table_strict(
+    per_comp = bounded_group_table_strict(
         comp.map_batches(
             lambda b: pa.table(
                 {
@@ -9694,7 +9691,7 @@ def q_collocations(sf_dir: str, min_count: int = _COLLOC_MIN_COUNT):
             }
         )
 
-    uni = rel.bounded_group_table_strict(
+    uni = bounded_group_table_strict(
         ds.map_batches(unigram_partial, batch_format="pyarrow"),
         ["token"],
         [("n", "sum")],
@@ -9968,7 +9965,7 @@ def q_events_zorder(sf_dir: str, k: int = _ZORDER_K):
     (``spread(user) | spread(cents) << 1``); the ordering pass is the
     shared per-block top-k prune (never a full sort), so computing a
     Z-layout at 10¹² rows ships (#blocks × k) candidate rows."""
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "value"],
     )
@@ -10260,7 +10257,7 @@ def q_dedup_embedding_pairs(sf_dir: str):
     """Size-gated: EXACT block-pair cosine at oracle scales (all sf
     dirs are far under the gate), hyperplane LSH past
     ``EXACT_EMBEDDING_MAX_ROWS`` — see test_embedding_auto_gate."""
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     return dd.embedding_pairs_auto(ds, threshold=0.45)
 
 
@@ -10271,7 +10268,7 @@ def q_dedup_embedding_lsh(sf_dir: str):
     duplicate vectors (vec_id+1e6 copies of every 10th vector) — LSH
     recall at weak thresholds (cos 0.45 ≈ 63°) is near zero by
     construction; its regime is near-parallel vectors."""
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
 
     def copies(b: pa.Table) -> pa.Table:
         ids = b.column("vec_id").to_numpy(zero_copy_only=False)
@@ -10381,7 +10378,7 @@ WHERE list_cosine_similarity(
 
 def q_knn_cosine(sf_dir: str):
     qids, qvecs = _query_vectors(sf_dir)
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     return sim.knn_bruteforce(ds, qvecs, qids, k=10)
 
 
@@ -10418,7 +10415,7 @@ def q_hard_negatives(sf_dir: str):
         zip(lt.column("vec_id").to_pylist(), lt.column("label").to_pylist())
     )
     qlabs = np.array([lmap[int(i)] for i in qids], np.int64)
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     return sim.knn_hard_negatives(ds, qvecs, qids, qlabs, k=10)
 
 
@@ -10437,7 +10434,7 @@ def _bitext_sides(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
     share the id space)."""
     from .join import join as generic_join
 
-    emb = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    emb = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
 
     def as_vec(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -10447,7 +10444,7 @@ def _bitext_sides(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
             }
         )
 
-    langs = rel._read_pq(
+    langs = read_pq(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang"]
     ).map_batches(as_vec, batch_format="pyarrow")
     j = generic_join(
@@ -10690,7 +10687,7 @@ def q_knn_ivf(sf_dir: str):
     import pyarrow.parquet as pq
 
     qids, qvecs = _query_vectors(sf_dir)
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     out: list = []
     res = sim.knn_ivf(ds, qvecs, qids, k=10, centroids_out=out)
     cent, nprobe = out[0]
@@ -10776,7 +10773,7 @@ def q_mmr_select(sf_dir: str):
     recurrence is finite (k=5), so the oracle unrolls it as chained
     per-pick CTEs — no rows-only escape needed."""
     qids, qvecs = _query_vectors(sf_dir)
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     return sim.mmr_select(
         ds, qvecs, qids, k=_MMR_K, pool=_MMR_POOL, lam=_MMR_LAM
     )
@@ -10864,7 +10861,7 @@ def q_knn_ndcg(sf_dir: str):
     import pyarrow.parquet as _pq
 
     qids, qvecs = _query_vectors(sf_dir)
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     ranked: dict[int, list[int]] = {}
     for r in sim.knn_bruteforce(ds, qvecs, qids, k=_NDCG_K).take_all():
         ranked.setdefault(int(r["query_id"]), []).append(int(r["vec_id"]))
@@ -10878,8 +10875,6 @@ def q_knn_ndcg(sf_dir: str):
         zip(lt.column("vec_id").to_pylist(), lt.column("label").to_pylist())
     )
     # label sizes: bounded-domain count reduce
-    from .relational import bounded_group_table_strict
-
     def lab_counts(b: pa.Table) -> pa.Table:
         g = b.select(["label"]).group_by("label").aggregate([([], "count_all")])
         return pa.table(
@@ -10989,7 +10984,7 @@ def q_knn_quantized(sf_dir: str):
 
     qids, qvecs = _query_vectors(sf_dir)
     qds = quantize_embeddings(
-        rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+        read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     )
     return knn_quantized(qds, qvecs, qids, k=10)
 
@@ -11104,7 +11099,7 @@ def q_kmeans_clusters(sf_dir: str):
     in pytest."""
     from ..functions.clustering import kmeans_assign, kmeans_fit
 
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     cent = kmeans_fit(ds, k=8, n_iters=8)
     _export_centroids(cent, "centroids.parquet")
     return kmeans_assign(ds, cent)
@@ -11126,7 +11121,7 @@ def q_kmeans_margin(sf_dir: str):
     makes both cosines — and their difference — bit-identical."""
     from ..functions.clustering import kmeans_fit, kmeans_margin
 
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
     cent = kmeans_fit(ds, k=8, n_iters=8)
     _export_centroids(cent, "centroids_margin.parquet")
     return kmeans_margin(ds, cent)
@@ -11158,7 +11153,7 @@ def q_dedup_semantic(sf_dir: str):
 
     from ..functions import clustering as cl
 
-    ds = rel._read_pq(os.path.join(sf_dir, "embeddings.parquet"))
+    ds = read_pq(os.path.join(sf_dir, "embeddings.parquet"))
 
     def copies(b: pa.Table) -> pa.Table:
         ids = b.column("vec_id").to_numpy(zero_copy_only=False)
@@ -11315,8 +11310,6 @@ def q_lang_source_rollup(sf_dir: str):
     groupby of per-batch (lang, source) tallies; the coarser levels
     re-aggregate that already-tiny result, so the extra shuffles move
     KBs."""
-    from .relational import bounded_group_table_strict
-
     ds = _documents(sf_dir, ["lang", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -11380,8 +11373,6 @@ def q_length_outliers(sf_dir: str):
     quantile_disc threshold; pass 2 filters with that broadcast
     scalar. No full-table shuffle in either pass."""
     import math
-
-    from .relational import bounded_group_table_strict
 
     ds = _documents(sf_dir, ["doc_id", "n_chars"])
 
@@ -11486,7 +11477,7 @@ def q_pca_embeddings(sf_dir: str):
     list_sum fold; eigensolver parity with numpy stays in pytest."""
     from ..functions.pca import pca_fit, pca_project
 
-    ds = rel._read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "embeddings.parquet"),
         columns=["vec_id", "embedding"],
     )
@@ -11552,8 +11543,6 @@ def q_host_lorenz(sf_dir: str):
     the decile walk is O(|distinct counts|); every share is a single
     division of exact int64 sums."""
     from ..stages.skew import salted_host_counts
-    from .relational import bounded_group_table_strict
-
     pages = _pages_input(sf_dir).map_batches(
         synthesize_pages, batch_format="pyarrow"
     )
@@ -11640,234 +11629,6 @@ ORDER BY decile
 """
 
 
-def q_multimodal_meta(sf_dir: str):
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    with_payload = ds.map_batches(mm.attach_payload, batch_format="pyarrow")
-    decoded = with_payload.map_batches(
-        mm.ImageDecodeStub, batch_format="pyarrow", concurrency=(1, 2)
-    )
-    return decoded.select_columns(
-        ["doc_id", "payload_bytes", "width", "height", "format"]
-    )
-
-
-def q_multimodal_resize(sf_dir: str):
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    decoded = ds.map_batches(mm.attach_payload, batch_format="pyarrow").map_batches(
-        mm.ImageDecodeStub, batch_format="pyarrow", concurrency=(1, 2)
-    )
-    resized = decoded.map_batches(
-        mm.ResizeStub, batch_format="pyarrow", concurrency=(1, 2)
-    )
-    return resized.select_columns(["doc_id", "width", "height", "resized_w", "resized_h"])
-
-
-SQL_MULTIMODAL_RESIZE = """
-WITH dims AS (
-  SELECT doc_id,
-    CAST(strlen(text) % 640 + 16 AS BIGINT) AS width,
-    CAST(strlen(text) % 480 + 16 AS BIGINT) AS height
-  FROM documents
-)
-SELECT doc_id, width, height,
-  CASE WHEN greatest(width, height) > 224
-       THEN width * 224 // greatest(width, height) ELSE width END AS resized_w,
-  CASE WHEN greatest(width, height) > 224
-       THEN height * 224 // greatest(width, height) ELSE height END AS resized_h
-FROM dims
-"""
-
-
-def q_multimodal_features(sf_dir: str):
-    """Decode-stub features flow straight into the knn operator — the
-    end-to-end multimodal retrieval plumbing (extract → embed → search)
-    with everything but the codec real."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    feats = ds.map_batches(mm.attach_payload, batch_format="pyarrow").map_batches(
-        mm.FeatureExtractStub, batch_format="pyarrow", concurrency=(1, 2)
-    )
-
-    def flatten(b: pa.Table) -> pa.Table:
-        emb = b.column("embedding")
-        f0 = pc.list_element(emb, 0)
-        f7 = pc.list_element(emb, 7)
-        return pa.table(
-            {"doc_id": b.column("doc_id"), "f0": f0, "f7": f7}
-        )
-
-    return feats.map_batches(flatten, batch_format="pyarrow")
-
-
-SQL_MULTIMODAL_FEATURES = """
-SELECT doc_id,
-  CAST((strlen(text) * 1) % 997 AS DOUBLE) / 997.0 AS f0,
-  CAST((strlen(text) * 8) % 997 AS DOUBLE) / 997.0 AS f7
-FROM documents
-"""
-
-
-def q_multimodal_ppm_decode(sf_dir: str):
-    """REAL codec path: P6 PPM payloads genuinely decoded to pixels
-    (no external libs needed); per-channel means come from the actual
-    pixel data, so this is a true decode stage, not stub arithmetic.
-    Full SQL oracle: the deterministic splitmix64 pixel stream is
-    re-derived in DuckDB (_sql_mm_image_stats) and the channel means
-    are bit-exact integer-sum divisions; the encode→decode byte
-    framing stays pinned by the roundtrip pytest."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    decoded = ds.map_batches(mm.attach_ppm_payload, batch_format="pyarrow").map_batches(
-        mm.PPMDecode, batch_format="pyarrow", concurrency=(1, 4), batch_size=256
-    )
-    return decoded.select_columns(
-        ["doc_id", "width", "height", "mean_r", "mean_g", "mean_b"]
-    )
-
-
-def q_multimodal_mixed_resize(sf_dir: str):
-    """Cross-codec TRANSCODE: dispatch-decode (PPM|BMP|farbfeld),
-    real-pixel nearest-neighbor resize, re-encode in the original
-    format — the payload stays a valid file of its own format end to
-    end (stages/multimodal.MixedResize). Full SQL oracle (integer box
-    fit); the resize-then-roundtrip pixel equality per format is
-    pinned by pytest."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    resized = ds.map_batches(
-        mm.attach_mixed_payload, batch_format="pyarrow"
-    ).map_batches(
-        mm.MixedResize, batch_format="pyarrow", concurrency=(1, 4),
-        batch_size=256,
-    )
-    return resized.select_columns(
-        ["doc_id", "format", "width", "height", "resized_w", "resized_h"]
-    )
-
-
-def q_multimodal_wav_features(sf_dir: str):
-    """REAL audio tier: from-scratch WAV/PCM16 decode (RIFF chunk walk,
-    stereo downmix) → vectorized clip features (duration, RMS, ZCR,
-    peak) in an actor pool — the audio analog of the image tiers.
-    Full SQL oracle: the splitmix64 sample stream and all four
-    features are re-derived in DuckDB with exact-dyadic float
-    reasoning (_sql_mm_wav_features); roundtrip bit-exactness stays
-    pinned in pytest."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    return ds.map_batches(
-        mm.attach_wav_payload, batch_format="pyarrow"
-    ).map_batches(
-        mm.WavFeatures, batch_format="pyarrow", concurrency=(1, 4),
-        batch_size=256,
-    )
-
-
-def q_multimodal_wav_resample(sf_dir: str):
-    """Audio transcode: decode → nearest-neighbor resample to 8 kHz →
-    re-encode WAV (payload stays a valid file; clips already at 8 kHz
-    pass through bit-exact). Full SQL oracle (integer sample-count
-    arithmetic); the WAV byte framing stays pinned in pytest."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    resampled = ds.map_batches(
-        mm.attach_wav_payload, batch_format="pyarrow"
-    ).map_batches(
-        mm.WavResample, batch_format="pyarrow", concurrency=(1, 4),
-        batch_size=256,
-    )
-    return resampled.select_columns(["doc_id", "orig_rate", "n_samples"])
-
-
-def q_multimodal_mixed_decode(sf_dir: str):
-    """Format-DISPATCH decode: the same deterministic pixels encoded as
-    PPM (even doc_ids) or BMP (odd), routed by magic bytes in ONE
-    actor-pool stage — two genuinely different raster layouts
-    (top-down unpadded RGB vs bottom-up 4-byte-padded BGR). Full SQL
-    oracle (shared with ppm_decode + the doc_id%3 format column);
-    the per-format roundtrips and the cross-codec pixel equality are
-    pinned by pytest (tests/test_multimodal.py)."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    decoded = ds.map_batches(
-        mm.attach_mixed_payload, batch_format="pyarrow"
-    ).map_batches(
-        mm.ImageDecode, batch_format="pyarrow", concurrency=(1, 4), batch_size=256
-    )
-    return decoded.select_columns(
-        ["doc_id", "format", "width", "height", "mean_r", "mean_g", "mean_b"]
-    )
-
-
-def _mm_knn(sf_dir: str, attach_fn, dispatch: bool):
-    """Shared pixel-retrieval pipeline (decode → resize → 15-dim
-    features → cosine top-k vs the first 3 images), parameterized on
-    the payload synthesizer and the magic-byte dispatch flag. The
-    decode→resize→feature chain runs as ONE fused actor-pool stage
-    (mm.ImageFeaturePipeline) so the fat raster buffers never cross a
-    stage boundary — only 15-float embeddings leave the pool; the
-    fused stage is pinned bitwise identical to the chained
-    PPMDecode→PPMResize→PPMFeatures stages by pytest."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    feats = (
-        ds.map_batches(attach_fn, batch_format="pyarrow")
-        .map_batches(
-            mm.ImageFeaturePipeline,
-            fn_constructor_kwargs={"dispatch": dispatch},
-            batch_format="pyarrow",
-            concurrency=(1, 4),
-            batch_size=256,
-        )
-        .select_columns(["doc_id", "embedding"])
-    )
-    import pyarrow.parquet as pq
-
-    # stream only the FIRST batch off disk (never the whole table)
-    pf = pq.ParquetFile(os.path.join(sf_dir, "documents.parquet"))
-    try:
-        head = pa.Table.from_batches(
-            [next(pf.iter_batches(batch_size=3, columns=["doc_id", "text"]))]
-        )
-    except StopIteration:
-        head = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
-        )
-    n_q = min(3, head.num_rows)  # corpora smaller than 3 docs still work
-    head = head.slice(0, n_q)
-    qids = np.array(head.column("doc_id").to_pylist(), dtype=np.int64)
-    fused = mm.ImageFeaturePipeline(dispatch=dispatch)
-    qvecs = np.stack(
-        [
-            np.array(
-                fused(  # same fused feature fn on the query images
-                    attach_fn(head.slice(i, 1))
-                ).column("embedding")[0].as_py()
-            )
-            for i in range(n_q)
-        ]
-    )
-    return sim.knn_bruteforce(feats, qvecs, qids, k=5, id_col="doc_id")
-
-
-def q_multimodal_ppm_knn(sf_dir: str):
-    """End-to-end real-pixel retrieval: decode → resize → 15-dim pixel
-    features → cosine top-k against the first 3 images' features."""
-    return _mm_knn(sf_dir, mm.attach_ppm_payload, dispatch=False)
-
-
-def q_multimodal_mixed_knn(sf_dir: str):
-    """Cross-FORMAT retrieval: the mixed PPM/BMP/farbfeld corpus
-    through dispatch decode → resize → pixel features → cosine top-k.
-    Because the three codecs carry the SAME deterministic pixels,
-    results are format-invariant — identical to the PPM-only pipeline
-    (pinned by pytest cross-codec feature equality)."""
-    return _mm_knn(sf_dir, mm.attach_mixed_payload, dispatch=True)
-
-
-def q_multimodal_ppm_frames(sf_dir: str):
-    """REAL video-container walk: concatenated P6 frames parsed from
-    the self-describing headers, every 2nd frame decoded and emitted
-    as its own row (the flat_map shape of frame sampling)."""
-    ds = _documents(sf_dir, ["doc_id", "text"])
-    return ds.map_batches(mm.attach_ppm_video, batch_format="pyarrow").map_batches(
-        mm.PPMFrameSample, batch_format="pyarrow", concurrency=(1, 4), batch_size=128
-    )
-
-
 def q_doc_bpe_tokens(sf_dir: str):
     from ..functions.tokenize import BPE_TOKEN_RE, count_bpe_tokens, count_ws_tokens
 
@@ -11924,7 +11685,7 @@ def q_lang_tokenizer_fertility(sf_dir: str):
             }
         )
 
-    tbl = rel.bounded_group_table_strict(
+    tbl = bounded_group_table_strict(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["lang"],
         [("ws", "sum"), ("bpe", "sum"), ("n", "sum")],
@@ -11998,568 +11759,6 @@ def _sql_bpe() -> str:
 SELECT doc_id,
   len(regexp_extract_all(text, '{WS_TOKEN_RE}')) AS ws_tokens,
   len(regexp_extract_all(text, '{bpe}')) AS bpe_tokens
-FROM documents
-"""
-
-
-SQL_MULTIMODAL = """
-SELECT doc_id,
-  CAST(strlen(text) AS BIGINT) AS payload_bytes,
-  CAST(strlen(text) % 640 + 16 AS BIGINT) AS width,
-  CAST(strlen(text) % 480 + 16 AS BIGINT) AS height,
-  'stub' AS format
-FROM documents
-"""
-
-
-# ---------------------------------------------------------------------------
-# REAL-codec oracles. The multimodal fixtures are DETERMINISTIC
-# functions of (doc_id, length(text)) — synth_pixels / synth_samples
-# are splitmix64 streams (stages/multimodal.py:211,652) — so DuckDB
-# can re-derive the ENTIRE encode→decode chain from the raw documents
-# table with no parameter export: byte/sample synthesis (the
-# splitmix64 CTE chain), the per-channel integer sums, and the float
-# features. The float paths are bit-exact by construction:
-#  - channel/pixel sums are integers < 2^53, so any summation order
-#    (numpy pairwise vs DuckDB sequential) is EXACT;
-#  - x = s/2^15 and x*x are exact dyadic rationals whose partial sums
-#    stay < 2^53 over the 2^-30 grid, so np.mean's sum is exact too;
-#  - division by a power of two commutes with IEEE rounding, so
-#    (S/2^30)/n == (S/n)/2^30 as computed;
-#  - sqrt is correctly rounded in both numpy and DuckDB (IEEE 754).
-# The codecs themselves (PPM/BMP/farbfeld/WAV framing) are pinned
-# bit-exact by the roundtrip pytests; these oracles check that the
-# distributed decode stages reproduce the ground-truth pixel/sample
-# statistics end to end.
-# ---------------------------------------------------------------------------
-
-_MM_KEY_C = 0x9E3779B97F4A7C15  # synth_pixels' doc key multiplier
-
-# --- perceptual-hash image dedup ----------------------------------------
-# aHash over genuinely decoded pixels, exact-integer throughout
-# (stages/multimodal.ahash_halves), then the SAME star-pair exact
-# dedup machinery text dedup uses — only (doc_id, 16-hex-hash) rows
-# ever shuffle, the pixel buffers stay in the decode stage. The dup
-# corpus synthesizes payloads keyed on doc_id % 97, so ~5 docs share
-# each image at sf0.01 and the pair set is non-vacuous; the oracle
-# re-derives every hash from the splitmix64 pixel stream (no export)
-# with each 32-bit half accumulated inside BIGINT.
-
-_PHASH_MOD = 97
-
-
-def _fp_input(sf_dir: str) -> rd.Dataset:
-    """doc_id column, re-split for the per-row-compute-heavy
-    fingerprint stages: a small test parquet arrives as a handful of
-    blocks (4 tasks on 32 CPUs — measured 2.9 s of the video query's
-    wall), so sub-1M-row inputs are repartitioned to ~128 rows/block.
-    At real scale the lake's own fragment count provides the
-    parallelism and the repartition is skipped."""
-    ds = _documents(sf_dir, ["doc_id"])
-    from ..partitioning import parquet_rows_hint
-
-    hint = parquet_rows_hint(ds) or 0
-    if 0 < hint < 1_000_000:
-        parts = max(4, min(64, hint // 128))
-        return ds.repartition(parts)
-    return ds
-
-
-def _phash_corpus(sf_dir: str) -> rd.Dataset:
-    ds = _fp_input(sf_dir)
-
-    def attach(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_pylist()
-        payloads = [
-            mm.synth_payload_memo("image", int(d) % _PHASH_MOD)
-            for d in ids
-        ]
-        return pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-
-    return ds.map_batches(attach, batch_format="pyarrow")
-
-
-def q_multimodal_phash_pairs(sf_dir: str):
-    """(doc_id_a, doc_id_b): star pairs of images with identical
-    aHash — perceptual image dedup over genuinely decoded pixels."""
-    hashed = _phash_corpus(sf_dir).map_batches(
-        mm.AHashStage, batch_format="pyarrow",
-        concurrency=(1, 12), batch_size=256,
-    )
-    return dd.exact_dedup_pairs(hashed, text_col="k")
-
-
-def _sql_mm_phash_pairs() -> str:
-    key = _sql_u64_mulmod("CAST(doc_id % 97 AS UBIGINT)", _MM_KEY_C)
-    sm, cte, col = _sql_splitmix_ctes("mph", "phmix", "mx")
-    return f"""
-WITH dims AS (
-  SELECT doc_id,
-    ((doc_id % 97) * 7) % 64 + 8 AS w,
-    ((doc_id % 97) * 7) % 48 + 8 AS h,
-    {key} AS key
-  FROM documents
-),
-phidx AS (
-  SELECT doc_id, w, h, key, unnest(range(0, w * h * 3)) AS i FROM dims
-),
-phmix AS (
-  SELECT doc_id, w, h, i, xor(CAST(i AS UBIGINT), key) AS mx FROM phidx
-),
-{sm.strip()},
-px AS (
-  SELECT doc_id, w, h,
-    i // (w * 3) AS r, (i % (w * 3)) // 3 AS c,
-    {col} % 256 AS v
-  FROM {cte}
-),
-cells AS (
-  SELECT doc_id, w, h,
-    (r * 8) // h * 8 + (c * 8) // w AS cell,
-    CAST(SUM(v) AS BIGINT) AS sv,
-    CAST(COUNT(*) // 3 AS BIGINT) AS np_cell
-  FROM px GROUP BY doc_id, w, h, (r * 8) // h * 8 + (c * 8) // w
-),
-tot AS (
-  SELECT doc_id, CAST(SUM(v) AS BIGINT) AS tv,
-    CAST(COUNT(*) // 3 AS BIGINT) AS np_all
-  FROM px GROUP BY doc_id
-),
-bits AS (
-  SELECT c.doc_id, c.cell,
-    CASE WHEN c.sv * t.np_all > t.tv * c.np_cell THEN 1 ELSE 0 END AS bit
-  FROM cells c JOIN tot t USING (doc_id)
-),
-hashes AS (
-  SELECT doc_id,
-    CAST(SUM(CASE WHEN cell >= 32
-             THEN bit * (CAST(1 AS BIGINT) << (cell - 32)) ELSE 0 END)
-         AS BIGINT) AS hash_hi,
-    CAST(SUM(CASE WHEN cell < 32
-             THEN bit * (CAST(1 AS BIGINT) << cell) ELSE 0 END)
-         AS BIGINT) AS hash_lo
-  FROM bits GROUP BY doc_id
-),
-star AS (
-  SELECT min(doc_id) OVER (PARTITION BY hash_hi, hash_lo) AS a,
-         doc_id AS b
-  FROM hashes
-)
-SELECT a AS doc_id_a, b AS doc_id_b FROM star WHERE a < b
-"""
-
-
-def q_multimodal_audio_fp_pairs(sf_dir: str):
-    """(doc_id_a, doc_id_b): star pairs of clips with identical
-    energy fingerprints — audio dedup over genuinely decoded PCM16
-    (stages/multimodal.audio_fingerprint_halves); same scale shape as
-    multimodal_phash_pairs."""
-    ds = _fp_input(sf_dir)
-
-    def attach(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_pylist()
-        payloads = [
-            mm.synth_payload_memo("audio", int(d) % _PHASH_MOD)
-            for d in ids
-        ]
-        return pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-
-    hashed = ds.map_batches(attach, batch_format="pyarrow").map_batches(
-        mm.AudioFingerprintStage, batch_format="pyarrow",
-        concurrency=(1, 12), batch_size=256,
-    )
-    return dd.exact_dedup_pairs(hashed, text_col="k")
-
-
-def _sql_mm_audio_fp_pairs() -> str:
-    seed_mul = _sql_u64_mulmod("CAST(doc_id % 97 AS UBIGINT)", 2654435761)
-    sm, cte, col = _sql_splitmix_ctes("maf", "afmix", "mx")
-    return f"""
-WITH docs AS (
-  SELECT doc_id,
-    256 + ((doc_id % 97) * 7) % 512 AS n,
-    CAST((CAST({seed_mul} AS HUGEINT) + 7)
-         % 18446744073709551616 AS UBIGINT) AS seed
-  FROM documents
-),
-afidx AS (SELECT doc_id, n, seed, unnest(range(0, n)) AS i FROM docs),
-afmix AS (
-  SELECT doc_id, n, i, xor(CAST(i AS UBIGINT), seed) AS mx FROM afidx
-),
-{sm.strip()},
-samp AS (
-  SELECT doc_id, n, i, CAST({col} % 20001 AS BIGINT) - 10000 AS s
-  FROM {cte}
-),
-wins AS (
-  SELECT doc_id, n, (i * 64) // n AS win,
-    CAST(SUM(s * s) AS BIGINT) AS e, CAST(COUNT(*) AS BIGINT) AS wn
-  FROM samp GROUP BY doc_id, n, (i * 64) // n
-),
-tot AS (
-  SELECT doc_id, CAST(SUM(s * s) AS BIGINT) AS te FROM samp GROUP BY doc_id
-),
-bits AS (
-  SELECT w.doc_id, w.win,
-    CASE WHEN w.e * w.n > t.te * w.wn THEN 1 ELSE 0 END AS bit
-  FROM wins w JOIN tot t USING (doc_id)
-),
-hashes AS (
-  SELECT doc_id,
-    CAST(SUM(CASE WHEN win >= 32
-             THEN bit * (CAST(1 AS BIGINT) << (win - 32)) ELSE 0 END)
-         AS BIGINT) AS hash_hi,
-    CAST(SUM(CASE WHEN win < 32
-             THEN bit * (CAST(1 AS BIGINT) << win) ELSE 0 END)
-         AS BIGINT) AS hash_lo
-  FROM bits GROUP BY doc_id
-),
-star AS (
-  SELECT min(doc_id) OVER (PARTITION BY hash_hi, hash_lo) AS a,
-         doc_id AS b
-  FROM hashes
-)
-SELECT a AS doc_id_a, b AS doc_id_b FROM star WHERE a < b
-"""
-
-
-def q_multimodal_video_fp_pairs(sf_dir: str):
-    """(doc_id_a, doc_id_b): star pairs of clips with identical
-    sampled-frame fingerprints — video dedup through the real RVID
-    container (decode → stride-2 frame sample → per-frame exact aHash
-    → XOR). Same star-pair shuffle as the image/audio variants."""
-    ds = _fp_input(sf_dir)
-
-    def attach(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_pylist()
-        payloads = [
-            mm.synth_payload_memo("video", int(d) % _PHASH_MOD)
-            for d in ids
-        ]
-        return pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-
-    hashed = ds.map_batches(attach, batch_format="pyarrow").map_batches(
-        mm.VideoFingerprintStage, batch_format="pyarrow",
-        concurrency=(1, 12), batch_size=128,
-    )
-    return dd.exact_dedup_pairs(hashed, text_col="k")
-
-
-def _sql_mm_video_fp_pairs() -> str:
-    frame_key = _sql_u64_mulmod(
-        "CAST((doc_id % 97) * 131 + f AS UBIGINT)", _MM_KEY_C
-    )
-    sm, cte, col = _sql_splitmix_ctes("mvf", "vfmix", "mx")
-    return f"""
-WITH docs AS (
-  SELECT doc_id,
-    ((doc_id % 97) * 7) % 64 + 8 AS w,
-    ((doc_id % 97) * 7) % 48 + 8 AS h,
-    4 + (doc_id % 97) % 4 AS nf
-  FROM documents
-),
-framed AS (
-  SELECT doc_id, w, h, unnest(range(0, nf)) AS f FROM docs
-),
-sampled AS (
-  SELECT doc_id, w, h, f, {frame_key} AS key
-  FROM framed WHERE f % 2 = 0
-),
-vfidx AS (
-  SELECT doc_id, w, h, f, key, unnest(range(0, w * h * 3)) AS i
-  FROM sampled
-),
-vfmix AS (
-  SELECT doc_id, w, h, f, i, xor(CAST(i AS UBIGINT), key) AS mx
-  FROM vfidx
-),
-{sm.strip()},
-px AS (
-  SELECT doc_id, w, h, f,
-    i // (w * 3) AS r, (i % (w * 3)) // 3 AS c,
-    {col} % 256 AS v
-  FROM {cte}
-),
-cells AS (
-  SELECT doc_id, f, w, h,
-    (r * 8) // h * 8 + (c * 8) // w AS cell,
-    CAST(SUM(v) AS BIGINT) AS sv,
-    CAST(COUNT(*) // 3 AS BIGINT) AS np_cell
-  FROM px GROUP BY doc_id, f, w, h, (r * 8) // h * 8 + (c * 8) // w
-),
-tot AS (
-  SELECT doc_id, f, CAST(SUM(v) AS BIGINT) AS tv,
-    CAST(COUNT(*) // 3 AS BIGINT) AS np_all
-  FROM px GROUP BY doc_id, f
-),
-bits AS (
-  SELECT c.doc_id, c.f, c.cell,
-    CASE WHEN c.sv * t.np_all > t.tv * c.np_cell THEN 1 ELSE 0 END AS bit
-  FROM cells c JOIN tot t ON t.doc_id = c.doc_id AND t.f = c.f
-),
-frame_hashes AS (
-  SELECT doc_id, f,
-    CAST(SUM(CASE WHEN cell >= 32
-             THEN bit * (CAST(1 AS BIGINT) << (cell - 32)) ELSE 0 END)
-         AS BIGINT) AS fhi,
-    CAST(SUM(CASE WHEN cell < 32
-             THEN bit * (CAST(1 AS BIGINT) << cell) ELSE 0 END)
-         AS BIGINT) AS flo
-  FROM bits GROUP BY doc_id, f
-),
-hashes AS (
-  SELECT doc_id, bit_xor(fhi) AS hash_hi, bit_xor(flo) AS hash_lo
-  FROM frame_hashes GROUP BY doc_id
-),
-star AS (
-  SELECT min(doc_id) OVER (PARTITION BY hash_hi, hash_lo) AS a,
-         doc_id AS b
-  FROM hashes
-)
-SELECT a AS doc_id_a, b AS doc_id_b FROM star WHERE a < b
-"""
-
-
-def _sql_mm_image_stats(with_format: bool) -> str:
-    """Shared oracle for ppm_decode / mixed_decode: per-doc dims +
-    per-channel pixel means re-derived from the splitmix64 stream."""
-    key = _sql_u64_mulmod("CAST(doc_id AS UBIGINT)", _MM_KEY_C)
-    sm, cte, col = _sql_splitmix_ctes("mmp", "pxmix", "mx")
-    fmt_sel = (
-        "CASE doc_id % 3 WHEN 0 THEN 'ppm' WHEN 1 THEN 'bmp' "
-        "ELSE 'farbfeld' END AS format,\n  "
-        if with_format
-        else ""
-    )
-    return f"""
-WITH dims AS (
-  SELECT doc_id,
-    COALESCE(length(text), 0) % 64 + 8 AS w,
-    COALESCE(length(text), 0) % 48 + 8 AS h,
-    {key} AS key
-  FROM documents
-),
-pxidx AS (
-  SELECT doc_id, w, h, key, unnest(range(0, w * h * 3)) AS i FROM dims
-),
-pxmix AS (
-  SELECT doc_id, w, h, CAST(i % 3 AS BIGINT) AS ch,
-    xor(CAST(i AS UBIGINT), key) AS mx
-  FROM pxidx
-),
-{sm.strip()},
-vals AS (SELECT doc_id, w, h, ch, {col} % 256 AS v FROM {cte}),
-agg AS (
-  SELECT doc_id, w, h,
-    SUM(CASE WHEN ch = 0 THEN v END) AS sr,
-    SUM(CASE WHEN ch = 1 THEN v END) AS sg,
-    SUM(CASE WHEN ch = 2 THEN v END) AS sb
-  FROM vals GROUP BY doc_id, w, h
-)
-SELECT doc_id,
-  {fmt_sel}CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height,
-  CAST(sr AS DOUBLE) / (w * h) AS mean_r,
-  CAST(sg AS DOUBLE) / (w * h) AS mean_g,
-  CAST(sb AS DOUBLE) / (w * h) AS mean_b
-FROM agg
-"""
-
-
-def _sql_mm_ppm_frames() -> str:
-    """Video-container oracle: re-derive every sampled frame's dims and
-    whole-frame pixel mean (synth_pixels(doc_id*1000+f, n+f))."""
-    key = _sql_u64_mulmod("CAST(doc_id * 1000 + f AS UBIGINT)", _MM_KEY_C)
-    sm, cte, col = _sql_splitmix_ctes("mmf", "frmix", "mx")
-    return f"""
-WITH docs AS (
-  SELECT doc_id, COALESCE(length(text), 0) AS n FROM documents
-),
-frames AS (
-  SELECT doc_id, n, unnest(range(0, n % 7 + 2)) AS f FROM docs
-),
-dims AS (
-  SELECT doc_id, f, (n + f) % 64 + 8 AS w, (n + f) % 48 + 8 AS h,
-    {key} AS key
-  FROM frames WHERE f % 2 = 0
-),
-fridx AS (
-  SELECT doc_id, f, w, h, key, unnest(range(0, w * h * 3)) AS i FROM dims
-),
-frmix AS (
-  SELECT doc_id, f, w, h, xor(CAST(i AS UBIGINT), key) AS mx FROM fridx
-),
-{sm.strip()},
-agg AS (
-  SELECT doc_id, f, w, h, SUM({col} % 256) AS s
-  FROM {cte} GROUP BY doc_id, f, w, h
-)
-SELECT doc_id, CAST(f AS BIGINT) AS frame_index,
-  CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height,
-  CAST(s AS DOUBLE) / (w * h * 3) AS mean_pixel
-FROM agg
-"""
-
-
-def _sql_mm_mixed_resize() -> str:
-    """Transcode oracle: dims + the integer nearest-neighbor box fit
-    (max_side=16, aspect kept, pass-through when already inside)."""
-    return """
-WITH dims AS (
-  SELECT doc_id,
-    COALESCE(length(text), 0) % 64 + 8 AS w,
-    COALESCE(length(text), 0) % 48 + 8 AS h
-  FROM documents
-),
-g AS (SELECT *, GREATEST(w, h) AS ls FROM dims)
-SELECT doc_id,
-  CASE doc_id % 3 WHEN 0 THEN 'ppm' WHEN 1 THEN 'bmp'
-    ELSE 'farbfeld' END AS format,
-  CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height,
-  CAST(CASE WHEN ls <= 16 THEN w
-       ELSE GREATEST(w * 16 // ls, 1) END AS BIGINT) AS resized_w,
-  CAST(CASE WHEN ls <= 16 THEN h
-       ELSE GREATEST(h * 16 // ls, 1) END AS BIGINT) AS resized_h
-FROM g
-"""
-
-
-def _sql_mm_wav_features() -> str:
-    """Audio oracle: re-derive the PCM16 sample stream
-    (synth_samples: splitmix64 % 20001 - 10000) and all four clip
-    features in exact / correctly-rounded float arithmetic."""
-    seed_mul = _sql_u64_mulmod("CAST(doc_id AS UBIGINT)", 2654435761)
-    sm, cte, col = _sql_splitmix_ctes("mmw", "wvmix", "mx")
-    return f"""
-WITH docs AS (
-  SELECT doc_id,
-    256 + COALESCE(length(text), 0) % 512 AS n,
-    CASE WHEN doc_id % 3 = 0 THEN 8000 ELSE 16000 END AS rate,
-    CAST((CAST({seed_mul} AS HUGEINT) + 7)
-         % 18446744073709551616 AS UBIGINT) AS seed
-  FROM documents
-),
-widx AS (SELECT doc_id, n, rate, seed, unnest(range(0, n)) AS i FROM docs),
-wvmix AS (
-  SELECT doc_id, n, rate, i, xor(CAST(i AS UBIGINT), seed) AS mx FROM widx
-),
-{sm.strip()},
-samp AS (
-  SELECT doc_id, n, rate, i, CAST({col} % 20001 AS BIGINT) - 10000 AS s
-  FROM {cte}
-),
-lagged AS (
-  SELECT doc_id, n, rate, s,
-    lag(s) OVER (PARTITION BY doc_id ORDER BY i) AS prev
-  FROM samp
-),
-agg AS (
-  SELECT doc_id, n, rate,
-    SUM(s * s) AS s2,
-    SUM(CASE WHEN prev IS NOT NULL AND ((s < 0) <> (prev < 0))
-        THEN 1 ELSE 0 END) AS flips,
-    MAX(abs(s)) AS pk
-  FROM lagged GROUP BY doc_id, n, rate
-)
-SELECT doc_id,
-  CAST(n AS BIGINT) AS n_samples,
-  CAST(rate AS BIGINT) AS sample_rate,
-  CAST(n AS DOUBLE) / rate AS duration_s,
-  sqrt(CAST(s2 AS DOUBLE) / n / 1073741824.0) AS rms,
-  CAST(flips AS DOUBLE) / (n - 1) AS zcr,
-  CAST(pk AS DOUBLE) / 32768.0 AS peak
-FROM agg
-"""
-
-
-def _sql_mm_knn() -> str:
-    """Pixel-retrieval oracle (shared by the PPM-only and the mixed
-    dispatch variants — the codecs carry the SAME pixels, so results
-    are format-invariant). DuckDB re-derives every doc's 15-dim
-    feature vector (global + 2×2 quadrant channel means, straight
-    from the splitmix64 pixel stream; the max_side=224 resize is a
-    pass-through for these ≤71px fixtures) and ranks by cosine.
-    Cosine is scale-invariant, so the engine's L2-normalize + dot ≡
-    ``list_cosine_similarity`` on raw features; the output carries
-    ranks only, and inter-image cosine gaps are ~1e-2, far above any
-    summation-order wobble. Query vectors = the first 3 file-order
-    docs, exactly the engine's streamed head batch."""
-    key = _sql_u64_mulmod("CAST(doc_id AS UBIGINT)", _MM_KEY_C)
-    sm, cte, col = _sql_splitmix_ctes("mmk", "knmix", "mx")
-    return f"""
-WITH dims AS (
-  SELECT doc_id,
-    COALESCE(length(text), 0) % 64 + 8 AS w,
-    COALESCE(length(text), 0) % 48 + 8 AS h,
-    {key} AS key
-  FROM documents
-),
-knidx AS (
-  SELECT doc_id, w, h, key, unnest(range(0, w * h * 3)) AS i FROM dims
-),
-knmix AS (
-  SELECT doc_id, w, h, i, xor(CAST(i AS UBIGINT), key) AS mx FROM knidx
-),
-{sm.strip()},
-px AS (
-  SELECT doc_id, w, h,
-    i // (w * 3) AS r, (i % (w * 3)) // 3 AS c,
-    CAST(i % 3 AS BIGINT) AS ch, {col} % 256 AS v
-  FROM {cte}
-),
-contrib AS (
-  SELECT doc_id, ch AS comp, v, w * h AS cnt FROM px
-  UNION ALL
-  SELECT doc_id,
-    3 + 3 * (CASE WHEN r >= h // 2 THEN 2 ELSE 0 END
-             + CASE WHEN c >= w // 2 THEN 1 ELSE 0 END) + ch AS comp,
-    v,
-    (CASE WHEN r >= h // 2 THEN h - h // 2 ELSE h // 2 END)
-      * (CASE WHEN c >= w // 2 THEN w - w // 2 ELSE w // 2 END) AS cnt
-  FROM px
-),
-feat AS (
-  SELECT doc_id, comp, CAST(SUM(v) AS DOUBLE) / any_value(cnt) AS fv
-  FROM contrib GROUP BY doc_id, comp
-),
-fvec AS (
-  SELECT doc_id, list(fv ORDER BY comp) AS emb FROM feat GROUP BY doc_id
-)
-SELECT q.doc_id AS query_id, e.doc_id AS vec_id
-FROM fvec q CROSS JOIN fvec e
-WHERE q.doc_id IN (SELECT doc_id FROM documents LIMIT 3)
-QUALIFY row_number() OVER (
-  PARTITION BY q.doc_id
-  ORDER BY list_cosine_similarity(q.emb, e.emb) DESC, e.doc_id
-) <= 5
-"""
-
-
-def _sql_mm_wav_resample() -> str:
-    """Resample oracle: 16 kHz clips halve (n*8000//16000), 8 kHz
-    clips pass through — pure integer arithmetic."""
-    return """
-SELECT doc_id,
-  CAST(CASE WHEN doc_id % 3 = 0 THEN 8000 ELSE 16000 END AS BIGINT)
-    AS orig_rate,
-  CAST(CASE WHEN doc_id % 3 = 0
-       THEN 256 + COALESCE(length(text), 0) % 512
-       ELSE (256 + COALESCE(length(text), 0) % 512) // 2 END AS BIGINT)
-    AS n_samples
 FROM documents
 """
 
@@ -12646,7 +11845,7 @@ def registry() -> dict[str, tuple]:
             rel.event_users_intersect_customers,
             rel.EVENT_USERS_INTERSECT_SQL,
         ),
-        "lang_source_hist": (rel.lang_source_hist, rel.LANG_SOURCE_SQL),
+        "lang_source_hist": (cor.lang_source_hist, cor.LANG_SOURCE_SQL),
         # windowed-frame / grouping-set / outer-join analytics batch
         "user_customer_activity": (
             ana.user_customer_activity, ana.USER_CUSTOMER_ACTIVITY_SQL,
@@ -12727,17 +11926,6 @@ def registry() -> dict[str, tuple]:
         "fuzzy_name_pairs": (
             dec2.fuzzy_name_pairs, dec2.FUZZY_NAME_PAIRS_SQL,
         ),
-        "nation_volume": (dec3.nation_volume, dec3.NATION_VOLUME_SQL),
-        "urgent_lines_by_status": (
-            dec3.urgent_lines_by_status, dec3.URGENT_LINES_SQL,
-        ),
-        "top_supplier": (dec3.top_supplier, dec3.TOP_SUPPLIER_SQL),
-        "small_qty_revenue": (
-            dec3.small_qty_revenue, dec3.SMALL_QTY_REVENUE_SQL,
-        ),
-        "rich_inactive_customers": (
-            dec3.rich_inactive_customers, dec3.RICH_INACTIVE_SQL,
-        ),
         "price_quantiles": (q_price_quantiles, SQL_PRICE_QUANTILES),
         "price_quantiles_weighted": (
             q_price_quantiles_weighted, _sql_price_quantiles_weighted(),
@@ -12758,20 +11946,11 @@ def registry() -> dict[str, tuple]:
         "price_quantiles_by_flag": (
             q_price_quantiles_by_flag, SQL_PRICE_QUANTILES_BY_FLAG,
         ),
-        "dominant_suppliers": (
-            dec3.dominant_suppliers, dec3.DOMINANT_SUPPLIERS_SQL,
-        ),
         "collocations": (q_collocations, _sql_collocations()),
         # exponential weights are order-sensitive: the oracle pins the
         # fold order with list(contrib ORDER BY rn) + list_sum; the
         # sequential-recurrence differential stays in tests
         "events_ewma": (ana.events_ewma, ana.EVENTS_EWMA_SQL),
-        "part_copurchase": (
-            dec3.part_copurchase, dec3.PART_COPURCHASE_SQL,
-        ),
-        "basket_rules": (
-            dec3.basket_rules, dec3.BASKET_RULES_SQL,
-        ),
         "events_zorder": (q_events_zorder, _sql_events_zorder()),
         "user_type_islands": (
             ana.user_type_islands, ana.USER_TYPE_ISLANDS_SQL,
@@ -12785,26 +11964,6 @@ def registry() -> dict[str, tuple]:
         "events_value_share": (
             ana.events_value_share, ana.EVENTS_VALUE_SHARE_SQL,
         ),
-        # round-4 continuation batch: cohort retention, sweep-line
-        # interval stabbing, HHI concentration, LAG-diff inter-arrival
-        "customer_cohorts": (
-            dec5.customer_cohorts, dec5.CUSTOMER_COHORTS_SQL,
-        ),
-        "cohort_revenue": (dec5.cohort_revenue, dec5.COHORT_REVENUE_SQL),
-        "revenue_proration": (
-            dec5.revenue_proration, dec5.REVENUE_PRORATION_SQL,
-        ),
-        "customer_trend_mix": (
-            dec5.customer_trend_mix, dec5.CUSTOMER_TREND_MIX_SQL,
-        ),
-        "customer_km_survival": (
-            dec5.customer_km_survival, dec5.CUSTOMER_KM_SQL,
-        ),
-        "orders_backlog": (dec5.orders_backlog, dec5.ORDERS_BACKLOG_SQL),
-        "part_brand_hhi": (dec5.part_brand_hhi, dec5.PART_BRAND_HHI_SQL),
-        "user_interarrival_stats": (
-            dec5.user_interarrival_stats, dec5.USER_INTERARRIVAL_SQL,
-        ),
         "doc_script_mix": (cor2.doc_script_mix, cor2.DOC_SCRIPT_MIX_SQL),
         "lang_ttr": (cor2.lang_ttr, cor2.LANG_TTR_SQL),
         "vocab_growth": (cor2.vocab_growth, cor2.VOCAB_GROWTH_SQL),
@@ -12813,36 +11972,6 @@ def registry() -> dict[str, tuple]:
         "lang_zipf": (cor2.lang_zipf, cor2.LANG_ZIPF_SQL),
         "lang_vocab_overlap": (
             cor2.lang_vocab_overlap, cor2.LANG_VOCAB_OVERLAP_SQL,
-        ),
-        "events_winsorized_stats": (
-            dec5.events_winsorized_stats, dec5.EVENTS_WINSORIZED_SQL,
-        ),
-        # round-4 decision-support batch: the remaining TPC-H shapes,
-        # built on the generic join API (pipelines/join.py)
-        "waiting_suppliers": (
-            dec4.waiting_suppliers, dec4.WAITING_SUPPLIERS_SQL,
-        ),
-        "min_cost_supplier": (
-            dec4.min_cost_supplier, dec4.MIN_COST_SUPPLIER_SQL,
-        ),
-        "product_type_profit": (
-            dec4.product_type_profit, dec4.PRODUCT_TYPE_PROFIT_SQL,
-        ),
-        "nation_market_share": (
-            dec4.nation_market_share, dec4.NATION_MARKET_SHARE_SQL,
-        ),
-        "returned_item_customers": (
-            dec4.returned_item_customers,
-            dec4.RETURNED_ITEM_CUSTOMERS_SQL,
-        ),
-        "important_parts": (
-            dec4.important_parts, dec4.IMPORTANT_PARTS_SQL,
-        ),
-        "order_priority_check": (
-            dec4.order_priority_check, dec4.ORDER_PRIORITY_CHECK_SQL,
-        ),
-        "forecast_revenue_change": (
-            dec4.forecast_revenue_change, dec4.FORECAST_REVENUE_SQL,
         ),
         "open_orders": (rel.open_orders, rel.OPEN_ORDERS_SQL),
         "parts_by_brand": (rel.parts_by_brand, rel.PARTS_BY_BRAND_SQL),
@@ -13055,21 +12184,6 @@ def registry() -> dict[str, tuple]:
         "token_dispersion": (
             cor2.token_dispersion, cor2.TOKEN_DISPERSION_SQL,
         ),
-        "order_fill_times": (
-            dec5.order_fill_times, dec5.ORDER_FILL_TIMES_SQL,
-        ),
-        "events_hourly_anomaly": (
-            dec5.events_hourly_anomaly, dec5.EVENTS_HOURLY_ANOMALY_SQL,
-        ),
-        "events_mannwhitney": (
-            dec5.events_mannwhitney, dec5.EVENTS_MANNWHITNEY_SQL,
-        ),
-        "order_event_days_outer": (
-            dec5.order_event_days_outer, dec5.ORDER_EVENT_DAYS_OUTER_SQL,
-        ),
-        "brand_discount_trend": (
-            dec5.brand_discount_trend, dec5.BRAND_DISCOUNT_TREND_SQL,
-        ),
         "label_centroid_similarity": (
             cor2.label_centroid_similarity,
             cor2.LABEL_CENTROID_SIMILARITY_SQL,
@@ -13077,31 +12191,9 @@ def registry() -> dict[str, tuple]:
         "source_quality_corr": (
             cor2.source_quality_corr, cor2._source_quality_corr_sql(),
         ),
-        "customer_segment_migration": (
-            dec5.customer_segment_migration,
-            dec5._sql_customer_segment_migration(),
-        ),
-        "event_transition_predictability": (
-            dec5.event_transition_predictability,
-            dec5.EVENT_PREDICTABILITY_SQL,
-        ),
-        "event_type_user_overlap": (
-            dec5.event_type_user_overlap,
-            dec5.EVENT_TYPE_USER_OVERLAP_SQL,
-        ),
-        "supplier_ship_delay": (
-            dec5.supplier_ship_delay, dec5.SUPPLIER_SHIP_DELAY_SQL,
-        ),
         "dedup_savings": (cor2.dedup_savings, cor2.DEDUP_SAVINGS_SQL),
-        "benford_digits": (dec5.benford_digits, dec5.BENFORD_DIGITS_SQL),
         "part_name_top_terms": (
             cor2.part_name_top_terms, cor2.PART_NAME_TOP_TERMS_SQL,
-        ),
-        "order_size_histogram": (
-            dec5.order_size_histogram, dec5.ORDER_SIZE_HISTOGRAM_SQL,
-        ),
-        "order_gap_quantiles": (
-            dec5.order_gap_quantiles, dec5.ORDER_GAP_QUANTILES_SQL,
         ),
         "source_ks_length": (
             cor2.source_ks_length, cor2.SOURCE_KS_LENGTH_SQL,
@@ -13126,9 +12218,6 @@ def registry() -> dict[str, tuple]:
         "shuffle_shards": (q_shuffle_shards, _sql_shuffle_shards()),
         "split_assign": (q_split_assign, _sql_split_assign()),
         "split_leakage": (q_split_leakage, _sql_split_leakage()),
-        "events_seasonality_index": (
-            dec5.events_seasonality_index, dec5.EVENTS_SEASONALITY_SQL,
-        ),
         "split_balance": (cor2.split_balance, cor2._split_balance_sql()),
         "phrase_search": (cor3.phrase_search, cor3.PHRASE_SEARCH_SQL),
         "kwic_concordance": (
@@ -13335,31 +12424,6 @@ def registry() -> dict[str, tuple]:
         "kmeans_margin": (q_kmeans_margin, SQL_KMEANS_MARGIN),
         "dedup_semantic": (q_dedup_semantic, SQL_DEDUP_SEMANTIC),
         "pca_embeddings": (q_pca_embeddings, SQL_PCA_EMBEDDINGS),
-        # multimodal plumbing
-        "multimodal_meta": (q_multimodal_meta, SQL_MULTIMODAL),
-        "multimodal_resize": (q_multimodal_resize, SQL_MULTIMODAL_RESIZE),
-        "multimodal_features": (q_multimodal_features, SQL_MULTIMODAL_FEATURES),
-        # real codec paths — the deterministic fixtures let DuckDB
-        # re-derive the whole encode→decode chain (no export needed);
-        # the codec byte framing itself stays pinned by roundtrip
-        # pytests (tests/test_multimodal.py)
-        "multimodal_ppm_decode": (q_multimodal_ppm_decode, _sql_mm_image_stats(False)),
-        "multimodal_phash_pairs": (
-            q_multimodal_phash_pairs, _sql_mm_phash_pairs(),
-        ),
-        "multimodal_audio_fp_pairs": (
-            q_multimodal_audio_fp_pairs, _sql_mm_audio_fp_pairs(),
-        ),
-        "multimodal_video_fp_pairs": (
-            q_multimodal_video_fp_pairs, _sql_mm_video_fp_pairs(),
-        ),
-        "multimodal_mixed_decode": (q_multimodal_mixed_decode, _sql_mm_image_stats(True)),
-        "multimodal_mixed_resize": (q_multimodal_mixed_resize, _sql_mm_mixed_resize()),
-        "multimodal_wav_features": (q_multimodal_wav_features, _sql_mm_wav_features()),
-        "multimodal_wav_resample": (q_multimodal_wav_resample, _sql_mm_wav_resample()),
-        "multimodal_ppm_knn": (q_multimodal_ppm_knn, _sql_mm_knn()),
-        "multimodal_mixed_knn": (q_multimodal_mixed_knn, _sql_mm_knn()),
-        "multimodal_ppm_frames": (q_multimodal_ppm_frames, _sql_mm_ppm_frames()),
         # token counting (whitespace + BPE-style pretokenizer)
         "doc_bpe_tokens": (q_doc_bpe_tokens, _sql_bpe()),
         "lang_tokenizer_fertility": (

@@ -27,10 +27,17 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Min, Sum
 
 from ..functions.hashing import splitmix64_np
-from ..partitioning import adaptive_partitions, parquet_rows_hint
+from ..partitioning import (
+    _part_of,
+    adaptive_partitions,
+    bounded_group_reduce,
+    bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
+)
 
 # Keyed temporal operators (as-of join, range join, sessionization)
 # shuffle once on a HASHED KEY PARTITION, not the raw key: each
@@ -44,148 +51,10 @@ from ..partitioning import adaptive_partitions, parquet_rows_hint
 # fixed count would put 1/64 of a 10¹²-row projection in one worker.
 
 
-def _read_pq(path: str, **kw) -> rd.Dataset:
-    """read_parquet with the small-input block-count override
-    (micro-block inflation on driver-scale tables otherwise dominates
-    every shuffle's wall time; at scale the override is a no-op)."""
-    from ..partitioning import read_pq
-
-    return read_pq(path, **kw)
-
-
-def _part_of(key_col: pa.ChunkedArray | pa.Array, n_parts: int) -> pa.Array:
-    """Deterministic hash partition id of an int64 key column."""
-    k = key_col.to_numpy(zero_copy_only=False).astype(np.uint64)
-    return pa.array((splitmix64_np(k) % n_parts).astype(np.int64), pa.int64())
-
-
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """floor(x*100 + 0.5) as int64 — bit-identical to the SQL
     ``CAST(floor(x*100 + 0.5) AS BIGINT)``."""
     return pc.cast(pc.floor(pc.add(pc.multiply(col, 100.0), 0.5)), pa.int64())
-
-
-def bounded_group_reduce(
-    partials: rd.Dataset,
-    keys: list[str],
-    aggs: list[tuple[str, str]],
-    max_rows: int = 4_000_000,
-) -> rd.Dataset:
-    """Final reduce for a BOUNDED-DOMAIN partial aggregate.
-
-    The input is per-batch partials — at most #groups rows per block,
-    where #groups is bounded by the VALUE DOMAIN (flag×status, event
-    types, nations, hours…), never by the data size. Ray's distributed
-    ``Aggregate`` op pays a sort-shuffle setup constant regardless of
-    volume (measured: 2.13 s for 384 partial rows on the session's
-    FIRST aggregate; ~0.5 s warm), pure overhead for a KB-sized
-    reduce; pulling the partials to the driver and merging with ONE
-    Arrow ``group_by`` is bit-identical (int64 sums are associative;
-    min/max order-free) and removes that operator entirely. NOT for
-    post-shuffle aggregates: a groupby that consumes an upstream
-    join/sort output in place is cheaper than inserting a new map
-    stage (measured +3 s on revenue_by_priority). Guard: past
-    ``max_rows`` partial rows (#groups × #blocks — only a truly large
-    domain × block-count product gets there) it falls back to the
-    distributed groupby.
-
-    ``aggs`` is ``[(col, "sum"|"min"|"max"), ...]``; output columns are
-    ``keys + [col for col, _ in aggs]`` (same names in, same names
-    out)."""
-    g = bounded_group_table(partials, keys, aggs, max_rows=max_rows)
-    if g is None:
-        return partials  # empty in, empty out (schema preserved)
-    if isinstance(g, rd.Dataset):
-        return g  # distributed fallback past max_rows
-    return rd.from_arrow(g)
-
-
-def bounded_group_table(
-    partials: rd.Dataset,
-    keys: list[str],
-    aggs: list[tuple[str, str]],
-    max_rows: int = 4_000_000,
-) -> "pa.Table | rd.Dataset | None":
-    """The driver-merged Arrow table behind :func:`bounded_group_reduce`
-    (callers that keep working on the bounded result — CDF walks, rank
-    maps — use the table directly). Returns None on empty input and a
-    Dataset (distributed fallback) past ``max_rows``."""
-    import ray as _ray
-
-    from ray.data.aggregate import Max as _Max, Min as _Min, Sum as _Sum
-
-    _AGG = {"sum": _Sum, "min": _Min, "max": _Max}
-    # pull INCREMENTALLY with an early abort: checking the guard only
-    # after materializing everything would OOM the driver first at a
-    # huge #groups × #blocks product. Blocks already fetched stay
-    # ≤ max_rows + one block; past the guard, fall back distributed —
-    # over the ALREADY-COMPUTED block refs (from_arrow_refs), never by
-    # re-executing the upstream lineage.
-    # materialize() BEFORE to_arrow_refs: on a live plan, to_arrow_refs
-    # runs the plan AND a second limit-1 schema probe — which cannot
-    # early-stop through an upstream Sort/shuffle barrier, so heavy
-    # plans executed twice (measured: 2.4 s of 6.5 s on the Q5 join).
-    # On a MaterializedDataset the refs call is metadata-only.
-    refs = partials.materialize().to_arrow_refs()
-    tables: list[pa.Table] = []
-    pulled = 0
-    over = False
-    for ref in refs:
-        t = _ray.get(ref)
-        if t.num_rows == 0:
-            continue
-        tables.append(t)
-        pulled += t.num_rows
-        if pulled > max_rows:
-            over = True
-            break
-    if not tables:
-        return None
-    if over:
-        return rd.from_arrow_refs(refs).groupby(keys).aggregate(
-            *[_AGG[how](c, alias_name=c) for c, how in aggs]
-        )
-    g = pa.concat_tables(tables, promote_options="permissive").group_by(
-        keys
-    ).aggregate([(c, how) for c, how in aggs])
-    return g.rename_columns(list(keys) + [c for c, _ in aggs])
-
-
-def bounded_group_table_strict(
-    partials: rd.Dataset,
-    keys: list[str],
-    aggs: list[tuple[str, str]],
-    max_rows: int = 4_000_000,
-) -> pa.Table | None:
-    """Like :func:`bounded_group_table` but ALWAYS a table (or None on
-    empty input) — for callers whose next step is inherently
-    driver-side (CDF walks, rank maps, rollup derivation). When the
-    partial rows trip the guard, the distributed groupby still runs
-    over the computed refs and the AGGREGATED result (one row per
-    group) is pulled; if even that exceeds ``max_rows``, the domain
-    isn't bounded and the caller's plan is wrong — raise instead of
-    OOMing the driver."""
-    g = bounded_group_table(partials, keys, aggs, max_rows=max_rows)
-    if g is None or isinstance(g, pa.Table):
-        return g
-    import ray as _ray
-
-    tables, pulled = [], 0
-    for ref in g.materialize().to_arrow_refs():
-        t = _ray.get(ref)
-        if t.num_rows == 0:
-            continue
-        tables.append(t)
-        pulled += t.num_rows
-        if pulled > max_rows:
-            raise ValueError(
-                f"bounded_group_table_strict: aggregated result exceeds "
-                f"{max_rows} rows on keys {keys} — the group domain is "
-                f"not bounded; use a distributed plan instead"
-            )
-    if not tables:
-        return None
-    return pa.concat_tables(tables, promote_options="permissive")
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +65,7 @@ def q1_pricing(sf_dir: str, cutoff: str = "1998-09-02") -> rd.Dataset:
     """Pricing summary: partial-aggregate per batch, then a tiny
     groupby of the partials (the combiner pattern for wide groupbys)."""
     cutoff_ts = np.datetime64(cutoff + "T00:00:00", "us")
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=[
             "l_returnflag",
@@ -266,7 +135,7 @@ GROUP BY l_returnflag, l_linestatus
 # ---------------------------------------------------------------------------
 
 def top_orders(sf_dir: str, k: int = 10) -> rd.Dataset:
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_totalprice"],
     )
@@ -321,14 +190,14 @@ def nation_order_stats(sf_dir: str, num_partitions: int = 8) -> rd.Dataset:
     16-byte projections). nation is a FIXED 25-row dimension, applied
     with vectorized ``pc.index_in`` + ``take`` either way. No Python
     row loops in any path."""
-    nat = _read_pq(
+    nat = read_pq(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
     ).take_all()  # 25 fixed rows — not SF-scaling
     n_keys = np.array([r["n_nationkey"] for r in nat], dtype=np.int64)
     n_names = [r["n_name"] for r in nat]
     nat_ref = ray.put((n_keys, n_names))
 
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
     )
 
@@ -380,7 +249,7 @@ def nation_order_stats(sf_dir: str, num_partitions: int = 8) -> rd.Dataset:
                 }
             )
 
-        cust = _read_pq(
+        cust = read_pq(
             cust_path, columns=["c_custkey", "c_nationkey"]
         )
         joined = orders.map_batches(prep, batch_format="pyarrow").join(
@@ -417,7 +286,7 @@ GROUP BY n.n_name
 # ---------------------------------------------------------------------------
 
 def events_hourly(sf_dir: str) -> rd.Dataset:
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["ts", "event_type", "value"]
     )
 
@@ -469,7 +338,7 @@ def events_type_stats(sf_dir: str) -> rd.Dataset:
     """Per-type count/min/max — partial-combined per batch (Arrow C++
     group_by), so the shuffle ships one row per (type, block), not one
     per input row (count/min/max decompose exactly)."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "value"]
     )
 
@@ -519,7 +388,7 @@ def revenue_by_priority(sf_dir: str, num_partitions: int = 8) -> rd.Dataset:
     partial-combine map stage by ~3 s of block handling.)"""
     import pyarrow.parquet as pq_
 
-    li = _read_pq(
+    li = read_pq(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
@@ -584,7 +453,7 @@ def revenue_by_priority(sf_dir: str, num_partitions: int = 8) -> rd.Dataset:
         )
 
     li = li.map_batches(prep, batch_format="pyarrow")
-    orders = _read_pq(orders_path, columns=["o_orderkey", "o_orderpriority"])
+    orders = read_pq(orders_path, columns=["o_orderkey", "o_orderpriority"])
     joined = li.join(
         orders, join_type="inner", num_partitions=num_partitions,
         on=("l_orderkey",), right_on=("o_orderkey",),
@@ -619,7 +488,7 @@ def sessionize_users(sf_dir: str, num_partitions: int | None = None) -> rd.Datas
     session opens after a >30 min gap. ONE shuffle on the hashed key
     partition; each map_groups call sessionizes EVERY user in its
     partition with a single lexsort + boundary-aware gap scan."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id"],
     )
@@ -699,7 +568,7 @@ GROUP BY user_id
 # ---------------------------------------------------------------------------
 
 def orders_systematic_sample(sf_dir: str, k: int = 10) -> rd.Dataset:
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_totalprice"],
     )
@@ -725,40 +594,11 @@ FROM orders WHERE o_orderkey % 10 = 0
 
 
 # ---------------------------------------------------------------------------
-# documents histogram (the per-rule × per-language histogram shape,
-# detect_pitfalls_main.py:346-351)
-# ---------------------------------------------------------------------------
-
-def lang_source_hist(sf_dir: str) -> rd.Dataset:
-    """(lang, source) histogram — partial-combined per batch so the
-    groupby shuffle volume is bounded by #keys × #blocks (a few KB per
-    block), not the corpus row count."""
-    ds = _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=["lang", "source"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["lang", "source"]).aggregate([("lang", "count")])
-        return g.rename_columns(["lang", "source", "n_docs"])
-
-    return bounded_group_reduce(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "source"],
-        [("n_docs", "sum")],
-    )
-
-
-LANG_SOURCE_SQL = """
-SELECT lang, source, COUNT(*) AS n_docs FROM documents GROUP BY lang, source
-"""
-
-
-# ---------------------------------------------------------------------------
 # filter + projection (predicate pushdown demo)
 # ---------------------------------------------------------------------------
 
 def open_orders(sf_dir: str) -> rd.Dataset:
-    return _read_pq(
+    return read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey"],
         filter=(pc.field("o_orderstatus") == "O"),
@@ -780,7 +620,7 @@ def distinct_user_event_types(sf_dir: str) -> rd.Dataset:
     (group_by with no aggregates), so repeated pairs collapse before
     the shuffle; the global groupby then sees at most #distinct ×
     #blocks rows."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "event_type"]
     )
 
@@ -812,11 +652,11 @@ def events_asof_orders(sf_dir: str, num_partitions: int | None = None) -> rd.Dat
     Partitioning assumption: rows co-locate by the equality key
     (user_id == o_custkey); event/order ts skew within one key is
     bounded by that customer's history."""
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "user_id", "ts"],
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     )
@@ -913,10 +753,10 @@ def orders_events_window(
     groupby(key) shuffle, two vectorized searchsorted probes per
     group). A keyless band join would instead bucket both sides by
     coarse time windows and join within buckets."""
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
     )
@@ -1025,7 +865,7 @@ FROM orders o
 # ---------------------------------------------------------------------------
 
 def parts_by_brand(sf_dir: str) -> rd.Dataset:
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "part.parquet"),
         columns=["p_brand", "p_retailprice", "p_size"],
     )
@@ -1070,15 +910,15 @@ def supplier_nation_balance(sf_dir: str) -> rd.Dataset:
     pattern). The lookup ships as Arrow-friendly arrays once via
     ``ray.put``; per batch the join is vectorized ``pc.index_in`` +
     ``take`` — no Python row loop."""
-    nat = _read_pq(os.path.join(sf_dir, "nation.parquet")).take_all()
-    reg = _read_pq(os.path.join(sf_dir, "region.parquet")).take_all()
+    nat = read_pq(os.path.join(sf_dir, "nation.parquet")).take_all()
+    reg = read_pq(os.path.join(sf_dir, "region.parquet")).take_all()
     rname = {r["r_regionkey"]: r["r_name"] for r in reg}
     n_keys = np.array([n["n_nationkey"] for n in nat], dtype=np.int64)
     n_names = [n["n_name"] for n in nat]
     r_names = [rname[n["n_regionkey"]] for n in nat]
     lookup_ref = ray.put((n_keys, n_names, r_names))
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "supplier.parquet"),
         columns=["s_nationkey", "s_acctbal"],
     )
@@ -1198,10 +1038,10 @@ def customers_without_orders(
     as join.py's copart path)."""
     from .join import join as _join
 
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_custkey"],
         filter=(pc.field("o_orderpriority") == priority),
@@ -1243,7 +1083,7 @@ _PCTS = (0.25, 0.5, 0.75)
 
 
 def events_value_percentiles(sf_dir: str) -> rd.Dataset:
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["event_type", "value"]
     )
 
@@ -1339,7 +1179,7 @@ def events_running_totals(
     Output: (user_id, event_id, ts_us, running_cents, gap_us) with
     gap_us = -1 for a user's first event (sentinel, not null, so the
     driver hash compare is dtype-exact)."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "value"],
     )
@@ -1431,10 +1271,10 @@ def customer_order_counts(
     """(c_custkey, n_orders, total_cents) for EVERY customer — zero
     for customers with no order of the given priority (the filter
     makes the outer side non-vacuous: ~1/3 of customers have none)."""
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
     )
-    orders = _read_pq(
+    orders = read_pq(
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_custkey", "o_totalprice"],
         filter=(pc.field("o_orderpriority") == priority),
@@ -1555,10 +1395,10 @@ def event_users_intersect_customers(
     sf_dir: str, num_partitions: int | None = None
 ) -> rd.Dataset:
     """DISTINCT event user_ids that are also customer keys."""
-    events = _read_pq(
+    events = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
     )
-    cust = _read_pq(
+    cust = read_pq(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
     )
     n_parts = num_partitions or adaptive_partitions(
@@ -1658,7 +1498,7 @@ def _hist_rank_arrays(hist_tbl: pa.Table):
 def events_value_ranks(sf_dir: str) -> rd.Dataset:
     """(event_id, event_type, cents, rnk, drnk): RANK and DENSE_RANK
     of each event's value within its type, descending."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "event_type", "value"],
     )
@@ -1743,7 +1583,7 @@ FROM c
 def events_value_corr(sf_dir: str) -> rd.Dataset:
     """(event_type, n, corr_xy): correlation between value-cents and
     hour-of-day per event type."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "ts", "value"],
     )
@@ -1846,7 +1686,7 @@ FROM s
 def events_hour_moments(sf_dir: str) -> rd.Dataset:
     """(event_type, n, mean_hour, var_hour, skew_hour, kurt_hour):
     population moments of event hour-of-day per type."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "ts"],
     )
@@ -1981,7 +1821,7 @@ _HOUR_US = 3_600_000_000
 def events_hourly_autocorr(sf_dir: str) -> pa.Table:
     """(event_type, lag_hours, n_pairs, autocorr): lagged Pearson
     autocorrelation of the zero-filled hourly count series."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["ts", "event_type"],
     )
@@ -2108,7 +1948,7 @@ def events_latest_per_user(
 ) -> rd.Dataset:
     """(user_id, event_id, ts_us, cents): each user's most recent
     event under the (ts, event_id) total order."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "value"],
     )
@@ -2177,7 +2017,7 @@ def user_event_sequences(
     """(user_id, n_events, sequence): each user's event types joined
     in (ts, event_id) order — the ordered COLLECT every behavioral-
     sequence model trains on."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
     )
@@ -2259,7 +2099,7 @@ FROM events GROUP BY user_id
 def events_type_fano(sf_dir: str) -> pa.Table:
     """(event_type, n_hours, mean_cph, fano) over the dense hourly
     count series."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["ts", "event_type"],
     )
@@ -2357,7 +2197,7 @@ def session_duration_quantiles(
     """(pct, est): sampled quantiles of per-session duration (µs)."""
     from ..functions.sketch import sampled_quantiles
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id"],
     )
@@ -2491,7 +2331,7 @@ def customer_rfm_bins(
 
     path = os.path.join(sf_dir, "orders.parquet")
     # pass 1: global max order date (one column, 8 B/row scan)
-    gds = _read_pq(path, columns=["o_orderdate"])
+    gds = read_pq(path, columns=["o_orderdate"])
 
     def bmax(b: pa.Table) -> pa.Table:
         m = pc.max(pc.cast(b.column("o_orderdate"), pa.int64()))
@@ -2522,7 +2362,7 @@ def customer_rfm_bins(
         return rd.from_arrow(empty_out)
     gmax = max(maxes)
 
-    ds = _read_pq(
+    ds = read_pq(
         path, columns=["o_custkey", "o_totalprice", "o_orderdate"]
     )
     n_parts = num_partitions or adaptive_partitions(
@@ -2730,7 +2570,7 @@ def events_changepoint(sf_dir: str) -> pa.Table:
     """(event_type, split_hour, n_left, n_right, mean_left,
     mean_right, shift): the max-|shift| split per type; split_hour is
     the first hour index of the right segment."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["ts", "event_type"],
     )
@@ -2860,7 +2700,7 @@ def _hourly_type_dense(sf_dir: str):
     """Bounded (event_type, h, n) counts plus the dense global hour
     range: the shared input of the runs/CUSUM diagnostics. Returns
     (types, hs, ns, hmin, span) numpy views or None when empty."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["ts", "event_type"],
     )

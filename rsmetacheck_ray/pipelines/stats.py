@@ -13,7 +13,7 @@ suite did not yet cover —
 
 The reference has no statistics engine at all (single-process JSON
 walk, ``src/detect_pitfalls_main.py:313-318``); these extend SURVEY
-§2.6's aggregation axis the way analytics.py / decision5.py do.
+§2.6's aggregation axis the way analytics.py does.
 
 Determinism discipline (house rules, same as ``corpus2.lang_zipf`` /
 ``analytics.user_type_entropy``):
@@ -52,8 +52,12 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
-from ..partitioning import adaptive_partitions, parquet_rows_hint
-from .relational import _read_pq, bounded_group_table_strict
+from ..partitioning import (
+    adaptive_partitions,
+    bounded_group_table_strict,
+    parquet_rows_hint,
+    read_pq,
+)
 
 _LOG_SCALE = 1_000_000  # micro-log / micro-trig fixed point
 
@@ -92,7 +96,7 @@ def source_spearman(sf_dir: str) -> rd.Dataset:
     maps and moments are driver-side over the bounded cells."""
     from .queries import _EN_MARKER_RE, _TOKEN_RE
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["source", "text"],
     )
@@ -217,7 +221,7 @@ ORDER BY source
 def events_mutual_info(sf_dir: str) -> rd.Dataset:
     """One row (n_events, n_types, mi_nats): the mutual information
     between event type and hour-of-day — the single-number version of
-    ``events_seasonality_index``'s lift heatmap (0 ⇒ the clock says
+    a per-(type, hour) lift heatmap (0 ⇒ the clock says
     nothing about behavior).
 
     Exactness: MI = Σ nᵢⱼ·(L(nᵢⱼ)+L(N)−L(nᵢ)−L(nⱼ)) / (N·10⁶) with L
@@ -227,7 +231,7 @@ def events_mutual_info(sf_dir: str) -> rd.Dataset:
 
     Plan: one shuffle-free per-batch (type, hour) count pass; the
     reduce and the MI fold are bounded by |types| × 24."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_type", "ts"],
     )
@@ -340,7 +344,7 @@ def user_theil_index(
     activity; the driver fold is over that bounded histogram."""
     from ..functions.hashing import splitmix64_np
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
     )
     hint = parquet_rows_hint(ds)
@@ -476,7 +480,7 @@ def lang_simpson(
     from ..functions.hashing import token_partitions
     from ..functions.tokenize import split_ws_tokens
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"), columns=["lang", "text"]
     )
     hint = parquet_rows_hint(ds)
@@ -625,7 +629,7 @@ def lang_shannon(
     from ..functions.hashing import token_partitions
     from ..functions.tokenize import split_ws_tokens
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"), columns=["lang", "text"]
     )
     hint = parquet_rows_hint(ds)
@@ -785,7 +789,7 @@ def doc_token_novelty(
     from ..functions.hashing import splitmix64_np, token_partitions
     from ..functions.tokenize import split_ws_tokens
 
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
     )
@@ -963,7 +967,7 @@ def events_temporal_gini(sf_dir: str) -> rd.Dataset:
     Plan: one shuffle-free per-batch hour-count pass (the
     events_spectrum partial); the zero-fill and rank walk run on the
     driver over the bounded hour span."""
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
+    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
 
     def partial(b: pa.Table) -> pa.Table:
         h = (
@@ -1075,7 +1079,7 @@ def events_spectrum(sf_dir: str) -> rd.Dataset:
 
     Plan: one shuffle-free per-batch hour-count pass; the reduce is
     bounded by the corpus's hour span."""
-    ds = _read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
+    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
 
     def partial(b: pa.Table) -> pa.Table:
         h = (
@@ -1152,7 +1156,7 @@ def source_cvm_length(sf_dir: str) -> rd.Dataset:
 
     Plan: the same ONE shuffle-free bounded histogram pass as
     source_ks_length; pairwise merged-support walks on the driver."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["source", "n_chars"],
     )
@@ -1265,7 +1269,7 @@ def event_entropy_rate(
     the next event, H(next | current) what remains once you know the
     current state, and the gap is how much one step of memory buys a
     next-event predictor (the information-theoretic summary of
-    ``event_transition_predictability``'s per-state mode table).
+    a per-state mode table).
 
     Exactness: both entropies are micro-log folds over exact integer
     transition counts — H(next|prev) = Σᵢⱼ nᵢⱼ·(L(nᵢ·)−L(nᵢⱼ)) /
@@ -1422,7 +1426,7 @@ def source_psi_chars(sf_dir: str) -> pa.Table:
     Plan: per-batch Arrow group_by (source, bin) pre-combine → the
     strict bounded reduce (|sources|·B rows) → O(|sources|·B) driver
     arithmetic. ONE pass, two pruned int columns, no text."""
-    ds = _read_pq(
+    ds = read_pq(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["source", "n_chars"],
     )

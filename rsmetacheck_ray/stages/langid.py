@@ -43,14 +43,7 @@ def marker_pattern(lang: str) -> str:
 
 
 class LangIdScorer:
-    """Adds ``detected_lang: string`` and ``langid_conf: double``.
-
-    Usage::
-
-        ds.map_batches(LangIdScorer, batch_format="pyarrow",
-                       batch_size=cfg.batch_size,
-                       concurrency=cfg.langid_actors)
-    """
+    """Adds ``detected_lang: string`` and ``langid_conf: double``."""
 
     def __init__(
         self, cfg: GateConfig = DEFAULT_CONFIG,

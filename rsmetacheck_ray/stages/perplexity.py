@@ -94,14 +94,7 @@ def _train_corpus() -> bytes:
 
 
 class PerplexityScorer:
-    """Adds ``bits_per_char: double`` to each row.
-
-    Usage::
-
-        ds.map_batches(PerplexityScorer, batch_format="pyarrow",
-                       batch_size=cfg.batch_size,
-                       concurrency=cfg.perplexity_actors)
-    """
+    """Adds ``bits_per_char: double`` to each row."""
 
     # process-level memo: a worker that constructs several scorers
     # (resume loops, repeated query calls) builds the tables once

@@ -21,8 +21,7 @@ network dependency behind a pluggable fetcher:
    differential oracle covers the plumbing end-to-end.
  - ``requests_fetcher`` adapts the real ``requests`` library for a
    networked cluster; constructing it without the library raises
-   ``NotImplementedError`` naming the offline alternative (the
-   multimodal-codec stub discipline, stages/multimodal.py). It is
+   ``NotImplementedError`` naming the offline alternative. It is
    never exercised in the differential gate, which must stay
    network-free.
 

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -80,6 +81,14 @@ def test_matrix_list_array_round_trip():
     np.testing.assert_array_equal(
         list_column_matrix(matrix_list_array(m.T)), m.T
     )
+
+
+def test_matrix_list_array_rejects_int32_offset_overflow():
+    # 2**31 elements: one past the int32 offsets; a broadcast view, so
+    # nothing is allocated — the check must fire before the values copy
+    big = np.broadcast_to(np.float64(0.0), (1 << 16, 1 << 15))
+    with pytest.raises(ValueError, match="int32"):
+        matrix_list_array(big)
 
 
 def test_empty_column():

@@ -7,7 +7,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from rsmetacheck_ray.pipelines.relational import (
+from rsmetacheck_ray.partitioning import (
     bounded_group_reduce,
     bounded_group_table,
 )

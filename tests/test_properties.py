@@ -730,46 +730,6 @@ def test_token_budget_matches_prefix_walk(ray_session, seed):
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_copurchase_matches_bruteforce(ray_session, seed):
-    """part_copurchase == the O(n²) per-order line-pair count on random
-    baskets with duplicate parts, for both the driver-merged and the
-    forced-distributed pair reduce."""
-    import itertools
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.decision3 import part_copurchase
-
-    rng = np.random.default_rng(seed)
-    n = 120
-    okeys = rng.integers(1, 25, n)
-    pkeys = rng.integers(100, 112, n)
-    li = pa.table(
-        {
-            "l_orderkey": pa.array(okeys, pa.int64()),
-            "l_partkey": pa.array(pkeys, pa.int64()),
-        }
-    )
-    pairs: dict[tuple, int] = {}
-    for o in np.unique(okeys):
-        parts = sorted(pkeys[okeys == o].tolist())
-        for a, b in itertools.combinations(parts, 2):
-            if a != b:
-                pairs[(a, b)] = pairs.get((a, b), 0) + 1
-    want = sorted(
-        (p1, p2, c) for (p1, p2), c in pairs.items() if c >= 2
-    )
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(li, os.path.join(d, "lineitem.parquet"))
-        for kw in ({}, {"max_pair_rows": 1}):  # force distributed fallback
-            got = part_copurchase(d, num_partitions=3, **kw).take_all()
-            assert [(r["p1"], r["p2"], r["n"]) for r in got] == want, kw
-
-
-@settings(max_examples=6, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
 def test_islands_match_bruteforce(ray_session, seed):
     """user_type_islands == a per-user sequential run scan on random
     streams with repeated ts values."""

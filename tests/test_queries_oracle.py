@@ -69,15 +69,12 @@ SQL_BACKED = [
     "dedup_exact_pairs",
     "dedup_embedding_pairs",
     "knn_cosine",
-    "multimodal_meta",
-    "multimodal_resize",
     "doc_bpe_tokens",
     # round 2 additions
     "gate_meta_flags",
     "gate_drop_vector",
     "events_sliding_3h",
     "customers_without_orders",
-    "multimodal_features",
     "events_value_percentiles",
     # round 3 additions
     "dedup_components",

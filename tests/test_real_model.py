@@ -158,9 +158,7 @@ def test_langid_model_gate_topology(ray_session, tmp_path, small_corpus):
     open(model_path + ".loadlog.enable", "w").close()
 
     pages_dir, _ = small_corpus
-    cfg = dataclasses.replace(
-        DEFAULT_CONFIG, langid_model=model_path, langid_actors=2
-    )
+    cfg = dataclasses.replace(DEFAULT_CONFIG, langid_model=model_path)
     base = build_gate(
         rd.read_parquet(pages_dir), compute="actors"
     ).to_pandas()
@@ -203,9 +201,7 @@ def test_big_model_blob_load_once(ray_session, tmp_path, small_corpus):
     assert os.path.getsize(model_path) > 200 * 1024 * 1024
     open(model_path + ".loadlog.enable", "w").close()
     pages_dir, _ = small_corpus
-    cfg = dataclasses.replace(
-        DEFAULT_CONFIG, langid_model=model_path, langid_actors=2
-    )
+    cfg = dataclasses.replace(DEFAULT_CONFIG, langid_model=model_path)
     out = build_gate(
         rd.read_parquet(pages_dir), cfg, compute="actors"
     ).to_pandas()

@@ -327,6 +327,27 @@ def test_mmr_excludes_self_and_bounds_k(ray_session):
     assert [r["pick"] for r in got] == [1, 2]
 
 
+def test_mmr_zero_norm_query_and_candidate(ray_session):
+    import ray.data as rd
+
+    # a zero query has cosine 0 to every candidate and a zero candidate
+    # cosine 0 to everything: no score may turn NaN. Pick 1 is an
+    # all-zero tie -> lowest vec_id (1); pick 2 is the zero candidate 3
+    # (penalty 0 beats every positive similarity to 1); then 4, the
+    # candidate least similar to 1.
+    t = _vec_table([
+        (1, [1.0, 0.1]),
+        (2, [1.0, 0.2]),
+        (3, [0.0, 0.0]),
+        (4, [0.2, 1.0]),
+    ])
+    got = sim.mmr_select(
+        rd.from_arrow(t), np.array([[0.0, 0.0]]), np.array([99]),
+        k=4, pool=4, lam=0.5,
+    ).to_pylist()
+    assert [r["vec_id"] for r in got] == [1, 3, 4, 2]
+
+
 def test_ndcg_weights_and_bounds(ray_session):
     # planted check of the scoring walk via the public query at
     # sf0.001: ndcg in [0,1]; a query whose top-1 shares its label

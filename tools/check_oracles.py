@@ -31,7 +31,7 @@ def to_pandas(res) -> pd.DataFrame:
     if len(df.columns) == 0 and hasattr(res, "schema"):
         # Ray's Dataset.to_pandas drops the schema when the dataset is
         # EMPTY (a legitimate result at some scales: threshold queries
-        # like important_parts select nothing at sf0.1). Rebuild the
+        # that select nothing at some scale). Rebuild the
         # empty frame from Dataset.schema() so the column/dtype compare
         # sees what the engine actually declared.
         try:
