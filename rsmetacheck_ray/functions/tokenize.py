@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .arrowbuf import varwidth_bytes
+from .arrowbuf import prefix_bytes, span_values, span_view, varwidth_bytes
 
 WS_TOKEN_RE = r"\S+"
 # RE2's \s is exactly [\t\n\f\r ] (ASCII, no \v) — this split class is
@@ -81,11 +81,6 @@ def count_bpe_tokens(arr: pa.Array) -> pa.Array:
     return pc.cast(pc.count_substring_regex(arr, BPE_TOKEN_RE), pa.int64())
 
 
-# byte -> "inside a \S+ token": RE2's \s bytes are the only separators;
-# bytes of multi-byte UTF-8 codepoints are >= 0x80, so a byte-level
-# test never splits a codepoint
-_NON_WS = np.ones(256, dtype=bool)
-_NON_WS[[9, 10, 12, 13, 32]] = False
 # (doc, id, id) sort keys are packed into one int64 below this bound
 _INT64_KEYS = 2**63
 
@@ -93,18 +88,26 @@ _INT64_KEYS = 2**63
 def _span_ids(buf: pa.Buffer, starts: np.ndarray, ends: np.ndarray,
               large: bool) -> np.ndarray:
     """Dictionary ids of the byte spans ``buf[starts[k]:ends[k]]``
-    (sorted, non-overlapping): equal ids iff equal bytes. The spans
-    are read through a zero-copy string view whose offsets interleave
-    starts and ends, so the gaps between spans are values too; only
-    the even (span) positions are kept."""
-    offs = np.empty(2 * len(starts), dtype=np.int64 if large else np.int32)
-    offs[0::2] = starts
-    offs[1::2] = ends
-    view = (pa.LargeStringArray if large else pa.StringArray).from_buffers(
-        len(offs) - 1, pa.py_buffer(offs), buf
-    )
-    ids = pc.dictionary_encode(view).indices.to_numpy(zero_copy_only=False)
-    return ids[0::2].astype(np.int64)
+    (sorted, non-overlapping): equal ids iff equal bytes."""
+    view = span_view(buf, starts, ends, large)
+    return span_values(pc.dictionary_encode(view).indices)
+
+
+def _non_ws(data: np.ndarray) -> np.ndarray:
+    """``data`` padded with a separator at both ends, as "inside a
+    ``\\S+`` token" flags. RE2's ``\\s`` bytes (9, 10, 12, 13, 32) are the
+    only separators; bytes of multi-byte UTF-8 codepoints are >= 0x80,
+    so a byte-level test never splits a codepoint. Bytes below 32 are
+    rare in text, so they are fixed up after one comparison."""
+    nw = np.empty(len(data) + 2, dtype=bool)
+    nw[0] = nw[-1] = False
+    inner = nw[1:-1]
+    np.greater(data, 32, out=inner)
+    low = np.flatnonzero(data < 32)
+    if len(low):
+        b = data[low]
+        inner[low] = (b != 9) & (b != 10) & (b != 12) & (b != 13)
+    return nw
 
 
 def _per_doc_max_run(doc: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -131,7 +134,8 @@ def _per_doc_max_run(doc: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def ws_token_stats(text: pa.Array | pa.ChunkedArray, scan_chars: int,
-                   limit: int) -> dict[str, np.ndarray]:
+                   limit: int, scan_len: np.ndarray | None = None
+                   ) -> dict[str, np.ndarray]:
     """Whitespace-token and line statistics of every document, from ONE
     byte-level pass over the Arrow UTF-8 buffer. Tokens are ``\\S+``
     runs under RE2's ``\\s`` = ``[\\t\\n\\f\\r ]`` (the
@@ -151,7 +155,9 @@ def ws_token_stats(text: pa.Array | pa.ChunkedArray, scan_chars: int,
       single line.
 
     Tokens and lines are compared by their bytes (dictionary ids), not
-    by hash."""
+    by hash. ``scan_len``, when the caller has it, is each document's
+    :func:`~rsmetacheck_ray.functions.arrowbuf.prefix_bytes` for
+    ``scan_chars``."""
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     if text.null_count:
@@ -164,8 +170,7 @@ def ws_token_stats(text: pa.Array | pa.ChunkedArray, scan_chars: int,
     # token runs over the whole buffer (padded with a separator at
     # both ends), then split where a run crosses the first byte of a
     # non-empty document: that position is both an end and a start
-    nw = np.zeros(len(data) + 2, dtype=bool)
-    np.take(_NON_WS, data, out=nw[1:-1])
+    nw = _non_ws(data)
     edges = np.flatnonzero(nw[1:] != nw[:-1])
     doc_len = np.diff(offs)
     first_byte = offs[:-1][doc_len > 0]
@@ -176,13 +181,8 @@ def ws_token_stats(text: pa.Array | pa.ChunkedArray, scan_chars: int,
     starts, ends = edges[0::2], edges[1::2]
     first_tok = np.searchsorted(starts, offs)
     n_tokens = np.diff(first_tok)
-    # a document of at most scan_chars bytes has at most scan_chars
-    # codepoints: only longer ones need the codepoint prefix
-    scan_len = doc_len.copy()
-    long = np.flatnonzero(doc_len > scan_chars)
-    if len(long):
-        prefix = pc.utf8_slice_codeunits(text.take(pa.array(long)), 0, scan_chars)
-        scan_len[long] = pc.binary_length(prefix).to_numpy(zero_copy_only=False)
+    if scan_len is None:
+        scan_len = prefix_bytes(text, doc_len, scan_chars)
     n_tokens_scan = np.searchsorted(starts, offs[:-1] + scan_len) - first_tok[:-1]
 
     # adjacent pairs among each document's first min(n_tokens, limit)

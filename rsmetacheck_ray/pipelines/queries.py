@@ -1738,9 +1738,9 @@ _LM_EXPORT_DIR = "/tmp/rsmetacheck_lm_oracle"
 def _ensure_lm_export() -> str:
     """Write the perplexity LM's parameters as parquet for DuckDB:
     ``byte_sym.parquet`` (256 rows: uppercase hex pair → 6-bit symbol)
-    and ``lm_bits.parquet`` (64³ rows: trigram code → float64 bit cost
-    = widen(float32(-(logp3[c] - logp2[c >> 6])))), matching the
-    engine's float32 gather-subtract bit-for-bit."""
+    and ``lm_bits.parquet`` (64³ rows: trigram code → the widened
+    float32 bit cost of the scorer's own table), matching the engine's
+    gather bit-for-bit."""
     import pyarrow.parquet as pq
 
     from ..stages.perplexity import _BYTE_CODE, _NSYM, PerplexityScorer
@@ -1758,7 +1758,7 @@ def _ensure_lm_export() -> str:
     finally:
         pa.set_cpu_count(prev_cpus)  # scorer init throttles the pool
     codes = np.arange(_NSYM**3, dtype=np.int64)
-    bits = (-(sc.logp3[codes] - sc.logp2[codes >> 6])).astype(np.float64)
+    bits = sc.bits.astype(np.float64)
     # per-writer-unique tmp names: os.replace is only atomic if no
     # other process is writing the same tmp path (pytest-xdist / a
     # concurrent driver gate would interleave a shared ".tmp")

@@ -3,11 +3,20 @@
 The north rule's fastText-lid analog (the reference has no stateful
 stages, SURVEY §2.4; its closest pattern is the module-level compiled
 regex lists, ``p002.py:37-51``). Implemented as marker-word density
-scoring: for each known language, count whole-word hits of that
-language's (disjoint) marker set with ONE vectorized RE2 pass per
-language (`pyarrow.compute.count_substring_regex`) over a bounded
-document prefix, plus a CJK character-ratio detector for zh. Detected
-language = argmax density, ``"und"`` below the confidence floor.
+scoring over each document's first ``langid_scan_chars`` codepoints:
+
+- for each known language, whole-word hits of that language's
+  (disjoint) marker set, with ONE RE2 pass per language
+  (`pyarrow.compute.count_substring_regex`) over a zero-copy window
+  view. The view reuses the text's data buffer with interleaved
+  ``(start, window_end)`` offsets, and its gap slots (the documents'
+  tails) are null, so RE2 never reads past a window;
+- a CJK character-ratio detector for zh. U+4E00–U+9FFF characters are
+  counted by a byte test on well-formed 3-byte UTF-8 sequences inside
+  the window, with no regex.
+
+Detected language = argmax density, ``"und"`` below the confidence
+floor. A null text scores as ``""``.
 
 The density denominators, and the Gopher repetition stats the rule
 stage reads, come from ONE byte-level tokenization of the batch
@@ -29,10 +38,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
+from ..functions.arrowbuf import (
+    prefix_bytes, span_values, span_view, value_spans,
+)
 from ..functions.tokenize import ws_token_stats
 from ..functions.vocab import MARKERS
 
-_CJK_PATTERN = r"[\x{4E00}-\x{9FFF}]"
 # the model path memoizes token -> input-row ids per actor; cleared when
 # full, so a stream of distinct OOV tokens cannot grow it without bound
 _TOKEN_MEMO_MAX = 1 << 17
@@ -40,6 +51,26 @@ _TOKEN_MEMO_MAX = 1 << 17
 
 def marker_pattern(lang: str) -> str:
     return r"\b(?:" + "|".join(MARKERS[lang]) + r")\b"
+
+
+def cjk_counts(data: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """Per window ``data[starts[i]:ends[i]]`` (sorted, non-overlapping),
+    the number of U+4E00–U+9FFF characters: the matches RE2's
+    ``[\\x{4E00}-\\x{9FFF}]`` finds there, as a byte test. Each is a
+    well-formed 3-byte sequence inside the window whose lead byte is
+    E4–E9 (second byte ≥ B8 after E4) and whose second and third bytes
+    are continuation bytes. Continuation bytes are never leads, so
+    matches cannot overlap, even in malformed UTF-8."""
+    lo = int(starts[0])
+    lead = np.flatnonzero(data[lo : int(ends[-1])] - np.uint8(0xE4) < 6) + lo
+    doc = np.searchsorted(starts, lead, side="right") - 1
+    inside = lead + 3 <= ends[doc]
+    lead, doc = lead[inside], doc[inside]
+    b1, b2 = data[lead + 1], data[lead + 2]
+    ok = ((b1 & 0xC0) == 0x80) & ((b2 & 0xC0) == 0x80)
+    ok &= (data[lead] != 0xE4) | (b1 >= 0xB8)
+    return np.bincount(doc[ok], minlength=len(starts))
 
 
 class LangIdScorer:
@@ -83,16 +114,22 @@ class LangIdScorer:
 
                 self.model = ("native", load_fasttext_model(mp))
 
-    def _marker_hits(self, text: pa.Array, n: int) -> np.ndarray:
-        """(n_langs, n) exact marker counts — one RE2 pass per language.
-        (A single-scan union + per-word attribution was tried and is
-        SLOWER on marker-dense text: ~1 match per 3 words makes the
-        explode/groupby attribution cost exceed three extra scans.)"""
-        hits = np.zeros((len(self.patterns), n), dtype=np.int64)
+    def _marker_hits(self, text: pa.Array, starts: np.ndarray,
+                     ends: np.ndarray) -> np.ndarray:
+        """(n_langs, n) exact marker counts in each document's bytes
+        ``[starts, ends)`` of the text buffer — one RE2 pass per language
+        over a zero-copy window view, whose null gap slots (the
+        documents' tails) RE2 skips. (A single-scan union + per-word
+        attribution was tried and is SLOWER on marker-dense text: ~1
+        match per 3 words makes the explode/groupby attribution cost
+        exceed three extra scans.)"""
+        hits = np.zeros((len(self.patterns), len(text)), dtype=np.int64)
+        if len(text) == 0 or text.buffers()[2] is None:
+            return hits
+        view = span_view(text.buffers()[2], starts, ends,
+                         pa.types.is_large_string(text.type))
         for k, lang in enumerate(self.patterns):
-            hits[k] = pc.fill_null(
-                pc.count_substring_regex(text, self.patterns[lang]), 0
-            ).to_numpy(zero_copy_only=False)
+            hits[k] = span_values(pc.count_substring_regex(view, self.patterns[lang]))
         return hits
 
     def _model_detect(
@@ -146,31 +183,35 @@ class LangIdScorer:
             text = text.combine_chunks()
         n = len(batch)
 
-        stats = ws_token_stats(
-            text, self.cfg.langid_scan_chars, self.cfg.repetition_scan_tokens
-        )
-        n_tokens = stats["n_tokens"]
-        n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
-
-        # all detection scans read only a bounded document PREFIX —
+        # all detection scans read only a bounded document PREFIX (the
+        # first langid_scan_chars codepoints; null counts as "") —
         # per-doc cost is O(langid_scan_chars) however big the page is;
         # densities are computed against the PREFIX token/char counts
-        scan = pc.utf8_slice_codeunits(text, 0, self.cfg.langid_scan_chars)
-        scan_chars = pc.utf8_length(scan).to_numpy(zero_copy_only=False).astype(np.float64)
+        starts, lens = value_spans(text)
+        scan_len = prefix_bytes(text, lens, self.cfg.langid_scan_chars)
+        ends = starts + scan_len
+        stats = ws_token_stats(
+            text, self.cfg.langid_scan_chars, self.cfg.repetition_scan_tokens,
+            scan_len,
+        )
+        n_tokens = stats["n_tokens"]
+        n_chars = pc.fill_null(pc.utf8_length(text), 0).to_numpy(
+            zero_copy_only=False
+        ).astype(np.int64)
+        scan_chars = np.minimum(n_chars, self.cfg.langid_scan_chars)
         scan_tok_safe = np.maximum(stats["n_tokens_scan"], 1)
-        scan_chr_safe = np.maximum(scan_chars, 1.0)
+        scan_chr_safe = np.maximum(scan_chars, 1).astype(np.float64)
 
         langs = list(self.patterns)
-        hits_matrix = self._marker_hits(scan, n)
+        hits_matrix = self._marker_hits(text, starts, ends)
         scores = np.zeros((len(langs) + 1, n), dtype=np.float64)
         for k in range(len(langs)):
             scores[k] = hits_matrix[k] / scan_tok_safe
-        # CJK pass only when any row contains non-ASCII at all (byte
-        # length != codepoint length) — pure-ASCII batches skip the scan
-        scan_bytes = pc.binary_length(scan).to_numpy(zero_copy_only=False)
-        if (scan_bytes != scan_chars.astype(np.int64)).any():
-            cjk = pc.count_substring_regex(scan, _CJK_PATTERN).to_numpy(
-                zero_copy_only=False
+        # CJK count only when some prefix holds non-ASCII at all (byte
+        # length != codepoint length)
+        if (scan_len != scan_chars).any():
+            cjk = cjk_counts(
+                np.frombuffer(text.buffers()[2], dtype=np.uint8), starts, ends
             )
             zh_ratio = cjk / scan_chr_safe
             scores[len(langs)] = np.where(
@@ -186,7 +227,9 @@ class LangIdScorer:
         detected = np.where(n_tokens == 0, "und", detected)
 
         if self.model is not None:
-            detected, conf = self._model_detect(scan)
+            detected, conf = self._model_detect(
+                pc.utf8_slice_codeunits(text, 0, self.cfg.langid_scan_chars)
+            )
             # the same floor-to-"und" discipline as the marker path
             detected = np.where(
                 (n_tokens == 0) | (conf < self.cfg.langid_min_conf), "und", detected

@@ -1,17 +1,27 @@
 """Perplexity stage — KenLM-style n-gram scoring as an actor pool.
 
 The north rule's "KenLM 5-gram perplexity" analog: a symbol-trigram
-language model with add-alpha smoothing, trained ONCE PER ACTOR in
-``__init__`` on a deterministic mixed-language corpus derived from the
-shared vocabulary pools (``functions/vocab.py``) — the ActorPoolStrategy
-pattern SURVEY §2.4 calls for. Scoring is seed-free and fully
-vectorized: the whole batch's bytes are concatenated into one numpy
-buffer, remapped through a 64-SYMBOL ALPHABET (letters fold to one
-case, digits/space/punct bucket, high bytes bucket by range), trigram
-codes computed with shifts, log-probs gathered from direct-indexed
-tables, per-document bits-per-char reduced with prefix sums.
+language model with add-alpha smoothing, trained ONCE PER PROCESS on a
+deterministic mixed-language corpus derived from the shared vocabulary
+pools (``functions/vocab.py``) — the ActorPoolStrategy pattern SURVEY
+§2.4 calls for. Scoring is seed-free and fully vectorized, straight off
+the batch's Arrow UTF-8 buffer:
 
-The 64-symbol alphabet keeps the trigram table at 64³ × 4 B = 1 MiB —
+- each document's window is its first ``ppl_scan_chars`` codepoints.
+  When no document is longer, the windows are the documents and are
+  read in place; otherwise one vectorized index gathers them back to
+  back, so per-document work stays bounded on huge pages;
+- bytes map to a 64-SYMBOL ALPHABET (letters fold to one case,
+  digits/space/punct bucket, high bytes bucket by range) and trigram
+  codes are built with shifts;
+- ONE gather per trigram from a precomputed float32 bit-cost table,
+  ``-(logp3[c] - logp2[c >> 6])``, which the DuckDB oracle exports too;
+- per-document sums by ``reduceat`` over ``[start, window_end - 2)``.
+  Those segments never hold a trigram that crosses a document
+  boundary, so no boundary mask is needed, and a document's trigram
+  count is just its segment length.
+
+The 64-symbol alphabet keeps the table at 64³ × 4 B = 1 MiB —
 L2-resident under full actor-pool concurrency (the original full-byte
 design was a 64 MiB table whose random gathers thrashed DRAM and cost
 ~0.9 s/actor to build).
@@ -24,8 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
+from ..functions.arrowbuf import prefix_bytes, value_spans
 from ..functions.hashing import row_u64
 from ..functions.vocab import CONTENT, MARKERS, ZH_CHARS
 
@@ -56,6 +68,7 @@ def _byte_code_table() -> np.ndarray:
 
 
 _BYTE_CODE = _byte_code_table()
+_BYTE_CODE_PA = pa.array(_BYTE_CODE)
 
 
 def _train_corpus() -> bytes:
@@ -93,121 +106,90 @@ def _train_corpus() -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
+def _bit_table() -> np.ndarray:
+    """Trigram code ``c`` → float32 bit cost ``-(logp3[c] - logp2[c >> 6])``
+    of the add-alpha trigram LM over the training corpus (64³ × 4 B =
+    1 MiB). The scorer and the DuckDB oracle both read this one table."""
+    data = _BYTE_CODE[np.frombuffer(_train_corpus(), dtype=np.uint8)]
+    c3 = data[:-2] << 12 | data[1:-1] << 6 | data[2:]
+    c2 = data[:-1] << 6 | data[1:]
+    lut3 = np.zeros(_NSYM**3, dtype=np.float32)
+    codes, counts = np.unique(c3, return_counts=True)
+    lut3[codes] = counts
+    logp3 = np.log2(lut3 + np.float32(_ALPHA))
+    lut2 = np.zeros(_NSYM**2, dtype=np.float32)
+    codes2, counts2 = np.unique(c2, return_counts=True)
+    lut2[codes2] = counts2
+    logp2 = np.log2(lut2 + np.float32(_ALPHA * _NSYM))
+    return -(logp3 - logp2[np.arange(_NSYM**3) >> 6])
+
+
 class PerplexityScorer:
     """Adds ``bits_per_char: double`` to each row."""
 
-    # process-level memo: a worker that constructs several scorers
-    # (resume loops, repeated query calls) builds the tables once
-    _LM_CACHE: tuple | None = None
+    # process-level memo of the bit-cost table: a worker that constructs
+    # several scorers (resume loops, repeated query calls) builds it once
+    _LM_CACHE: np.ndarray | None = None
 
     def __init__(self, cfg: GateConfig = DEFAULT_CONFIG):
         self.cfg = cfg
         pa.set_cpu_count(1)  # 1-CPU actor: no machine-wide kernel pool
-        if PerplexityScorer._LM_CACHE is not None:
-            self.logp3, self.logp2 = PerplexityScorer._LM_CACHE
-            return
-        data = _BYTE_CODE[np.frombuffer(_train_corpus(), dtype=np.uint8)]
-        c3 = data[:-2] << 12 | data[1:-1] << 6 | data[2:]
-        c2 = data[:-1] << 6 | data[1:]
-        # Direct-indexed LOG-PROB tables (1 MiB + 16 KiB per actor):
-        # the per-batch hot path is two gathers and a subtract.
-        lut3 = np.zeros(_NSYM**3, dtype=np.float32)
-        codes, counts = np.unique(c3, return_counts=True)
-        lut3[codes] = counts
-        self.logp3 = np.log2(lut3 + np.float32(_ALPHA))
-        lut2 = np.zeros(_NSYM**2, dtype=np.float32)
-        codes2, counts2 = np.unique(c2, return_counts=True)
-        lut2[codes2] = counts2
-        self.logp2 = np.log2(lut2 + np.float32(_ALPHA * _NSYM))
-        PerplexityScorer._LM_CACHE = (self.logp3, self.logp2)
-
-    def _bits_per_char(self, texts: list) -> np.ndarray:
-        """List-of-str entry (tests/tools); the batch path goes through
-        ``_bits_per_char_codes`` directly from the Arrow buffer."""
-        bufs = [t.encode("utf-8") if t else b"" for t in texts]
-        lens = np.array([len(b) for b in bufs], dtype=np.int64)
-        if len(bufs) == 0 or lens.sum() == 0:
-            return np.zeros(len(bufs), dtype=np.float64)
-        return self._bits_per_char_codes(
-            _BYTE_CODE[np.frombuffer(b"".join(bufs), dtype=np.uint8)], lens
-        )
-
-    def _bits_per_char_codes(
-        self, data: np.ndarray, lens: np.ndarray
-    ) -> np.ndarray:
-        """Core scorer over pre-mapped symbol codes: ``data`` is the
-        concatenation of every document's codes (documents back-to-back
-        in order), ``lens`` the per-document code counts."""
-        out = np.zeros(len(lens), dtype=np.float64)
-        if data.size == 0:
-            return out
-        ends = np.cumsum(lens)
-        starts = ends - lens
-
-        c3 = data[:-2] << 12 | data[1:-1] << 6 | data[2:]
-        c2 = data[:-1] << 6 | data[1:]
-
-        nb = len(c3)
-        if nb == 0:
-            return out
-        logp = self.logp3[c3] - self.logp2[c2[:nb]]  # float32 gathers
-
-        # zero out positions whose trigram crosses a document boundary
-        valid = np.ones(nb, dtype=bool)
-        for e in ends[:-1]:
-            valid[max(e - 2, 0) : min(e, nb)] = False
-        # float64 BEFORE summation (np.where with a python 0.0 keeps
-        # float32 — its prefix-sum error made bpc depend on which docs
-        # shared the batch, breaking run-to-run determinism), and
-        # PER-SEGMENT reduceat so each doc's sum never touches its
-        # neighbors' values — bitwise identical under any block layout.
-        # preallocated (nb+1) buffers: np.append would COPY the whole
-        # multi-MB array (measured 0.3 s per 3k-doc batch); the +1
-        # sentinel keeps reduceat's end index in range
-        bits_ext = np.empty(nb + 1, dtype=np.float64)
-        bits_ext[:nb] = np.where(valid, -logp, np.float32(0.0))
-        bits_ext[nb] = 0.0
-        vals_ext = np.empty(nb + 1, dtype=np.float64)
-        vals_ext[:nb] = valid
-        vals_ext[nb] = 0.0
-        tri_end = np.minimum(np.maximum(ends - 2, 0), nb)
-        tri_start = np.minimum(starts, nb)
-        idx = np.empty(2 * len(lens), dtype=np.int64)
-        idx[0::2] = tri_start
-        idx[1::2] = tri_end
-        seg = np.add.reduceat(bits_ext, idx)[0::2]
-        cntseg = np.add.reduceat(vals_ext, idx)[0::2]
-        nonempty = tri_end > tri_start
-        tot = np.where(nonempty, seg, 0.0)
-        cnt = np.where(nonempty, cntseg, 0.0)
-        np.divide(tot, cnt, out=out, where=cnt > 0)
-        return out
+        if PerplexityScorer._LM_CACHE is None:
+            PerplexityScorer._LM_CACHE = _bit_table()
+        self.bits = PerplexityScorer._LM_CACHE
+        self.bits_pa = pa.array(self.bits)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         text = batch.column("extracted_text")
-        # score only a bounded prefix: per-doc LM work is
-        # O(ppl_scan_chars) however large the page (gibberish shows up
-        # in the first kilobytes)
-        scan = pc.utf8_slice_codeunits(text, 0, self.cfg.ppl_scan_chars)
-        arr = (
-            scan.combine_chunks() if isinstance(scan, pa.ChunkedArray) else scan
-        )
-        if arr.null_count:
-            arr = pc.fill_null(arr, "")
-        if len(arr) == 0 or arr.buffers()[2] is None:
-            return batch.append_column(
-                "bits_per_char",
-                pa.array(np.zeros(len(arr), np.float64), pa.float64()),
-            )
-        # zero-copy: the UTF-8 bytes already sit back-to-back in the
-        # Arrow data buffer (offsets layout), exactly the concatenated
-        # layout the scorer wants — no to_pylist / encode / join
-        from ..functions.arrowbuf import varwidth_bytes
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        out = np.zeros(len(text), dtype=np.float64)
+        if len(text) and text.buffers()[2] is not None:
+            # score only a bounded prefix: per-doc LM work is
+            # O(ppl_scan_chars) however large the page (gibberish shows
+            # up in the first kilobytes)
+            starts, lens = value_spans(text)
+            wlen = prefix_bytes(text, lens, self.cfg.ppl_scan_chars)
+            data = np.frombuffer(text.buffers()[2], dtype=np.uint8)
+            if (wlen < lens).any():
+                # gather the windows back to back with one index; with
+                # no long document the windows are the documents, read
+                # in place from the Arrow data buffer
+                packed = np.cumsum(wlen) - wlen
+                data = data[np.arange(int(wlen.sum())) +
+                            np.repeat(starts - packed, wlen)]
+                starts = packed
+            self._score(data, starts, starts + wlen, out)
+        return batch.append_column("bits_per_char", pa.array(out, pa.float64()))
 
-        raw, offsets = varwidth_bytes(arr)
-        bpc = self._bits_per_char_codes(
-            _BYTE_CODE[raw], np.diff(offsets)
-        )
-        return batch.append_column("bits_per_char", pa.array(bpc, pa.float64()))
+    def _score(self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               out: np.ndarray) -> None:
+        """Mean trigram bit cost of each window ``data[starts[i]:ends[i]]``
+        (sorted, non-overlapping) into ``out``, 0 below 3 bytes. Window
+        ``i`` sums the trigrams starting in ``[starts[i], ends[i] - 2)``,
+        so no trigram that crosses a window end is ever summed."""
+        has = ends - 2 > starts
+        s, e = starts[has], ends[has] - 2
+        if not len(s):
+            return
+        lo = s[0]
+        s, e = s - lo, e - lo
+        # Arrow's take reads uint8/uint32 indices as they are (numpy
+        # fancy indexing widens them to intp first); every index is in
+        # range by construction (bytes < 256, codes < 64³)
+        codes = pc.take(_BYTE_CODE_PA, pa.array(data[lo : lo + e[-1] + 2]),
+                        boundscheck=False).to_numpy()
+        c3 = np.left_shift(codes[:-2], 12)
+        c3 |= np.left_shift(codes[1:-1], 6)
+        c3 |= codes[2:]
+        # float64 BEFORE summation, and PER-SEGMENT reduceat so each
+        # doc's sum never touches its neighbors' values — bitwise
+        # identical under any block layout
+        bits = pc.take(self.bits_pa, pa.array(c3), boundscheck=False)
+        bits = bits.to_numpy().astype(np.float64)
+        idx = np.empty(2 * len(s), dtype=np.int64)
+        idx[0::2] = s
+        idx[1::2] = e
+        # reduceat sums its last segment to the array's end
+        seg = np.add.reduceat(bits, idx[:-1])[0::2]
+        out[has] = seg / (e - s)

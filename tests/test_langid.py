@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rsmetacheck_ray.config import DEFAULT_CONFIG
 from rsmetacheck_ray.datagen import generate_tables
+from rsmetacheck_ray.functions.arrowbuf import prefix_bytes, value_spans
 from rsmetacheck_ray.stages.extract import extract_stage
-from rsmetacheck_ray.stages.langid import LangIdScorer
+from rsmetacheck_ray.stages.langid import LangIdScorer, cjk_counts
 
 
 def _mk(texts, langs=None):
@@ -66,16 +71,13 @@ def test_stopword_basis_falls_back_to_declared():
 
 
 def test_union_pass_matches_per_language_counts():
-    """The single-scan polars path must reproduce the per-language
-    RE2 pass counts exactly (marker sets are disjoint)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from rsmetacheck_ray.stages.langid import LangIdScorer
-
-    sc = LangIdScorer()
-    texts = pa.array([
+    """The stage's windowed marker counts (``stopword_hits``, and the
+    densities behind ``langid_conf``) equal one RE2 pass per language
+    over ``utf8_slice_codeunits(text, 0, langid_scan_chars)``. A window
+    that cuts "there" to "the" counts ``the``; a marker wholly past the
+    window does not count."""
+    scan = DEFAULT_CONFIG.langid_scan_chars
+    texts = [
         "the system and the value was here",
         "les donnees est dans la chaine pour toujours",
         "der wert und die zeile ist nicht leer",
@@ -83,14 +85,163 @@ def test_union_pass_matches_per_language_counts():
         "",
         None,
         "the les der los mixed languages with aussi and auch",
-    ], pa.string())
-    fast = sc._marker_hits(texts, len(texts))
-    slow = np.zeros_like(fast)
-    for k, lang in enumerate(sc.patterns):
-        slow[k] = pc.count_substring_regex(texts, sc.patterns[lang]).fill_null(0).to_numpy(
-            zero_copy_only=False
-        )
-    assert (fast == slow).all(), (fast, slow)
+        "é" * (scan - 3) + "there and more",           # window ends in "the"
+        "w " * (scan // 2) + "der les los und the",     # markers past the window
+        "the " * (scan // 4 - 1) + "tail der die das",  # "the" fills the window
+    ]
+    sc = LangIdScorer()
+    out = sc(_mk(texts))
+    window = pc.utf8_slice_codeunits(pa.array(texts, pa.string()), 0, scan)
+    langs = list(sc.patterns)
+    exp = np.stack([
+        pc.count_substring_regex(window, sc.patterns[lang]).fill_null(0)
+        .to_numpy(zero_copy_only=False) for lang in langs
+    ])
+    assert exp[langs.index("en"), 7] == 1
+    assert exp[:, 8].sum() == 0
+
+    stop = out.column("stopword_lang").to_pylist()
+    exp_hits = [0 if s is None else exp[langs.index(s), i] for i, s in enumerate(stop)]
+    assert out.column("stopword_hits").to_pylist() == exp_hits
+    tok = np.maximum(out.column("n_tokens_scan").to_numpy(), 1)
+    exp_conf = (exp / tok).max(axis=0)
+    assert np.array_equal(out.column("langid_conf").to_numpy(), exp_conf)
+
+
+def test_null_text_row_is_empty_and_leaves_neighbours_alone():
+    """A null ``extracted_text`` scores as ``""`` (0 chars, 0 tokens,
+    ``und``), and adding it to a batch changes no other row."""
+    texts = [
+        "the system and the value was here",
+        "数据系统表值流窗口查询批向量结果引擎列网络",
+        "les valeur des fichier est chaine dans nombre",
+    ]
+    sc = LangIdScorer()
+    base = sc(_mk(texts))
+    with_null = sc(_mk(texts[:1] + [None] + texts[1:]))
+    row = with_null.slice(1, 1).to_pylist()[0]
+    assert row["n_chars"] == 0
+    assert row["n_tokens"] == 0
+    assert row["detected_lang"] == "und"
+    added = base.column_names[len(_mk(texts).column_names):]
+    others = with_null.take([0, 2, 3]).select(added)
+    assert others.equals(base.select(added)), others.to_pydict()
+
+
+# --- CJK byte count vs RE2 --------------------------------------------------
+
+_CJK_RE = r"[\x{4E00}-\x{9FFF}]"
+
+
+def _cjk_kernel(arr: pa.Array, scan_chars: int) -> np.ndarray:
+    """The stage's CJK count: each document's first ``scan_chars``
+    codepoints, counted by ``cjk_counts`` on the text buffer."""
+    starts, lens = value_spans(arr)
+    if not len(arr) or arr.buffers()[2] is None:
+        return np.zeros(len(arr), np.int64)
+    ends = starts + prefix_bytes(arr, lens, scan_chars)
+    return cjk_counts(np.frombuffer(arr.buffers()[2], np.uint8), starts, ends)
+
+
+def _cjk_re2(arr: pa.Array, scan_chars: int | None) -> np.ndarray:
+    if scan_chars is not None:
+        arr = pc.utf8_slice_codeunits(arr, 0, scan_chars)
+    return pc.count_substring_regex(arr, _CJK_RE).fill_null(0).to_numpy(
+        zero_copy_only=False
+    )
+
+
+def _assert_cjk_matches(texts: list, scan_chars: int, large: bool,
+                        pad: tuple = (0, 0)):
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(["lead 中 x"] * pad[0] + texts + ["tail 日 y"] * pad[1], typ)
+    arr = arr.slice(pad[0], len(texts))
+    got = _cjk_kernel(arr, scan_chars)
+    assert np.array_equal(got, _cjk_re2(arr, scan_chars)), (texts, got)
+
+
+def test_cjk_count_range_ends_and_window():
+    """The U+4E00–U+9FFF range ends, null, ``""``, sliced arrays,
+    large_string, and a CJK character on either side of the window end."""
+    scan = DEFAULT_CONFIG.langid_scan_chars
+    texts = [
+        "\u4dff", "\u4e00", "\u9fff", "\ua000", "a\u4e00b\u9fffc\u4dff\ua000",
+        None, "", "数据系统", "plain ascii", "é中😀日",
+        "a" * (scan - 1) + "中文",   # 中 is the last codepoint in the window
+        "é" * scan + "中文",         # 中 is the first codepoint past it
+    ]
+    for large in (False, True):
+        for pad in ((0, 0), (1, 2)):
+            _assert_cjk_matches(texts, scan, large, pad)
+
+
+def _from_bytes(docs: list) -> pa.Array:
+    """A string array over arbitrary (possibly malformed) UTF-8 bytes."""
+    offs = np.concatenate([[0], np.cumsum([len(d) for d in docs])]).astype(np.int32)
+    return pa.StringArray.from_buffers(
+        len(docs), pa.py_buffer(offs.tobytes()), pa.py_buffer(b"".join(docs))
+    )
+
+
+def test_cjk_count_on_malformed_utf8():
+    """RE2 finds the byte sequence even around malformed UTF-8 (a
+    truncated lead, stray continuation bytes, U+4DFF's E4 B7 BF); the
+    byte test counts exactly the same. The documents are shorter than
+    the window, so their prefix is the whole document (slicing malformed
+    UTF-8 raises)."""
+    docs = [
+        b"\xe5\xb8", b"\xe5\xb8a", b"\x80\xe4\xb8\x80", b"\xe4\xb7\xbf",
+        b"a\xbf\xbf", b"\xff\xe9\xbf\xbf", b"\xe5\xe5\xb8\x80", b"\xe4\xb8\x80\xe5\xb8",
+        b"\xe4\xb8", b"\xe9\xbf",
+    ]
+    arr = _from_bytes(docs)
+    got = _cjk_kernel(arr, DEFAULT_CONFIG.langid_scan_chars)
+    assert got.tolist() == [0, 0, 1, 0, 0, 1, 1, 1, 0, 0]
+    assert np.array_equal(got, _cjk_re2(arr, None))
+
+
+def test_cjk_count_ignores_a_character_cut_by_the_window():
+    """Only sequences whose three bytes lie inside the window count."""
+    data = np.frombuffer("中中".encode(), np.uint8)
+    for end, want in ((0, 0), (2, 0), (3, 1), (5, 1), (6, 2)):
+        got = cjk_counts(data, np.array([0]), np.array([end]))
+        assert got.tolist() == [want], (end, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(
+            st.none(),
+            st.text(max_size=30),
+            st.lists(st.sampled_from(
+                ["a", " ", "é", "\u4dff", "\u4e00", "\u9fff", "\ua000", "中", "😀"]
+            ), max_size=30).map("".join),
+        ),
+        max_size=8,
+    ),
+    scan_chars=st.sampled_from([1, 2, 5, 2048]),
+    large=st.booleans(),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_cjk_count_matches_re2(texts, scan_chars, large, pad):
+    """Property: the byte count equals RE2 over the sliced prefix."""
+    _assert_cjk_matches(texts, scan_chars, large, pad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(
+    st.lists(st.sampled_from(
+        [0x41, 0x20, 0x80, 0xB7, 0xB8, 0xBF, 0xC3, 0xE3, 0xE4, 0xE5, 0xE9, 0xEA, 0xFF]
+    ), max_size=12).map(bytes),
+    max_size=8,
+))
+def test_cjk_count_matches_re2_on_arbitrary_bytes(docs):
+    """Property: on arbitrary bytes, the byte count equals RE2's."""
+    arr = _from_bytes(docs)
+    assert np.array_equal(
+        _cjk_kernel(arr, DEFAULT_CONFIG.langid_scan_chars), _cjk_re2(arr, None)
+    )
 
 
 def test_lang_confusion_matrix(ray_session):

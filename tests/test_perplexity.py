@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsmetacheck_ray.config import DEFAULT_CONFIG
+from rsmetacheck_ray.config import DEFAULT_CONFIG, GateConfig
 from rsmetacheck_ray.datagen import generate_tables
+from rsmetacheck_ray.functions.arrowbuf import varwidth_bytes
 from rsmetacheck_ray.stages.extract import extract_stage
-from rsmetacheck_ray.stages.perplexity import PerplexityScorer
+from rsmetacheck_ray.stages.perplexity import (
+    _ALPHA, _BYTE_CODE, _NSYM, PerplexityScorer, _train_corpus,
+)
 
 _KEEP_FAMILIES = [
     "clean", "duplicate", "pii_email", "pii_phone", "pii_ip", "toxic",
@@ -43,3 +49,137 @@ def test_deterministic_across_instances():
     a = PerplexityScorer()(t).column("bits_per_char").to_pylist()
     b = PerplexityScorer()(t).column("bits_per_char").to_pylist()
     assert a == b
+
+
+# --- spec: the scorer as it was before the bit table -------------------
+# Two log-prob tables, a prefix slice per document, then one buffer for
+# the whole batch in which a mask zeroes every trigram that crosses a
+# document boundary. The scorer must reproduce it bit for bit.
+
+
+def _spec_tables():
+    data = _BYTE_CODE[np.frombuffer(_train_corpus(), dtype=np.uint8)]
+    c3 = data[:-2] << 12 | data[1:-1] << 6 | data[2:]
+    c2 = data[:-1] << 6 | data[1:]
+    lut3 = np.zeros(_NSYM**3, dtype=np.float32)
+    codes, counts = np.unique(c3, return_counts=True)
+    lut3[codes] = counts
+    lut2 = np.zeros(_NSYM**2, dtype=np.float32)
+    codes2, counts2 = np.unique(c2, return_counts=True)
+    lut2[codes2] = counts2
+    return (np.log2(lut3 + np.float32(_ALPHA)),
+            np.log2(lut2 + np.float32(_ALPHA * _NSYM)))
+
+
+_SPEC_TABLES = _spec_tables()
+
+
+def _spec_codes(data: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    logp3, logp2 = _SPEC_TABLES
+    out = np.zeros(len(lens), dtype=np.float64)
+    if data.size == 0:
+        return out
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    c3 = data[:-2] << 12 | data[1:-1] << 6 | data[2:]
+    c2 = data[:-1] << 6 | data[1:]
+    nb = len(c3)
+    if nb == 0:
+        return out
+    logp = logp3[c3] - logp2[c2[:nb]]
+    valid = np.ones(nb, dtype=bool)
+    for e in ends[:-1]:
+        valid[max(e - 2, 0) : min(e, nb)] = False
+    bits_ext = np.empty(nb + 1, dtype=np.float64)
+    bits_ext[:nb] = np.where(valid, -logp, np.float32(0.0))
+    bits_ext[nb] = 0.0
+    vals_ext = np.empty(nb + 1, dtype=np.float64)
+    vals_ext[:nb] = valid
+    vals_ext[nb] = 0.0
+    tri_end = np.minimum(np.maximum(ends - 2, 0), nb)
+    tri_start = np.minimum(starts, nb)
+    idx = np.empty(2 * len(lens), dtype=np.int64)
+    idx[0::2] = tri_start
+    idx[1::2] = tri_end
+    seg = np.add.reduceat(bits_ext, idx)[0::2]
+    cntseg = np.add.reduceat(vals_ext, idx)[0::2]
+    nonempty = tri_end > tri_start
+    tot = np.where(nonempty, seg, 0.0)
+    cnt = np.where(nonempty, cntseg, 0.0)
+    np.divide(tot, cnt, out=out, where=cnt > 0)
+    return out
+
+
+def _spec_bpc(text: pa.Array, scan_chars: int) -> np.ndarray:
+    arr = pc.utf8_slice_codeunits(text, 0, scan_chars)
+    if arr.null_count:
+        arr = pc.fill_null(arr, "")
+    if len(arr) == 0 or arr.buffers()[2] is None:
+        return np.zeros(len(arr), np.float64)
+    raw, offsets = varwidth_bytes(arr)
+    return _spec_codes(_BYTE_CODE[raw], np.diff(offsets))
+
+
+def _assert_bpc_matches_spec(texts: list, scan_chars: int, large: bool,
+                             pad: tuple = (0, 0)):
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(["lead pad x"] * pad[0] + texts + ["tail pad y"] * pad[1], typ)
+    arr = arr.slice(pad[0], len(texts))
+    sc = PerplexityScorer(GateConfig(ppl_scan_chars=scan_chars))
+    got = sc(pa.table({"extracted_text": arr})).column("bits_per_char")
+    got = got.to_numpy()
+    exp = _spec_bpc(arr, scan_chars)
+    assert np.array_equal(got.view(np.int64), exp.view(np.int64)), (got, exp)
+
+
+def test_bits_per_char_matches_spec_on_edge_documents():
+    """Bit for bit against the spec: 0-3 byte documents, empty ones
+    between non-empty ones, nulls, documents over ``ppl_scan_chars``
+    whose cut falls next to (or would fall inside) a multi-byte
+    character, for string and large_string, sliced or not."""
+    scan = DEFAULT_CONFIG.ppl_scan_chars
+    texts = [
+        "", "a", "ab", "abc", "the system and value", "", "", "xy",
+        None, "é", "日", "aé", "data stream€",
+        "a" * (scan - 1) + "é" + "tail words",   # 2-byte char is the last one in
+        "a" * scan + "日本 over the cut",           # 3-byte char just past the cut
+        "é" * (scan + 7),                            # 2x the window in bytes
+        "😀" * (scan // 2) + "qq" + "😀" * scan,     # 4-byte chars, window mid-run
+        "", None, "abc",
+    ]
+    for large in (False, True):
+        for pad in ((0, 0), (2, 1)):
+            _assert_bpc_matches_spec(texts, scan, large, pad)
+
+
+def test_bits_per_char_one_long_document_alone():
+    """A batch whose only document is cut (the gather path) and one
+    with no long document at all (the zero-copy path)."""
+    scan = DEFAULT_CONFIG.ppl_scan_chars
+    _assert_bpc_matches_spec(["zq" * scan], scan, False)
+    _assert_bpc_matches_spec(["zq" * (scan // 2)], scan, False)
+    _assert_bpc_matches_spec([None, ""], scan, True)
+    _assert_bpc_matches_spec([], scan, False)
+
+
+_PPL_DOC = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(max_size=3),
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["a", "b ", "é", "日", "😀", ".", "\n", "7"]),
+             max_size=40).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(_PPL_DOC, max_size=10),
+    scan_chars=st.sampled_from([1, 3, 8, 4096]),
+    large=st.booleans(),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_bits_per_char_matches_spec(texts, scan_chars, large, pad):
+    """Property: bit-identical to the spec on arbitrary unicode, with
+    windows short enough that most documents are cut."""
+    _assert_bpc_matches_spec(texts, scan_chars, large, pad)

@@ -1,0 +1,80 @@
+"""Hash every column the gate writes, to check that a change keeps the
+gate's output identical.
+
+Builds the gatebench inputs of a workload for each seed (the same cached
+files ``gatebench/run.py`` reads), runs the in-process ``GateStage`` over
+them batch by batch, and prints one sha256 per written column plus the
+per-rule hit counts. Run it on two checkouts and diff the output:
+
+    python tools/gate_hash.py --workload html_gate --seeds 1 2 3 4
+    python tools/gate_hash.py --workload text_gate --seeds 1 2 3 4
+
+Column hashes are taken over each value's exact Python repr (floats
+round-trip bit for bit), so two runs hash equal only if every value is
+identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+
+def gate_output(fragments: list, cfg):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rsmetacheck_ray.pipelines.quality_gate import GateStage
+
+    gs = GateStage(cfg, write_dropped_text=False)
+    outs = []
+    for f in fragments:
+        t = pq.read_table(f)
+        outs += [gs(t.slice(o, cfg.batch_size))
+                 for o in range(0, len(t), cfg.batch_size)]
+    return pa.concat_tables(outs)
+
+
+def column_hashes(out) -> dict:
+    return {
+        name: hashlib.sha256(repr(out.column(name).to_pylist()).encode()).hexdigest()
+        for name in out.column_names
+    }
+
+
+def rule_counts(out) -> dict:
+    from rsmetacheck_ray.pipelines.quality_gate import decode_rule_bits
+
+    flags = decode_rule_bits(out.column("rule_bits").to_numpy())
+    return {code: int(hit.sum()) for code, hit in flags.items()}
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=("html_gate", "text_gate"), required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
+    args = ap.parse_args(argv)
+
+    from gatebench import inputs
+    from rsmetacheck_ray.config import DEFAULT_CONFIG as cfg
+
+    w = inputs.WORKLOADS[args.workload]
+    for seed in args.seeds:
+        ins = inputs.prepare(w, seed, os.path.join(ROOT, ".gatebench", "cache"))
+        out = gate_output(ins.fragments, cfg)
+        print(f"# {args.workload} seed {seed}: {len(out)} rows, "
+              f"kept {out.column('keep').to_numpy().sum()}")
+        for name, digest in column_hashes(out).items():
+            print(f"{args.workload} s{seed} column {name} {digest}")
+        for code, count in rule_counts(out).items():
+            print(f"{args.workload} s{seed} rule {code} {count}")
+
+
+if __name__ == "__main__":
+    main()
