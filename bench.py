@@ -301,15 +301,12 @@ def warmup_workers(
     number BASELINE.md tabulates and the thing that matters at 100 TB,
     where the one-time ~5 s pool spin-up amortizes to nothing; the
     warmup cost is reported separately as ``warmup_sec``."""
-    from rsmetacheck_ray.pipelines.quality_gate import run_gate
-
-    suffix = (".warc", ".warc.gz") if input_format == "warc" else (
-        "." + input_format,
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        format_suffixes, list_parquet_fragments, run_gate,
     )
-    frags = sorted(
-        os.path.join(pages_dir, f)
-        for f in os.listdir(pages_dir)
-        if f.endswith(suffix)
+
+    frags = list_parquet_fragments(
+        pages_dir, format_suffixes(input_format)
     )[:n_files]
     t0 = time.perf_counter()
     shutil.rmtree("/tmp/rsmc_bench_warm", ignore_errors=True)
@@ -512,13 +509,8 @@ BENCH_QUERIES = [
     "user_event_sequences",
     "approx_quantiles_sampled",
     # sixth-session operators
-    "local_supplier_volume",
-    "user_funnel",
     "user_type_entropy",
-    "user_retention",
     "bm25_search",
-    "events_value_fill",
-    "events_sliding_distinct_users",
     "top_tokens_by_lang",
     "lang_keyness",
     "lang_confusion",
@@ -547,14 +539,8 @@ BENCH_QUERIES = [
     "dedup_graph_triangles",
     "dedup_graph_clustering",
     "embedding_norms",
-    "event_transitions",
-    "markov_stationary",
     "dq_checks",
     "apply_changes",
-    "orders_above_customer_avg",
-    "top_orders_per_customer",
-    "events_first_last",
-    "events_percent_rank",
     "dataset_diff",
     "term_postings",
     "token_budget_sample",
@@ -571,7 +557,6 @@ BENCH_QUERIES = [
     # round-4 batch 2: the heaviest previously-unbenched pipelines
     # (join showcase, actor-pool codec path) + this round's
     # oracle-conversion queries
-    "big_orders",
     "shipping_priority",
     "revenue_by_priority",
     "orders_events_window",
@@ -596,7 +581,6 @@ BENCH_QUERIES = [
     "lang_shannon",
     "dedup_degree_hist",
     "source_score_calibration",
-    "blocking_recall",
     # round-5 additions
     "moore_lewis_select",
     "source_psi_chars",

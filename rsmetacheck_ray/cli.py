@@ -48,7 +48,9 @@ def _docs_path(out_dir: str):
     return os.path.join(out_dir, "docs")
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    from .pipelines.quality_gate import INPUT_FORMATS
+
     ap = argparse.ArgumentParser(prog="rsmetacheck-ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -62,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="ignore an existing resume manifest")
     g.add_argument("--write-dropped-text", action="store_true")
     g.add_argument("--input-format",
-                   choices=("parquet", "jsonl", "csv", "warc", "orc",
-                            "ipc", "tar", "avro", "auto"),
+                   choices=INPUT_FORMATS,
                    default="parquet",
                    help="pages input format (jsonl/csv/tar: ISO warc_ts, base64 html)")
     g.add_argument("--incremental", action="store_true",
@@ -118,7 +119,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="write result parquet here instead of a sample")
     q.add_argument("--list", action="store_true", dest="list_queries",
                    help="print available query names and exit")
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
+    ap = build_parser()
     args = ap.parse_args(argv)
 
     if args.cmd == "query" and args.list_queries:

@@ -1,7 +1,6 @@
 """Vectorized American Soundex encoding — the classic phonetic
 blocking key for entity resolution (record linkage blocks on the code,
-then verifies within blocks; the deletion-neighborhood FastSS join in
-``decision2.fuzzy_name_pairs`` is the edit-distance analog).
+then verifies within blocks).
 
 Both engines evaluate the IDENTICAL replace chain, so differential
 agreement is by construction — and because RE2 (used by Arrow AND

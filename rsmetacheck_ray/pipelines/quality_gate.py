@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -327,30 +327,117 @@ def list_parquet_fragments(
 
 from ..schema import PAGES_COLUMNS as _PAGES_COLUMNS
 
-# longest-match suffix → format for the mixed-lake ``auto`` ingest
-_SUFFIX_FORMATS = [
-    (".warc.gz", "warc"),
-    (".parquet", "parquet"),
-    (".feather", "ipc"),
-    (".jsonl", "jsonl"),
-    (".arrow", "ipc"),
-    (".csv", "csv"),
-    (".warc", "warc"),
-    (".orc", "orc"),
-    (".tar.gz", "tar"),
-    (".tar", "tar"),
-    (".tgz", "tar"),
-    (".avro", "avro"),
-]
+
+def _source(module: str, name: str):
+    """``sources.<module>.<name>``, imported on first call: a run loads
+    only the source modules of the formats it reads."""
+
+    def call(*args):
+        import importlib
+
+        return getattr(
+            importlib.import_module(f"..sources.{module}", __package__), name
+        )(*args)
+
+    return call
+
+
+def _probe_parquet(path: str) -> None:
+    import pyarrow.parquet as pq
+
+    # stream batch-by-batch (discarding each) so mid-file corruption is
+    # still detected without ever materializing the fragment in driver
+    # memory (a full read_table of a ~1 GiB resume partition ×
+    # concurrent partition threads could OOM the driver)
+    for _batch in pq.ParquetFile(path).iter_batches():
+        pass
+
+
+def _probe_jsonl(path: str) -> None:
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                json.loads(line)
+
+
+def _rows_parquet(path: str) -> int:
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(path).metadata.num_rows
+
+
+def _rows_orc(path: str) -> int:
+    import pyarrow.orc as orc
+
+    return orc.ORCFile(path).nrows
+
+
+class _Format(NamedTuple):
+    suffixes: tuple[str, ...]
+    # fragment list → pages Dataset in the shared pages schema
+    reader: Callable[[list[str]], rd.Dataset]
+    # raises on a fragment it cannot FULLY read; only a partition's
+    # failure path calls it
+    probe: Callable[[str], object]
+    # footer/header row count without a data read; None where counting
+    # would need a full parse
+    count_rows: Callable[[str], int] | None
+
+
+# Every input format run_gate reads. .warc.gz (per-record gzip members)
+# rides the warc reader; ipc takes both conventional suffixes, tar all
+# three archive spellings. No suffix ends another format's suffix, so a
+# path matches at most one row.
+FORMATS = {
+    "parquet": _Format((".parquet",), rd.read_parquet, _probe_parquet,
+                       _rows_parquet),
+    "jsonl": _Format((".jsonl",), _source("jsonl_pages", "read_pages_jsonl"),
+                     _probe_jsonl, None),
+    "csv": _Format((".csv",), _source("csv_pages", "read_pages_csv"),
+                   _source("csv_pages", "probe_csv"), None),
+    "warc": _Format((".warc", ".warc.gz"),
+                    _source("warc_pages", "read_pages_warc"),
+                    _source("warc_pages", "probe_warc"), None),
+    "orc": _Format((".orc",), _source("orc_pages", "read_pages_orc"),
+                   _source("orc_pages", "probe_orc"), _rows_orc),
+    "ipc": _Format((".arrow", ".feather"),
+                   _source("ipc_pages", "read_pages_ipc"),
+                   _source("ipc_pages", "probe_ipc"),
+                   _source("ipc_pages", "count_rows_ipc")),
+    "tar": _Format((".tar", ".tar.gz", ".tgz"),
+                   _source("tar_pages", "read_pages_tar"),
+                   _source("tar_pages", "probe_tar"), None),
+    "avro": _Format((".avro",), _source("avro_pages", "read_pages_avro"),
+                    _source("avro_pages", "probe_avro"), None),
+}
+# run_gate's accepted input_format values: "auto" takes each
+# fragment's format from its suffix (a mixed-format lake)
+INPUT_FORMATS = (*FORMATS, "auto")
 
 
 def detect_format(path: str) -> str:
     """File format from its suffix (the ``auto`` ingest's dispatch —
     content is still validated by each format's strict reader)."""
-    for suf, fmt in _SUFFIX_FORMATS:
-        if path.endswith(suf):
+    for fmt, spec in FORMATS.items():
+        if path.endswith(spec.suffixes):
             return fmt
     raise ValueError(f"cannot detect input format of {path!r}")
+
+
+def format_suffixes(input_format: str) -> tuple[str, ...]:
+    """Filename suffixes a directory is listed by for ``input_format``
+    (every format's under ``auto``)."""
+    if input_format in FORMATS:
+        return FORMATS[input_format].suffixes
+    return tuple(s for spec in FORMATS.values() for s in spec.suffixes)
+
+
+def _format_of(path: str, input_format: str) -> _Format:
+    """The table row a fragment is read with: ``input_format``'s own,
+    or under ``auto`` the one its suffix names."""
+    if input_format in FORMATS:
+        return FORMATS[input_format]
+    return FORMATS[detect_format(path)]
 
 
 def _read_mixed_fragments(paths: list[str]) -> rd.Dataset:
@@ -362,25 +449,10 @@ def _read_mixed_fragments(paths: list[str]) -> rd.Dataset:
     groups: dict[str, list[str]] = {}
     for p in paths:
         groups.setdefault(detect_format(p), []).append(p)
-    parts = []
-    for fmt, ps in sorted(groups.items()):
-        if fmt == "jsonl":
-            from ..sources.jsonl_pages import read_pages_jsonl as reader
-        elif fmt == "csv":
-            from ..sources.csv_pages import read_pages_csv as reader
-        elif fmt == "warc":
-            from ..sources.warc_pages import read_pages_warc as reader
-        elif fmt == "orc":
-            from ..sources.orc_pages import read_pages_orc as reader
-        elif fmt == "ipc":
-            from ..sources.ipc_pages import read_pages_ipc as reader
-        elif fmt == "tar":
-            from ..sources.tar_pages import read_pages_tar as reader
-        elif fmt == "avro":
-            from ..sources.avro_pages import read_pages_avro as reader
-        else:
-            reader = rd.read_parquet
-        parts.append(reader(ps).select_columns(_PAGES_COLUMNS))
+    parts = [
+        FORMATS[fmt].reader(ps).select_columns(_PAGES_COLUMNS)
+        for fmt, ps in sorted(groups.items())
+    ]
     out = parts[0]
     for d in parts[1:]:
         out = out.union(d)
@@ -426,24 +498,6 @@ def auto_partitions(fragments: list[str], target_bytes: int = 1 << 30) -> int:
     return max(1, min(len(fragments), total // target_bytes + (1 if total % target_bytes else 0)))
 
 
-def _format_suffix(input_format: str):
-    """Accepted filename suffixes per input format. .warc.gz
-    (per-record gzip members) rides the warc flag; ipc accepts both
-    conventional suffixes (.arrow, .feather), tar all three archive
-    spellings."""
-    if input_format == "auto":
-        return (".parquet", ".jsonl", ".csv", ".warc", ".warc.gz",
-                ".orc", ".arrow", ".feather", ".tar", ".tar.gz", ".tgz",
-                ".avro")
-    if input_format == "warc":
-        return (".warc", ".warc.gz")
-    if input_format == "ipc":
-        return (".arrow", ".feather")
-    if input_format == "tar":
-        return (".tar", ".tar.gz", ".tgz")
-    return "." + input_format
-
-
 def run_gate(
     input_path: str | list[str],
     out_dir: str,
@@ -470,30 +524,13 @@ def run_gate(
     Returns the metrics dict (the analog of the reference's global
     summary JSON, ``detect_pitfalls_main.py:396-409``).
     """
-    if input_format not in (
-        "parquet", "jsonl", "csv", "warc", "orc", "ipc", "tar", "avro",
-        "auto",
-    ):
+    if input_format not in INPUT_FORMATS:
         raise ValueError(f"unsupported input_format {input_format!r}")
-    suffix = _format_suffix(input_format)
-    if input_format == "jsonl":
-        from ..sources.jsonl_pages import read_pages_jsonl as _read_fragments
-    elif input_format == "csv":
-        from ..sources.csv_pages import read_pages_csv as _read_fragments
-    elif input_format == "warc":
-        from ..sources.warc_pages import read_pages_warc as _read_fragments
-    elif input_format == "orc":
-        from ..sources.orc_pages import read_pages_orc as _read_fragments
-    elif input_format == "ipc":
-        from ..sources.ipc_pages import read_pages_ipc as _read_fragments
-    elif input_format == "tar":
-        from ..sources.tar_pages import read_pages_tar as _read_fragments
-    elif input_format == "avro":
-        from ..sources.avro_pages import read_pages_avro as _read_fragments
-    elif input_format == "auto":
-        _read_fragments = _read_mixed_fragments
-    else:
-        _read_fragments = rd.read_parquet
+    suffix = format_suffixes(input_format)
+    _read_fragments = (
+        FORMATS[input_format].reader if input_format in FORMATS
+        else _read_mixed_fragments
+    )
     fragments = list_parquet_fragments(input_path, suffix)
     if (
         not fragments
@@ -505,8 +542,8 @@ def run_gate(
         # always a --input-format mix-up; a silent zero-doc "success"
         # would mask it
         raise ValueError(
-            f"no *{suffix} fragments in {input_path!r} (directory is "
-            f"non-empty — wrong input_format?)"
+            f"no {', '.join('*' + x for x in suffix)} fragments in "
+            f"{input_path!r} (directory is non-empty — wrong input_format?)"
         )
     if not fragments:
         metrics = {"total_documents": 0, "kept": 0, "dropped": 0,
@@ -568,50 +605,8 @@ def run_gate(
         path, so the happy path never pays a probe per fragment."""
         bad = []
         for f in frag_group:
-            fmt = detect_format(f) if input_format == "auto" else input_format
             try:
-                if fmt == "jsonl":
-                    import json as _json
-
-                    with open(f, "rb") as fh:
-                        for line in fh:
-                            if line.strip():
-                                _json.loads(line)
-                elif fmt == "csv":
-                    from ..sources.csv_pages import probe_csv
-
-                    probe_csv(f)  # streamed; raises on parse failure
-                elif fmt == "warc":
-                    from ..sources.warc_pages import probe_warc
-
-                    probe_warc(f)  # strict framing; raises on violation
-                elif fmt == "orc":
-                    from ..sources.orc_pages import probe_orc
-
-                    probe_orc(f)  # streamed per stripe; raises on corruption
-                elif fmt == "ipc":
-                    from ..sources.ipc_pages import probe_ipc
-
-                    probe_ipc(f)  # batch-by-batch; raises on corruption
-                elif fmt == "tar":
-                    from ..sources.tar_pages import probe_tar
-
-                    probe_tar(f)  # member-by-member; raises on corruption
-                elif fmt == "avro":
-                    from ..sources.avro_pages import probe_avro
-
-                    probe_avro(f)  # strict framing; raises on corruption
-                else:
-                    import pyarrow.parquet as pq
-
-                    # stream batch-by-batch (discarding each) so
-                    # mid-file corruption is still detected without
-                    # ever materializing the fragment in driver memory
-                    # (a full read_table of a ~1 GiB resume partition ×
-                    # concurrent partition threads could OOM the driver)
-                    pf = pq.ParquetFile(f)
-                    for _batch in pf.iter_batches():
-                        pass
+                _format_of(f, input_format).probe(f)
             except Exception:
                 bad.append(f)
         return bad
@@ -623,31 +618,17 @@ def run_gate(
         bundles read blocks up to batch_size rows per task), so a
         partition needs rows/batch_size ≥ ~2×CPUs tasks to fill the
         cluster. Parquet/ORC footer row counts are free and IPC's
-        mmap batch-header walk is nearly so (auto mode counts whichever
-        it holds); row-counting the other formats would need a full
-        parse, so they keep the configured size (their datasources
-        already emit row-true blocks). Floor
-        1024: below that, per-batch kernel launch overhead starts to
-        show (measured sweep in config.py).
+        mmap batch-header walk is nearly so (each format's
+        ``count_rows``); row-counting the other formats would need a
+        full parse, so they count 0 and a partition of only those keeps
+        the configured size (their datasources already emit row-true
+        blocks). Floor 1024: below that, per-batch kernel launch
+        overhead starts to show (measured sweep in config.py).
         """
-        if input_format not in ("parquet", "orc", "ipc", "auto"):
-            return cfg
 
         def _rows_of(f: str) -> int:
-            fmt = detect_format(f) if input_format == "auto" else input_format
-            if fmt == "parquet":
-                import pyarrow.parquet as pq
-
-                return pq.ParquetFile(f).metadata.num_rows
-            if fmt == "orc":
-                import pyarrow.orc as orc
-
-                return orc.ORCFile(f).nrows
-            if fmt == "ipc":
-                from ..sources.ipc_pages import count_rows_ipc
-
-                return count_rows_ipc(f)  # mmap footer walk, no data IO
-            return 0  # row-true-block formats: no free count
+            count = _format_of(f, input_format).count_rows
+            return count(f) if count else 0
 
         try:
             rows = sum(_rows_of(f) for f in frag_group)
@@ -726,30 +707,6 @@ def run_gate(
     return metrics
 
 
-def _tally(keep, bits, langs) -> dict:
-    """Vectorized keep/drop + per-(rule, lang) tally of decision arrays."""
-    import numpy as np
-
-    keep = np.asarray(keep, dtype=bool)
-    bits = np.asarray(bits, dtype=np.int64)
-    langs = np.asarray(langs, dtype=object)
-    uniq, inv = np.unique(langs.astype(str), return_inverse=True)
-    rule_lang: dict[str, dict[str, int]] = {}
-    for k, code in enumerate(RULE_CODES):
-        m = ((bits >> k) & 1).astype(bool)
-        if m.any():
-            cnt = np.bincount(inv[m], minlength=len(uniq))
-            rule_lang[code] = {
-                str(uniq[i]): int(c) for i, c in enumerate(cnt) if c
-            }
-    return {
-        "rows": int(len(keep)),
-        "kept": int(keep.sum()),
-        "dropped": int(len(keep) - keep.sum()),
-        "rule_lang": rule_lang,
-    }
-
-
 def partition_lineage(partition_dir: str) -> dict:
     """Per-partition lineage record for the resume manifest: keep/drop
     tallies plus per-(rule, language) hit counters (the north rule's
@@ -786,11 +743,10 @@ def _tally_decision_table(t: pa.Table) -> dict:
     """Vectorized keep/drop + per-(rule, lang) tally of one pruned
     decision table (dictionary-encode + bincount, no Python rows)."""
     import numpy as np
-    import pyarrow.compute as pc
 
     keep = t.column("keep").to_numpy(zero_copy_only=False).astype(bool)
     bits = t.column("rule_bits").to_numpy(zero_copy_only=False).astype(np.int64)
-    # null langs tally under "None" (parity with _tally's str() coercion)
+    # a null lang tallies under "None", the same key as a literal "None"
     lang = pc.fill_null(t.column("detected_lang"), "None").combine_chunks()
     enc = pc.dictionary_encode(lang)
     if isinstance(enc, pa.ChunkedArray):
@@ -870,11 +826,7 @@ def compute_metrics(docs_root: str, as_record: bool = False) -> dict:
     def partial(batch: pa.Table) -> pa.Table:
         import json as _json
 
-        rec = _tally(
-            batch.column("keep").to_numpy(zero_copy_only=False),
-            batch.column("rule_bits").to_numpy(zero_copy_only=False),
-            batch.column("detected_lang").to_pylist(),
-        )
+        rec = _tally_decision_table(batch)
         return pa.table({"rec": pa.array([_json.dumps(rec)], pa.string())})
 
     import json as _json
@@ -942,7 +894,7 @@ def run_gate_incremental(
     from ray.data.aggregate import Max, Min
 
     fragments = list_parquet_fragments(
-        input_path, _format_suffix(input_format)
+        input_path, format_suffixes(input_format)
     )
     epochs_root = os.path.join(out_dir, "epochs")
     os.makedirs(epochs_root, exist_ok=True)

@@ -62,8 +62,6 @@ from ..stages.rules import (
 )
 from . import analytics as ana
 from . import corpus as cor
-from . import decision as dec
-from . import decision2 as dec2
 from . import corpus2 as cor2
 from . import corpus3 as cor3
 from . import relational as rel
@@ -3106,128 +3104,6 @@ ORDER BY source, q
 """
 
 
-def q_blocking_recall(sf_dir: str):
-    """One row (n_pairs, n_blocked, recall): of all TRUE near-duplicate
-    name pairs (same-brand edit-distance ≤ 1, the FastSS join's exact
-    output), what fraction lands in the same Soundex block — the
-    blocking-recall diagnostic every entity-resolution pipeline is
-    sized by (pairs outside the block are unreachable by a
-    block-then-verify design). Composes the two ER stages this engine
-    ships: phonetic blocking and deletion-neighborhood matching.
-
-    Plan: the fuzzy-pair pipeline runs unchanged; the part→code side
-    is a bounded dimension broadcast (`ray.put` of sorted keys +
-    codes, searchsorted probe per batch); the reduce is one row."""
-    import ray
-
-    from ..functions.phonetic import soundex_arrow
-    from .decision2 import fuzzy_name_pairs
-
-    part = read_pq(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_name"]
-    )
-
-    def code(b: pa.Table) -> pa.Table:
-        name = b.column("p_name")
-        if isinstance(name, pa.ChunkedArray):
-            name = name.combine_chunks()
-        return pa.table(
-            {
-                "k": b.column("p_partkey"),
-                "sx": pc.fill_null(soundex_arrow(name), ""),
-            }
-        )
-
-    blocks = [
-        t
-        for t in ray.get(
-            part.map_batches(code, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    dim = (
-        pa.concat_tables(blocks, promote_options="permissive")
-        if blocks
-        else None
-    )
-    if dim is None or dim.num_rows == 0:
-        return pa.table(
-            {
-                "n_pairs": pa.array([0], pa.int64()),
-                "n_blocked": pa.array([0], pa.int64()),
-                "recall": pa.array([0.0], pa.float64()),
-            }
-        )
-    keys = dim.column("k").to_numpy(zero_copy_only=False)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    codes = np.asarray(dim.column("sx").to_pylist(), dtype=object)[order]
-    ref = ray.put((keys, codes))
-
-    def probe(b: pa.Table) -> pa.Table:
-        ks, cs = ray.get(ref)
-        a = b.column("part_a").to_numpy(zero_copy_only=False)
-        b_ = b.column("part_b").to_numpy(zero_copy_only=False)
-        ca = cs[np.searchsorted(ks, a)]
-        cb = cs[np.searchsorted(ks, b_)]
-        blocked = int(np.sum((ca == cb) & (ca != ""))) if len(a) else 0
-        return pa.table(
-            {
-                "k": pa.array([0], pa.int64()),
-                "n_pairs": pa.array([len(a)], pa.int64()),
-                "n_blocked": pa.array([blocked], pa.int64()),
-            }
-        )
-
-    tbl = bounded_group_table_strict(
-        fuzzy_name_pairs(sf_dir).map_batches(probe, batch_format="pyarrow"),
-        ["k"],
-        [("n_pairs", "sum"), ("n_blocked", "sum")],
-    )
-    if tbl is None:
-        n_pairs = n_blocked = 0
-    else:
-        n_pairs = int(tbl.column("n_pairs")[0].as_py())
-        n_blocked = int(tbl.column("n_blocked")[0].as_py())
-    return pa.table(
-        {
-            "n_pairs": pa.array([n_pairs], pa.int64()),
-            "n_blocked": pa.array([n_blocked], pa.int64()),
-            "recall": pa.array(
-                [float(n_blocked) / float(n_pairs) if n_pairs else 0.0],
-                pa.float64(),
-            ),
-        }
-    )
-
-
-def _sql_blocking_recall() -> str:
-    from ..functions.phonetic import soundex_sql
-
-    return f"""
-WITH px AS MATERIALIZED (
-  SELECT p_partkey, COALESCE({soundex_sql('p_name')}, '') AS sx FROM part
-), pairs AS (
-  SELECT a.p_partkey AS ka, b.p_partkey AS kb
-  FROM part a JOIN part b
-    ON a.p_brand = b.p_brand AND a.p_partkey < b.p_partkey
-  WHERE levenshtein(a.p_name, b.p_name) <= 1
-)
-SELECT CAST(COUNT(*) AS BIGINT) AS n_pairs,
-  CAST(COALESCE(SUM(CASE WHEN xa.sx = xb.sx AND xa.sx <> '' THEN 1
-                         ELSE 0 END), 0) AS BIGINT) AS n_blocked,
-  CASE WHEN COUNT(*) = 0 THEN 0.0
-       ELSE CAST(COALESCE(SUM(CASE WHEN xa.sx = xb.sx AND xa.sx <> ''
-                                   THEN 1 ELSE 0 END), 0) AS DOUBLE)
-          / CAST(COUNT(*) AS DOUBLE) END AS recall
-FROM pairs
-JOIN px xa ON pairs.ka = xa.p_partkey
-JOIN px xb ON pairs.kb = xb.p_partkey
-"""
-
-
 _HH_PHI = 0.0005
 
 
@@ -6060,7 +5936,7 @@ def q_minhash_lsh_recall(sf_dir: str):
     dedup_jaccard verifier's own output), the fraction that the
     16-band minhash LSH candidate generator actually reaches — the
     blocking-recall diagnostic for the SKETCH side of the dedup
-    family (blocking_recall covers the phonetic/ER side). A pair the
+    family. A pair the
     bands never collide on is unreachable by block-then-verify
     however good the verifier is; this measures that loss empirically
     against the banding's theoretical S-curve.
@@ -11873,21 +11749,6 @@ def registry() -> dict[str, tuple]:
         "customers_except_event_users": (
             ana.customers_except_event_users, ana.CUSTOMERS_EXCEPT_SQL,
         ),
-        "local_supplier_volume": (
-            dec.local_supplier_volume, dec.LOCAL_SUPPLIER_VOLUME_SQL,
-        ),
-        "orders_above_customer_avg": (
-            dec.orders_above_customer_avg, dec.ORDERS_ABOVE_AVG_SQL,
-        ),
-        "top_orders_per_customer": (
-            dec.top_orders_per_customer, dec.TOP_ORDERS_PER_CUSTOMER_SQL,
-        ),
-        "events_first_last": (dec.events_first_last, dec.EVENTS_FIRST_LAST_SQL),
-        "events_percent_rank": (
-            dec.events_percent_rank, dec.EVENTS_PERCENT_RANK_SQL,
-        ),
-        "events_mad_outliers": (dec.events_mad_outliers, dec.EVENTS_MAD_SQL),
-        "events_regr_trend": (dec.events_regr_trend, dec.EVENTS_REGR_SQL),
         "orders_priority_unpivot": (
             ana.orders_priority_unpivot, ana.ORDERS_UNPIVOT_SQL,
         ),
@@ -11901,31 +11762,6 @@ def registry() -> dict[str, tuple]:
         "top_tokens_by_lang": (cor.top_tokens_by_lang, cor.TOP_TOKENS_BY_LANG_SQL),
         "lang_keyness": (cor.lang_keyness, cor.LANG_KEYNESS_SQL),
         "dq_checks": (cor.dq_checks, cor.DQ_CHECKS_SQL),
-        "user_funnel": (dec.user_funnel, dec.USER_FUNNEL_SQL),
-        "user_retention": (dec.user_retention, dec.USER_RETENTION_SQL),
-        "events_props_stats": (dec.events_props_stats, dec.EVENTS_PROPS_SQL),
-        "events_value_fill": (dec.events_value_fill, dec.EVENTS_FILL_SQL),
-        "event_transitions": (dec.event_transitions, dec.EVENT_TRANSITIONS_SQL),
-        "markov_stationary": (
-            dec.markov_stationary, dec._markov_sql(),
-        ),
-        "orders_pareto": (dec.orders_pareto, dec.ORDERS_PARETO_SQL),
-        "events_type_dow_chi2": (dec.events_type_dow_chi2, dec.EVENTS_CHI2_SQL),
-        "events_sliding_distinct_users": (
-            dec.events_sliding_distinct_users, dec.EVENTS_SLIDING_DISTINCT_SQL,
-        ),
-        "orders_with_returns": (
-            dec2.orders_with_returns, dec2.ORDERS_WITH_RETURNS_SQL,
-        ),
-        "promo_revenue": (dec2.promo_revenue, dec2.PROMO_REVENUE_SQL),
-        "big_orders": (dec2.big_orders, dec2.BIG_ORDERS_SQL),
-        "part_supplier_counts": (
-            dec2.part_supplier_counts, dec2.PART_SUPPLIER_COUNTS_SQL,
-        ),
-        "special_revenue": (dec2.special_revenue, dec2.SPECIAL_REVENUE_SQL),
-        "fuzzy_name_pairs": (
-            dec2.fuzzy_name_pairs, dec2.FUZZY_NAME_PAIRS_SQL,
-        ),
         "price_quantiles": (q_price_quantiles, SQL_PRICE_QUANTILES),
         "price_quantiles_weighted": (
             q_price_quantiles_weighted, _sql_price_quantiles_weighted(),
@@ -11942,7 +11778,6 @@ def registry() -> dict[str, tuple]:
         "source_score_calibration": (
             q_source_score_calibration, _sql_source_score_calibration(),
         ),
-        "blocking_recall": (q_blocking_recall, _sql_blocking_recall()),
         "price_quantiles_by_flag": (
             q_price_quantiles_by_flag, SQL_PRICE_QUANTILES_BY_FLAG,
         ),

@@ -53,7 +53,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..partitioning import (
+    _part_of,
     adaptive_partitions,
+    bounded_group_reduce,
     bounded_group_table_strict,
     parquet_rows_hint,
     read_pq,
@@ -1260,6 +1262,69 @@ ORDER BY source_a, source_b
 # Entropy rate of the event-type process.
 # ---------------------------------------------------------------------------
 
+def _event_transitions(
+    sf_dir: str, num_partitions: int | None = None
+) -> rd.Dataset:
+    """(prev_type, next_type, n): counts of consecutive event-type
+    pairs within each user's (ts, event_id) order."""
+    ev = read_pq(
+        os.path.join(sf_dir, "events.parquet"),
+        columns=["user_id", "ts", "event_id", "event_type"],
+    )
+    n_parts = num_partitions or adaptive_partitions(
+        parquet_rows_hint(ev), row_bytes=40
+    )
+
+    def tag(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "part": _part_of(b.column("user_id"), n_parts),
+                "uid": b.column("user_id"),
+                "ts": pc.cast(b.column("ts"), pa.int64()),
+                "eid": b.column("event_id"),
+                "etype": b.column("event_type"),
+            }
+        )
+
+    def count(g: pa.Table) -> pa.Table:
+        uid = g.column("uid").to_numpy(zero_copy_only=False)
+        ts = g.column("ts").to_numpy(zero_copy_only=False)
+        eid = g.column("eid").to_numpy(zero_copy_only=False)
+        order = np.lexsort((eid, ts, uid))
+        uid_s = uid[order]
+        types = g.column("etype").take(pa.array(order, pa.int64()))
+        n = len(uid_s)
+        if n < 2:
+            return pa.table(
+                {
+                    "prev_type": pa.array([], pa.string()),
+                    "next_type": pa.array([], pa.string()),
+                    "n": pa.array([], pa.int64()),
+                }
+            )
+        same = uid_s[1:] == uid_s[:-1]
+        idx = np.flatnonzero(same)
+        t = pa.table(
+            {
+                "prev_type": types.take(pa.array(idx, pa.int64())),
+                "next_type": types.take(pa.array(idx + 1, pa.int64())),
+            }
+        )
+        out = t.group_by(["prev_type", "next_type"]).aggregate(
+            [([], "count_all")]
+        )
+        return out.rename_columns(["prev_type", "next_type", "n"])
+
+    parts = (
+        ev.map_batches(tag, batch_format="pyarrow")
+        .groupby("part")
+        .map_groups(count, batch_format="pyarrow")
+    )
+    return bounded_group_reduce(
+        parts, ["prev_type", "next_type"], [("n", "sum")]
+    )
+
+
 def event_entropy_rate(
     sf_dir: str, num_partitions: int | None = None
 ) -> rd.Dataset:
@@ -1276,11 +1341,8 @@ def event_entropy_rate(
     (N·10⁶), H(next) = Σⱼ n·ⱼ·(L(N)−L(n·ⱼ)) / (N·10⁶).
 
     Plan: composes the distributed transition-count shuffle
-    (``decision.event_transitions``); the driver fold is bounded by
-    |types|²."""
-    from .decision import event_transitions
-
-    rows = event_transitions(sf_dir, num_partitions=num_partitions).take_all()
+    (``_event_transitions``); the driver fold is bounded by |types|²."""
+    rows = _event_transitions(sf_dir, num_partitions=num_partitions).take_all()
     empty = pa.table(
         {
             "n_transitions": pa.array([], pa.int64()),

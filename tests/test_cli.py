@@ -21,6 +21,22 @@ def test_query_list(capsys):
     assert names == sorted(names)
 
 
+def test_gate_input_format_choices_are_the_format_table():
+    import argparse
+
+    from rsmetacheck_ray.cli import build_parser
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS
+
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    fmt = next(
+        a for a in sub.choices["gate"]._actions if a.dest == "input_format"
+    )
+    assert list(fmt.choices) == [*FORMATS, "auto"]
+
+
 def test_query_sample(ray_session, capsys):
     assert main(["query", "url_canonical", "--sf-dir", SF_DIR]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

@@ -90,10 +90,14 @@ def test_auto_corrupt_fragment_probe_dispatches_per_format(
 
 
 def test_detect_format_rejects_unknown():
-    from rsmetacheck_ray.pipelines.quality_gate import detect_format
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS, detect_format
 
     assert detect_format("a/b.warc.gz") == "warc"
     assert detect_format("x.parquet") == "parquet"
     assert detect_format("x.avro") == "avro"
+    # every suffix of every format row maps back to its own format
+    for fmt, spec in FORMATS.items():
+        for suffix in spec.suffixes:
+            assert detect_format("a/b" + suffix) == fmt, suffix
     with pytest.raises(ValueError):
         detect_format("mystery.xml")

@@ -282,50 +282,6 @@ def test_customer_rfm_bins_planted(ray_session, tmp_path):
     assert got.loc[9, "r_bin"] == 1 and got.loc[0, "r_bin"] == 5
 
 
-def test_markov_stationary_planted(ray_session, tmp_path):
-    from rsmetacheck_ray.pipelines.decision import (
-        MARKOV_SCALE,
-        markov_stationary,
-    )
-
-    # two users ping-pong a<->b forever: stationary = 50/50 exactly
-    # (uniform init is already the fixpoint; integer floor loses 0)
-    ts, types, users = [], [], []
-    for u in (1, 2):
-        for i in range(8):
-            ts.append(_at(i, u))
-            types.append("a" if i % 2 == 0 else "b")
-            users.append(u)
-    # user 3 funnels a -> z and z has NO outgoing: z keeps its mass
-    d2 = tmp_path / "dangle"
-    d2.mkdir()
-    sf = _write_events(tmp_path, ts, types)  # overwrite helper columns
-    import pyarrow.parquet as pq_
-
-    t = pq_.read_table(os.path.join(sf, "events.parquet"))
-    t = t.set_column(2, "user_id", pa.array(users, pa.int64()))
-    pq_.write_table(t, os.path.join(sf, "events.parquet"))
-    out = {r["event_type"]: r["stationary_fp"] for r in markov_stationary(sf).to_pylist()}
-    assert out == {"a": MARKOV_SCALE // 2, "b": MARKOV_SCALE // 2}
-
-    ts2 = [_at(0, 1), _at(0, 2)]
-    t2 = pa.table(
-        {
-            "event_id": pa.array([0, 1], pa.int64()),
-            "ts": pa.array(ts2, pa.timestamp("us")),
-            "user_id": pa.array([1, 1], pa.int64()),
-            "event_type": pa.array(["a", "z"], pa.string()),
-            "value": pa.array([1.0, 1.0], pa.float64()),
-            "props": pa.array(["{}", "{}"], pa.string()),
-        }
-    )
-    pq_.write_table(t2, os.path.join(str(d2), "events.parquet"))
-    out2 = {r["event_type"]: r["stationary_fp"] for r in markov_stationary(str(d2)).to_pylist()}
-    # all of a's mass drains into z after iteration 1; z keeps it
-    assert out2["z"] == MARKOV_SCALE // 2 + MARKOV_SCALE // 2
-    assert out2["a"] == 0
-
-
 def test_new_operators_empty_inputs(ray_session, tmp_path):
     """Every late-round operator returns an empty, correctly-typed
     result on empty tables instead of crashing — the resume/first-run

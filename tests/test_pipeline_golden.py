@@ -73,14 +73,17 @@ def test_metrics_consistency(gate_output):
         assert rec["count"] == sum(rec["languages"].values())
 
 
-def test_partition_lineage_matches_ray_recompute(gate_output):
+def test_partition_lineage_matches_ray_recompute(gate_output, tmp_path):
     """The driver-side threaded lineage tally must agree exactly with
     the distributed compute_metrics recompute over the same partition
     (same rows/kept/dropped and per-(rule, lang) histograms)."""
+    import pyarrow as pa
+
     from rsmetacheck_ray.pipelines.quality_gate import (
         compute_metrics,
         partition_lineage,
     )
+    from rsmetacheck_ray.stages.rules import RULE_CODES
 
     out_dir, _, _ = gate_output
     docs = os.path.join(out_dir, "docs")
@@ -93,6 +96,26 @@ def test_partition_lineage_matches_ray_recompute(gate_output):
         fast = partition_lineage(p)
         slow = compute_metrics(p, as_record=True)
         assert fast == slow
+
+    # a hand-built partition: a null detected_lang and a literal "None"
+    # language tally under the one "None" key on both paths
+    hand = tmp_path / "partition=0"
+    hand.mkdir()
+    pq.write_table(
+        pa.table({
+            "detected_lang": pa.array([None, "None", "en", None], pa.string()),
+            "keep": pa.array([True, False, False, True]),
+            "rule_bits": pa.array([0, 1, 3, 1], pa.int64()),
+        }),
+        str(hand / "part-0.parquet"),
+    )
+    want = {
+        "rows": 4, "kept": 2, "dropped": 2,
+        "rule_lang": {RULE_CODES[0]: {"None": 2, "en": 1},
+                      RULE_CODES[1]: {"en": 1}},
+    }
+    assert partition_lineage(str(hand)) == want
+    assert compute_metrics(str(hand), as_record=True) == want
 
 
 def test_dropped_rows_carry_null_text(gate_output):

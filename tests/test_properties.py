@@ -536,150 +536,6 @@ def test_value_ranks_match_bruteforce(ray_session, seed):
             assert int(sel["drnk"].iloc[0]) == drnk
 
 
-def _rand_orders_table(seed, n=400, n_keys=15):
-    rng = np.random.RandomState(seed)
-    ts = np.datetime64("1996-06-01", "us").item()
-    return pa.table(
-        {
-            "o_orderkey": pa.array(np.arange(1, n + 1), pa.int64()),
-            "o_custkey": pa.array(rng.randint(1, n_keys + 1, n), pa.int64()),
-            "o_orderstatus": pa.array(["O"] * n, pa.string()),
-            "o_totalprice": pa.array(
-                np.round(rng.randint(0, 500, n) * 0.01, 2), pa.float64()
-            ),
-            "o_orderdate": pa.array([ts] * n, pa.timestamp("us")),
-            "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string()),
-        }
-    )
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_top_k_per_group_matches_bruteforce(ray_session, seed):
-    """top_orders_per_customer == per-key sorted head under the
-    (cents DESC, orderkey ASC) total order, with heavy price ties."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.decision import top_orders_per_customer
-
-    t = _rand_orders_table(seed)
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(t, os.path.join(d, "orders.parquet"))
-        got = (
-            top_orders_per_customer(d, k=3, num_partitions=4)
-            .to_pandas()
-            .sort_values(["o_custkey", "rk"])
-            .reset_index(drop=True)
-        )
-    ck = t.column("o_custkey").to_numpy()
-    ok = t.column("o_orderkey").to_numpy()
-    cents = np.floor(t.column("o_totalprice").to_numpy() * 100 + 0.5).astype(
-        np.int64
-    )
-    want = []
-    for key in np.unique(ck):
-        m = ck == key
-        order = np.lexsort((ok[m], -cents[m]))
-        for r, i in enumerate(np.flatnonzero(m)[order][:3]):
-            want.append((int(key), int(ok[i]), int(cents[i]), r + 1))
-    # want is already in (custkey ASC, rk ASC) order, matching got's sort
-    assert list(map(tuple, got[["o_custkey", "o_orderkey", "cents", "rk"]].itertuples(index=False))) == want
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_funnel_matches_bruteforce(ray_session, seed):
-    """user_funnel == per-user scan for first step2 strictly after the
-    first step1, on random event streams with ts collisions."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.decision import user_funnel
-
-    rng = np.random.RandomState(seed)
-    n, n_users = 300, 10
-    uid = rng.randint(1, n_users + 1, n)
-    ts_us = rng.randint(0, 40, n).astype("int64")  # heavy collisions
-    types = rng.choice(["view", "purchase", "click"], n)
-    t = pa.table(
-        {
-            "event_id": pa.array(np.arange(n), pa.int64()),
-            "ts": pa.array(ts_us, pa.timestamp("us")),
-            "user_id": pa.array(uid, pa.int64()),
-            "event_type": pa.array(types, pa.string()),
-            "value": pa.array(np.ones(n), pa.float64()),
-            "props": pa.array(["{}"] * n, pa.string()),
-        }
-    )
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(t, os.path.join(d, "events.parquet"))
-        got = (
-            user_funnel(d, num_partitions=3)
-            .to_pandas()
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-    want = []
-    for u in range(1, n_users + 1):
-        m = uid == u
-        vts = ts_us[m & (types == "view")]
-        pts = ts_us[m & (types == "purchase")]
-        if not len(vts):
-            continue
-        after = pts[pts > vts.min()]
-        if len(after):
-            want.append((u, int(vts.min()), int(after.min())))
-    got_rows = [
-        (int(r.user_id), r.first_view_ts.value // 1000,
-         r.first_purchase_ts.value // 1000)
-        for r in got.itertuples(index=False)
-    ]
-    assert got_rows == want
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_mad_matches_numpy(ray_session, seed):
-    """events_mad_outliers median/MAD == numpy's interpolated median
-    over the raw values (per type), outlier count == the direct test."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.decision import events_mad_outliers
-
-    rng = np.random.RandomState(seed)
-    n = 250
-    cents = rng.randint(0, 60, n)
-    types = rng.choice(["a", "b"], n)
-    t = pa.table(
-        {
-            "event_id": pa.array(np.arange(n), pa.int64()),
-            "ts": pa.array(np.zeros(n, np.int64), pa.timestamp("us")),
-            "user_id": pa.array(np.ones(n, np.int64), pa.int64()),
-            "event_type": pa.array(types, pa.string()),
-            "value": pa.array(np.round(cents * 0.01, 2), pa.float64()),
-            "props": pa.array(["{}"] * n, pa.string()),
-        }
-    )
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(t, os.path.join(d, "events.parquet"))
-        got = events_mad_outliers(d).to_pandas().set_index("event_type")
-    for ty in np.unique(types):
-        v = cents[types == ty].astype(np.float64)
-        med = float(np.median(v))
-        mad = float(np.median(np.abs(v - med)))
-        assert got.loc[ty, "median_cents"] == med
-        assert got.loc[ty, "mad_cents"] == mad
-        assert got.loc[ty, "n_outliers"] == int((np.abs(v - med) > 3 * mad).sum())
-
-
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_token_budget_matches_prefix_walk(ray_session, seed):

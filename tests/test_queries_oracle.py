@@ -116,13 +116,6 @@ SQL_BACKED = [
     "vocab_coverage",
     "doc_char_entropy",
     # round 3, sixth session — decision-support batch
-    "local_supplier_volume",
-    "orders_above_customer_avg",
-    "top_orders_per_customer",
-    "events_first_last",
-    "events_percent_rank",
-    "events_mad_outliers",
-    "events_regr_trend",
     "orders_priority_unpivot",
     "token_budget_sample",
     "quality_zscores",
@@ -130,17 +123,9 @@ SQL_BACKED = [
     "term_postings",
     "apply_changes",
     "dq_checks",
-    "user_funnel",
-    "user_retention",
     "bm25_search",
-    "events_props_stats",
-    "events_value_fill",
     "embedding_norms",
     "top_tokens_by_lang",
-    "events_sliding_distinct_users",
-    "event_transitions",
-    "orders_pareto",
-    "events_type_dow_chi2",
 ]
 
 
