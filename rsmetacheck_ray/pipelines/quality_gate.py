@@ -79,11 +79,9 @@ class _RuleStage:
         pa.set_cpu_count(1)
         import numpy as np
 
-        out = rule_stage_fn(batch, self.cfg, with_evidence=True)
-        keep = out.column("keep")
+        out = rule_stage_fn(batch, self.cfg, with_evidence=True,
+                            scrub_dropped=self.write_dropped_text)
         scrubbed = out.column("scrubbed_text")
-        if not self.write_dropped_text:
-            scrubbed = pc.if_else(keep, scrubbed, pa.scalar(None, pa.string()))
         bits = np.zeros(len(out), dtype=np.int64)
         for k, code in enumerate(RULE_CODES):
             hit = out.column(f"hit_{code}").to_numpy(zero_copy_only=False)

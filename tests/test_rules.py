@@ -5,25 +5,32 @@ result-shape invariants hold (``test_p001.py:230-240``)."""
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsmetacheck_ray.stages.rules as R
+from rsmetacheck_ray.config import DEFAULT_CONFIG
 from rsmetacheck_ray.datagen import FAMILIES, generate_tables
 from rsmetacheck_ray.functions import tokenize
+from rsmetacheck_ray.functions.hashing import hash_str_arrow_u128
 from rsmetacheck_ray.functions.tokenize import ws_token_stats
+from rsmetacheck_ray.sources.pages_from_documents import synthesize_pages
 from rsmetacheck_ray.stages.extract import extract_stage
 from rsmetacheck_ray.stages.langid import LangIdScorer
 from rsmetacheck_ray.stages.perplexity import PerplexityScorer
 from rsmetacheck_ray.stages.rules import (
     CATALOG,
     DROP_CODES,
+    PREFILTERS,
     RULE_CODES,
     apply_scrub,
     rule_stage_fn,
@@ -31,9 +38,14 @@ from rsmetacheck_ray.stages.rules import (
 
 
 @pytest.fixture(scope="module")
-def gated():
+def scored():
     pages, labels = generate_tables(3000)
-    b = PerplexityScorer()(LangIdScorer()(extract_stage(pages)))
+    return PerplexityScorer()(LangIdScorer()(extract_stage(pages))), pages, labels
+
+
+@pytest.fixture(scope="module")
+def gated(scored):
+    b, pages, labels = scored
     return rule_stage_fn(b, with_rule_hits=True), pages, labels
 
 
@@ -285,3 +297,270 @@ def test_repetition_uses_re2_whitespace_like_the_oracle(ray_session, tmp_path):
     # the glued docs are kept; the space-separated control is not
     mine = got.set_index("doc_id").loc[ids, "keep"].tolist()
     assert mine == [True] * len(glue) + [False]
+
+
+# --------------------------------------------------------------------------
+# guarded scans, hit-row scrubbing and column-wise evidence
+# --------------------------------------------------------------------------
+
+
+def _stage_batch(texts: list, langs: list | None = None) -> pa.Table:
+    """A rule-stage input batch over ``texts``, with the columns the
+    langid and perplexity stages would attach."""
+    n = len(texts)
+    stats = ws_token_stats(
+        pa.array(texts, pa.string()),
+        DEFAULT_CONFIG.langid_scan_chars,
+        DEFAULT_CONFIG.repetition_scan_tokens,
+    )
+    return pa.table(
+        {
+            "url": pa.array([f"https://site{i}.example.com/v1.{i}/x" for i in range(n)]),
+            "warc_ts": pa.array([1_672_531_200_000_000] * n, pa.timestamp("us")),
+            "extracted_text": pa.array(texts, pa.string()),
+            "lang": pa.array(langs or ["en"] * n, pa.string()),
+            "n_chars": pa.array([len(t or "") for t in texts], pa.int64()),
+            "stopword_hits": pa.array([0] * n, pa.int64()),
+            "stopword_lang": pa.array([None] * n, pa.string()),
+            "detected_lang": pa.array(["und"] * n, pa.string()),
+            "langid_conf": pa.array([0.0] * n, pa.float64()),
+            "bits_per_char": pa.array([1.0] * n, pa.float64()),
+            **{k: pa.array(v) for k, v in stats.items()},
+        }
+    )
+
+
+def _assemble_spec(n: int, values: dict) -> list:
+    """Row-by-row evidence assembly: ``values`` is {code: {row: value}};
+    each row with a value gets ``json.dumps`` of its {code: value} dict
+    with sorted keys, every other row null."""
+    by_row: dict[int, dict[str, str]] = {}
+    for code, rows in values.items():
+        for i, v in rows.items():
+            by_row.setdefault(i, {})[code] = v
+    return [json.dumps(by_row[i], sort_keys=True) if i in by_row else None
+            for i in range(n)]
+
+
+def _evidence_json_spec(batch: pa.Table) -> list:
+    """Per-row reference for ``evidence_json``: each fired rule's
+    provider value, cut with Python's ``v[:160]``, assembled row by
+    row."""
+    out = rule_stage_fn(batch, DEFAULT_CONFIG)
+    ctx = R.build_context(batch, DEFAULT_CONFIG)
+    values = {}
+    for code, evfn in R.EVIDENCE.items():
+        idx = np.flatnonzero(out.column(f"hit_{code}").to_numpy(zero_copy_only=False))
+        if len(idx):
+            vals = evfn(ctx, idx).to_pylist()
+            values[code] = {int(i): v[:R._EVIDENCE_MAX_CHARS]
+                            for i, v in zip(idx, vals) if v is not None}
+    return _assemble_spec(len(batch), values)
+
+
+_CHAR = st.characters(codec="utf-8")  # any encodable character
+
+# characters json.dumps escapes or that straddle byte/codepoint limits
+_TRICKY = ['"', "\\", "\x00", "\x01", "\x1f", "\t", "\r", "\x7f", "é", "日",
+           "😀", "\U0010ffff", " ", "/"]
+_VALUE = st.one_of(
+    st.just(""),
+    st.text(st.one_of(st.sampled_from(_TRICKY), _CHAR), max_size=30),
+    # long enough that the 160-codepoint cut lands inside a run of
+    # multi-byte (or escaped) characters
+    st.builds(lambda k, c: "x" * k + c * 30, st.integers(120, 170),
+              st.sampled_from(["é", "日", "😀", '"', "a"])),
+)
+
+
+def _evidence_doc(kind: str, v: str) -> str:
+    v = v.replace("\n", " ")
+    return {
+        "license": "License: ./" + v,
+        "status": "Status: " + v + " https://example.org",
+        "authors": "Authors: " + v + "\nContributors: a, b, c, d",
+        "plain": v,
+        "empty": "",
+    }[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["license", "status", "authors", "plain", "empty"]),
+              _VALUE, st.sampled_from(["en", "en, fr", "de; ", "x and y"]),
+              _VALUE),
+    min_size=1, max_size=8,
+))
+def test_evidence_json_matches_row_by_row_spec(rows):
+    """The column-wise ``evidence_json`` equals the row-by-row
+    ``json.dumps(sort_keys=True)`` assembly byte for byte: values with
+    quotes, backslashes, control characters, DEL, non-ASCII and astral
+    characters, a 160-codepoint cut through multi-byte characters, and
+    rows with no evidence at all."""
+    texts = [_evidence_doc(kind, v) for kind, v, _, _ in rows]
+    langs = [lang + extra.replace("\x00", "") for _, _, lang, extra in rows]
+    batch = _stage_batch(texts, langs)
+    got = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
+    assert got.column("evidence_json").to_pylist() == _evidence_json_spec(batch)
+
+
+def test_evidence_json_skips_rows_whose_fragments_are_all_null():
+    """Rows where rules fired but no provider found a value get null,
+    and their neighbours keep their own evidence. pyarrow 16's skip-null
+    join drops an all-null row instead of emitting null, which would
+    shift every later row."""
+    payload = {
+        "too_short": (np.array([0, 1, 2, 3]), pa.array(["x", None, "y", None])),
+        "pii_email": (np.array([1, 2, 4]), pa.array([None, "", None])),
+    }
+    assert R._evidence_json(payload, 6).to_pylist() == [
+        '{"too_short": "x"}', None, '{"pii_email": "", "too_short": "y"}',
+        None, None, None,
+    ]
+    assert R._evidence_json({}, 2).to_pylist() == [None, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_evidence_json_assembly_matches_spec(n, data):
+    """``_evidence_json`` on any payload: any subset of rules, any fired
+    rows, null (no value found) and empty-string values."""
+    codes = data.draw(st.lists(st.sampled_from(RULE_CODES), unique=True, max_size=6))
+    payload, values = {}, {}
+    for code in codes:
+        rows = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        vals = data.draw(st.lists(st.one_of(st.none(), _VALUE),
+                                  min_size=len(rows), max_size=len(rows)))
+        payload[code] = (np.array(rows, np.int64), pa.array(vals, pa.string()))
+        values[code] = {i: v for i, v in zip(rows, vals) if v is not None}
+    assert R._evidence_json(payload, n).to_pylist() == _assemble_spec(n, values)
+
+
+def _re2_hits(arr: pa.Array, pattern: str) -> np.ndarray:
+    return pc.fill_null(pc.match_substring_regex(arr, pattern), False).to_numpy(
+        zero_copy_only=False
+    )
+
+
+def _literal_hits(arr: pa.Array, pattern: str) -> np.ndarray:
+    return np.logical_or.reduce([_re2_hits(arr, lit) for lit in PREFILTERS[pattern]])
+
+
+# RE2 folds U+017F to s and U+212A to k under (?i); \r is no line end
+_EDGE_CHARS = ["\r", "\n", "\u017f", "\u212a", "\x00", "K", "S", "\u0130", "\u0131"]
+_EDGE_TEXT = st.text(st.one_of(st.sampled_from(_EDGE_CHARS), _CHAR), max_size=40)
+_EDGE = st.sampled_from(["\r\n", ""] + _EDGE_CHARS)
+_ASCII = st.characters(max_codepoint=127)
+
+
+def _text_for(pattern: str):
+    return st.one_of(
+        st.from_regex(pattern, alphabet=_CHAR),
+        st.from_regex(pattern, alphabet=_ASCII),
+        _EDGE_TEXT,
+        st.tuples(st.text(max_size=5), st.from_regex(pattern, alphabet=_ASCII), _EDGE)
+        .map("".join),
+    )
+
+
+@pytest.mark.parametrize("pattern", list(PREFILTERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prefilter_literal_is_necessary(pattern, data):
+    """Property: wherever a guarded pattern matches under RE2, one of
+    its literals matches too, on strings generated from the pattern and
+    on arbitrary unicode with case-folding, line-end and null edges."""
+    texts = data.draw(st.lists(_text_for(pattern), min_size=1, max_size=8))
+    arr = pa.array(texts, pa.string())
+    assert not (_re2_hits(arr, pattern) & ~_literal_hits(arr, pattern)).any()
+
+
+# declaration lines the injected pages lack: the negative sides of the
+# metadata rules (URL and exempt licenses, a multi-license line, valid
+# identifiers)
+_NEAR_MISSES = [
+    "x\nLicense: https://example.org/l", "x\nLicense: 0BSD",
+    "x\nLicense: MIT OR GPL-3.0", "x\nIdentifier: doi:10.5281/zenodo.1",
+    "x\nCite: see 10.5281/zenodo.1",
+]
+
+
+def test_prefilter_literals_hold_on_the_corpora(scored):
+    """The same implication over the datagen pages and the trigger-
+    injected driver pages, where every guarded pattern fires."""
+    docs = pa.table({
+        "doc_id": pa.array(range(260), pa.int64()),
+        "text": pa.array(["the quick brown fox near the river bank"] * 260),
+        "lang": pa.array(["en"] * 260),
+    })
+    texts = pa.concat_arrays([
+        scored[0].column("extracted_text").combine_chunks(),
+        synthesize_pages(docs).column("text").combine_chunks(),
+        pa.array(_NEAR_MISSES),
+    ])
+    for pattern in PREFILTERS:
+        hits = _re2_hits(texts, pattern)
+        assert hits.any(), pattern
+        assert not (hits & ~_literal_hits(texts, pattern)).any(), pattern
+
+
+_MIXED = st.lists(
+    st.one_of(
+        *[st.from_regex(p, alphabet=_ASCII) for p in PREFILTERS],
+        st.from_regex(R.IP_RE, alphabet=_ASCII),
+        _EDGE_TEXT,
+    ),
+    max_size=6,
+).flatmap(lambda parts: st.sampled_from(["\n", " ", ""]).map(lambda sep: sep.join(parts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), _MIXED), min_size=1, max_size=8))
+def test_guarded_stage_equals_unguarded_passes(texts):
+    """With every prefilter removed each pattern runs a full pass; the
+    guarded stage gives the same hit columns, keep, scrubbed text and
+    evidence."""
+    batch = _stage_batch(texts)
+    got = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
+    with mock.patch.dict(R.PREFILTERS, clear=True):
+        exp = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
+    for name in [f"hit_{c}" for c in RULE_CODES] + [
+        "keep", "scrubbed_text", "evidence_json", "rule_errors",
+    ]:
+        assert got.column(name).to_pylist() == exp.column(name).to_pylist(), name
+
+
+@pytest.mark.parametrize("write_dropped_text", [False, True])
+def test_rule_stage_text_layouts(write_dropped_text):
+    """The written text layouts against a full ``apply_scrub``: with
+    ``write_dropped_text`` every row, dropped ones included, carries the
+    fully scrubbed text and its content hash; without it dropped rows
+    are null (and hash as the empty string)."""
+    from rsmetacheck_ray.pipelines.quality_gate import _RuleStage
+
+    # every trigger injection, on pages long enough to keep and on
+    # pages too short to keep
+    docs = pa.table({
+        "doc_id": pa.array(range(52), pa.int64()),
+        "text": pa.array([
+            "a plain page" if i % 2 else
+            "the quick brown fox was seen near the river bank with enough words"
+            for i in range(52)
+        ]),
+        "lang": pa.array(["en"] * 52),
+    })
+    batch = _stage_batch(synthesize_pages(docs).column("text").to_pylist())
+    out = _RuleStage(DEFAULT_CONFIG, write_dropped_text)(batch)
+    text = batch.column("extracted_text").combine_chunks()
+    full = apply_scrub(text)
+    keep = out.column("keep").to_numpy(zero_copy_only=False)
+    # dropped rows with a scrub hit exist, so the layouts differ
+    changed = pc.not_equal(full, text).to_numpy(zero_copy_only=False)
+    assert (changed & ~keep).any() and (changed & keep).any()
+    exp = full if write_dropped_text else pc.if_else(
+        pa.array(keep), full, pa.scalar(None, pa.string())
+    )
+    assert out.column("scrubbed_text").to_pylist() == exp.to_pylist()
+    lo, hi = hash_str_arrow_u128(exp)
+    assert out.column("content_hash").to_pylist() == lo.astype(np.int64).tolist()
+    assert out.column("content_hash2").to_pylist() == hi.astype(np.int64).tolist()

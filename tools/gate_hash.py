@@ -9,6 +9,9 @@ per-rule hit counts. Run it on two checkouts and diff the output:
     python tools/gate_hash.py --workload html_gate --seeds 1 2 3 4
     python tools/gate_hash.py --workload text_gate --seeds 1 2 3 4
 
+``--write-dropped-text`` hashes the other output layout, in which dropped
+rows keep their scrubbed text (and its content hash) instead of null.
+
 Column hashes are taken over each value's exact Python repr (floats
 round-trip bit for bit), so two runs hash equal only if every value is
 identical.
@@ -26,13 +29,13 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 
-def gate_output(fragments: list, cfg):
+def gate_output(fragments: list, cfg, write_dropped_text: bool = False):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from rsmetacheck_ray.pipelines.quality_gate import GateStage
 
-    gs = GateStage(cfg, write_dropped_text=False)
+    gs = GateStage(cfg, write_dropped_text=write_dropped_text)
     outs = []
     for f in fragments:
         t = pq.read_table(f)
@@ -59,6 +62,8 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=("html_gate", "text_gate"), required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
+    ap.add_argument("--write-dropped-text", action="store_true",
+                    help="keep the scrubbed text of dropped rows")
     args = ap.parse_args(argv)
 
     from gatebench import inputs
@@ -67,7 +72,7 @@ def main(argv=None) -> None:
     w = inputs.WORKLOADS[args.workload]
     for seed in args.seeds:
         ins = inputs.prepare(w, seed, os.path.join(ROOT, ".gatebench", "cache"))
-        out = gate_output(ins.fragments, cfg)
+        out = gate_output(ins.fragments, cfg, args.write_dropped_text)
         print(f"# {args.workload} seed {seed}: {len(out)} rows, "
               f"kept {out.column('keep').to_numpy().sum()}")
         for name, digest in column_hashes(out).items():
