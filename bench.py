@@ -9,8 +9,8 @@ in-sandbox stand-in for the N-node vs 4N-node criterion).
 
 The headline input is the documents table replicated ×R with shifted
 doc_ids (deterministic), synthesized into pages parquet under /tmp
-(cached) — so the measured job is the real read_parquet → extract →
-langid → perplexity → rules → write_parquet pipeline including I/O.
+(cached) — so the measured job is the real read → extract → langid →
+perplexity → rules → write_parquet pipeline including I/O.
 """
 
 from __future__ import annotations

@@ -8,11 +8,10 @@ Common-Crawl-style Parquet tables ``(url, warc_ts, html, text, lang)``.
 Architecture (idiomatic Ray Data, NOT a port of the reference's
 sequential file loop, ``detect_pitfalls_main.py:313``):
 
-    read_parquet → extract (stateless map_batches, zero-copy Arrow)
-                 → langid (actor pool)
-                 → perplexity (actor pool)
-                 → rule catalog + scrub (stateless map_batches)
-                 → write_parquet(kept) + lineage + metrics manifest
+    work items (parquet row-group runs / fragments, planned on the
+    driver) → [read → extract → langid → perplexity → rule catalog +
+    scrub → write_parquet], one fused task operator per partition
+    → lineage + metrics manifest
 
 Nothing in this package calls ``ray.init()``/``ray.shutdown()`` — the
 driver, ``bench.py`` and the pytest session fixture own the session.

@@ -47,8 +47,9 @@ class GateConfig:
 
     # --- execution knobs (scale tuning, not semantics) ---
     # Gate-stage batch size is also the fused operator's task
-    # granularity: Ray bundles read blocks up to batch_size rows per
-    # task, so rows/batch_size is the stage's max parallelism. Swept
+    # granularity: run_gate's work items and Ray's bundles both hold
+    # about batch_size rows, so rows/batch_size is the stage's max
+    # parallelism. Swept
     # 512-4096 at 32 CPUs: 2048 is ~1.9x faster than 4096 on a 50k-doc
     # corpus (12 -> 25 tasks, the box finally fills) and marginally
     # faster at 1M docs (218k vs 212k docs/s) — per-batch kernel-launch

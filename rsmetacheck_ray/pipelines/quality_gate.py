@@ -2,20 +2,28 @@
 ``detect_all_pitfalls`` lifecycle (``detect_pitfalls_main.py:313-409``,
 see SURVEY §3 "New-engine lifecycle"):
 
-    read_parquet → [extract → langid → perplexity → rule catalog +
-    scrub, FUSED into one map_batches operator] → partitioned parquet
-    + lineage + metrics manifest.
+    work items → [read → extract → langid → perplexity → rule
+    catalog + scrub → write, FUSED into one task operator] →
+    partitioned parquet + lineage + metrics manifest.
 
-The scoring chain defaults to a fused TASK stage (scorer state cached
-once per worker process; read → gate → write fuse into a single
-operator with no intermediate object-store hops); an ActorPoolStrategy
-layout for the same stage is selected with
+Each partition is planned on the driver as a list of work items: runs
+of parquet row groups grouped from the footers, or whole fragments of
+the other formats. When the footers show every work item is at most
+about two gate batches, the partition is a small Dataset of work items
+and one task-pool operator reads an item's fragments, gates them and
+writes one parquet file: Ray schedules, retries and writes, and the
+pages never enter the object store. A row group larger than a batch,
+or a format without free row counts, would make one work item hold a
+large fragment, so those partitions read their items in a Ray read
+operator of their own and the gate bundles its output into
+batch-sized tasks (``_partition_dataset``). An ActorPoolStrategy
+layout of the gate stage is selected with
 ``build_gate(compute="actors")`` for heavy models.
 
 Scale design:
  - zero-copy Arrow batches end-to-end (``batch_format="pyarrow"``);
  - the binary ``html`` payload never travels past the extract step
-   (and is projected away inside the fused stage);
+   (and, on the fused plan, never leaves the gate task);
  - scorer state (LM tables, compiled patterns) loaded once per
    worker/actor;
  - NO full materialization anywhere: each partition streams from read
@@ -35,12 +43,14 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 from ..config import DEFAULT_CONFIG, GateConfig
 from ..stages.extract import extract_stage
@@ -149,28 +159,39 @@ _GATE_CACHE: dict = {}
 
 
 def _gate_task_fn(batch: pa.Table, cfg: GateConfig, write_dropped_text: bool,
-                  expose_flags: bool) -> pa.Table:
+                  expose_flags: bool) -> Iterator[pa.Table]:
+    """Gate one block in ``cfg.batch_size``-row kernel batches, one
+    output table per batch."""
     key = (cfg, write_dropped_text, expose_flags)
     stage = _GATE_CACHE.get(key)
     if stage is None:
         stage = GateStage(cfg, write_dropped_text, expose_flags)
         _GATE_CACHE[key] = stage
-    return stage(batch)
+    for ofs in range(0, len(batch), cfg.batch_size):
+        yield stage(batch.slice(ofs, cfg.batch_size))
 
 
 def build_gate(
     ds: rd.Dataset, cfg: GateConfig = DEFAULT_CONFIG, write_dropped_text: bool = False,
     expose_flags: bool = False, compute: str = "tasks",
 ) -> rd.Dataset:
-    """Assemble the lazy gate pipeline over a pages Dataset.
+    """Assemble the lazy gate pipeline over a pages Dataset, or over a
+    Dataset of ``run_gate``'s work items (its single ``work_item``
+    column, see ``_work_items``).
 
     Returns a Dataset of ALL rows with decision columns + scrubbed
     text (null for dropped rows unless ``write_dropped_text``).
 
     ``compute="tasks"`` (default): the whole scoring chain as ONE
-    task-pool ``map_batches`` — Ray fuses read → gate → write into a
-    single operator (no intermediate object-store hops), and task
-    workers cache the scorer state per process.
+    task-pool ``map_batches``; task workers cache the scorer state per
+    process. A pages Dataset is bundled into ``cfg.batch_size``-row
+    batches. Work items are read inside the gate task instead: one
+    task per item, whole blocks (``batch_size=None``) cut into
+    ``cfg.batch_size`` kernel batches in ``_gate_task_fn``, and Ray
+    fuses read → gate → ``Write`` into one operator, so the pages
+    never enter the object store. (A row-count ``batch_size`` there
+    would make Ray bundle the work items themselves up to that many
+    rows: one task for a whole partition.)
     ``compute="actors"``: the same fused stage as a pre-sized actor
     pool (the ActorPoolStrategy layout — right when per-actor state is
     heavy enough to need placement control, e.g. real fastText/KenLM
@@ -180,6 +201,12 @@ def build_gate(
 
     import ray
 
+    batch_size = cfg.batch_size
+    schema = ds.schema(fetch_if_missing=False)  # known without executing
+    if schema is not None and schema.names == ["work_item"]:
+        ds = ds.map_batches(_read_task, batch_format="pyarrow", batch_size=1,
+                            zero_copy_batch=True)
+        batch_size = None
     if compute == "tasks":
         return ds.map_batches(
             functools.partial(
@@ -187,7 +214,7 @@ def build_gate(
                 write_dropped_text=write_dropped_text, expose_flags=expose_flags,
             ),
             batch_format="pyarrow",
-            batch_size=cfg.batch_size,
+            batch_size=batch_size,
             zero_copy_batch=True,
         )
     # Pre-sized pool (ncpu-2 actors, 2 CPUs left for read/write
@@ -199,7 +226,7 @@ def build_gate(
         GateStage,
         fn_constructor_args=(cfg, write_dropped_text, expose_flags),
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
+        batch_size=batch_size,
         concurrency=(pool, pool),
         zero_copy_batch=True,
     )
@@ -340,6 +367,17 @@ def _source(module: str, name: str):
     return call
 
 
+def _read_parquet(path: str, row_groups: list[int] | None = None,
+                  batch_size: int = DEFAULT_CONFIG.batch_size):
+    """A parquet fragment's pages (only ``row_groups``, if given),
+    streamed in tables of at most ``batch_size`` rows."""
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as pf:
+        for b in pf.iter_batches(batch_size=batch_size, row_groups=row_groups):
+            yield pa.Table.from_batches([b])
+
+
 def _probe_parquet(path: str) -> None:
     import pyarrow.parquet as pq
 
@@ -358,28 +396,36 @@ def _probe_jsonl(path: str) -> None:
                 json.loads(line)
 
 
-def _rows_parquet(path: str) -> int:
+def _rows_parquet(path: str) -> list[int]:
     import pyarrow.parquet as pq
 
-    return pq.ParquetFile(path).metadata.num_rows
+    with pq.ParquetFile(path) as pf:
+        md = pf.metadata
+    return [md.row_group(i).num_rows for i in range(md.num_row_groups)]
 
 
-def _rows_orc(path: str) -> int:
+def _rows_orc(path: str) -> list[int]:
     import pyarrow.orc as orc
 
-    return orc.ORCFile(path).nrows
+    return [orc.ORCFile(path).nrows]
+
+
+def _rows_ipc(path: str) -> list[int]:
+    return [_source("ipc_pages", "count_rows_ipc")(path)]
 
 
 class _Format(NamedTuple):
     suffixes: tuple[str, ...]
-    # fragment list → pages Dataset in the shared pages schema
-    reader: Callable[[list[str]], rd.Dataset]
+    # one fragment → its pages tables in the shared pages schema
+    # (parquet's also takes the row groups to read and a batch size)
+    read: Callable[..., Iterator[pa.Table]]
     # raises on a fragment it cannot FULLY read; only a partition's
     # failure path calls it
     probe: Callable[[str], object]
-    # footer/header row count without a data read; None where counting
+    # row counts of the fragment's read units (parquet row groups, the
+    # whole file elsewhere) without a data read; None where counting
     # would need a full parse
-    count_rows: Callable[[str], int] | None
+    count_rows: Callable[[str], list[int]] | None
 
 
 # Every input format run_gate reads. .warc.gz (per-record gzip members)
@@ -387,25 +433,21 @@ class _Format(NamedTuple):
 # three archive spellings. No suffix ends another format's suffix, so a
 # path matches at most one row.
 FORMATS = {
-    "parquet": _Format((".parquet",), rd.read_parquet, _probe_parquet,
+    "parquet": _Format((".parquet",), _read_parquet, _probe_parquet,
                        _rows_parquet),
-    "jsonl": _Format((".jsonl",), _source("jsonl_pages", "read_pages_jsonl"),
+    "jsonl": _Format((".jsonl",), _source("jsonl_pages", "read"),
                      _probe_jsonl, None),
-    "csv": _Format((".csv",), _source("csv_pages", "read_pages_csv"),
+    "csv": _Format((".csv",), _source("csv_pages", "read"),
                    _source("csv_pages", "probe_csv"), None),
-    "warc": _Format((".warc", ".warc.gz"),
-                    _source("warc_pages", "read_pages_warc"),
+    "warc": _Format((".warc", ".warc.gz"), _source("warc_pages", "read"),
                     _source("warc_pages", "probe_warc"), None),
-    "orc": _Format((".orc",), _source("orc_pages", "read_pages_orc"),
+    "orc": _Format((".orc",), _source("orc_pages", "read"),
                    _source("orc_pages", "probe_orc"), _rows_orc),
-    "ipc": _Format((".arrow", ".feather"),
-                   _source("ipc_pages", "read_pages_ipc"),
-                   _source("ipc_pages", "probe_ipc"),
-                   _source("ipc_pages", "count_rows_ipc")),
-    "tar": _Format((".tar", ".tar.gz", ".tgz"),
-                   _source("tar_pages", "read_pages_tar"),
+    "ipc": _Format((".arrow", ".feather"), _source("ipc_pages", "read"),
+                   _source("ipc_pages", "probe_ipc"), _rows_ipc),
+    "tar": _Format((".tar", ".tar.gz", ".tgz"), _source("tar_pages", "read"),
                    _source("tar_pages", "probe_tar"), None),
-    "avro": _Format((".avro",), _source("avro_pages", "read_pages_avro"),
+    "avro": _Format((".avro",), _source("avro_pages", "read"),
                     _source("avro_pages", "probe_avro"), None),
 }
 # run_gate's accepted input_format values: "auto" takes each
@@ -430,31 +472,177 @@ def format_suffixes(input_format: str) -> tuple[str, ...]:
     return tuple(s for spec in FORMATS.values() for s in spec.suffixes)
 
 
+def _format_name(path: str, input_format: str) -> str:
+    """The format a fragment is read as: ``input_format`` itself, or
+    under ``auto`` the one its suffix names."""
+    return input_format if input_format in FORMATS else detect_format(path)
+
+
 def _format_of(path: str, input_format: str) -> _Format:
-    """The table row a fragment is read with: ``input_format``'s own,
-    or under ``auto`` the one its suffix names."""
-    if input_format in FORMATS:
-        return FORMATS[input_format]
-    return FORMATS[detect_format(path)]
+    return FORMATS[_format_name(path, input_format)]
 
 
-def _read_mixed_fragments(paths: list[str]) -> rd.Dataset:
-    """Pages Dataset from a MIXED-format fragment list: group by
-    detected format, read each group with its own reader (every reader
-    already normalizes to the shared pages schema), align column order
-    and union. Real lakes accrete formats over time; ``auto`` lets one
-    gate run consume all of them."""
-    groups: dict[str, list[str]] = {}
-    for p in paths:
-        groups.setdefault(detect_format(p), []).append(p)
-    parts = [
-        FORMATS[fmt].reader(ps).select_columns(_PAGES_COLUMNS)
-        for fmt, ps in sorted(groups.items())
-    ]
-    out = parts[0]
-    for d in parts[1:]:
-        out = out.union(d)
-    return out
+def _sized_cfg(cfg: GateConfig, rows: int) -> GateConfig:
+    """cfg with batch_size shrunk for small partitions.
+
+    batch_size is also the gate stage's task granularity (work items
+    and bundles both hold about batch_size rows), so a partition needs
+    rows/batch_size ≥ ~2×CPUs tasks to fill the cluster. ``rows``
+    counts only fragments with free footer row counts; a partition of
+    only the other formats counts 0 and keeps the configured size.
+    Floor 1024: below that, per-batch kernel launch overhead starts to
+    show (measured sweep in config.py)."""
+    if rows == 0:
+        return cfg
+    import ray
+
+    ncpu = (
+        int(ray.cluster_resources().get("CPU", 8))
+        if ray.is_initialized()
+        else 8
+    )
+    eff = max(1024, -(-rows // (2 * ncpu)))
+    if eff >= cfg.batch_size:
+        return cfg
+    import dataclasses
+
+    return dataclasses.replace(cfg, batch_size=eff)
+
+
+def _work_items(
+    units: list[tuple[str, str, list[int] | None]], batch_size: int
+) -> list[list[tuple[str, list[int] | None]]]:
+    """Group a partition's read units into tasks of ≥ ``batch_size``
+    rows.
+
+    ``units`` holds each fragment with its format and the row counts
+    of its read units (``_Format.count_rows``: parquet row groups, a
+    whole file elsewhere), or None where no count is free. A task is a
+    list of ``(fragment, row groups)`` pieces, row groups None for a
+    whole fragment. Consecutive units are taken greedily until the task
+    holds ≥ batch_size rows, the rule Ray's own block bundling
+    applies. A row group is never split across tasks (that would read
+    it twice), so a work item is as large as its largest row group; a
+    fragment without counts is a work item of its own
+    (``_partition_dataset`` picks the plan that keeps such items from
+    starving the cluster). A task never mixes formats."""
+    tasks: list[list] = []
+    cur: list = []
+    rows = 0
+    fmt = None
+
+    def flush():
+        nonlocal cur, rows
+        if cur:
+            tasks.append(cur)
+        cur, rows = [], 0
+
+    for path, path_fmt, counts in units:
+        if counts is None:
+            flush()
+            tasks.append([(path, None)])
+            continue
+        if path_fmt != fmt:
+            flush()
+            fmt = path_fmt
+        multi = len(counts) > 1  # parquet: name the row groups read
+        for i, n in enumerate(counts):
+            if multi and cur and cur[-1][0] == path:
+                cur[-1][1].append(i)
+            else:
+                cur.append((path, [i] if multi else None))
+            rows += n
+            if rows >= batch_size:
+                flush()
+    flush()
+    return tasks
+
+
+def _read_pieces(item: str) -> Iterator[pa.Table]:
+    """Read one work item, ``[input_format, batch_size, pieces]``: each
+    piece's pages tables, fragment by fragment (under ``auto`` each
+    fragment is read by its own format and cut to the shared pages
+    columns)."""
+    input_format, batch_size, pieces = json.loads(item)
+    for path, row_groups in pieces:
+        name = _format_name(path, input_format)
+        tables = (_read_parquet(path, row_groups, batch_size)
+                  if name == "parquet" else FORMATS[name].read(path))
+        for t in tables:
+            yield t.select(_PAGES_COLUMNS) if input_format == "auto" else t
+
+
+def _read_task(batch: pa.Table) -> Iterator[pa.Table]:
+    """The read inside the gate task: ``batch`` is one work-item row."""
+    yield from _read_pieces(batch.column("work_item")[0].as_py())
+
+
+class _WorkItemDatasource(Datasource):
+    """Work items read as a Ray read operator of their own (one read
+    task each), for partitions whose read units are too large or of
+    unknown size to be a gate task each: the read's tables cross the
+    object store and the gate stage bundles them into
+    ``cfg.batch_size``-row tasks."""
+
+    def __init__(self, items: list[str]):
+        self._items = items
+
+    def get_name(self) -> str:
+        return "WorkItems"
+
+    def estimate_inmemory_data_size(self) -> int | None:
+        # file bytes, as Ray's file-based readers estimate; Ray splits
+        # the read's output into blocks by it
+        return sum(os.path.getsize(p) for item in self._items
+                   for p, _ in json.loads(item)[2])
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        import functools
+
+        return [
+            ReadTask(
+                functools.partial(_read_pieces, item),
+                BlockMetadata(num_rows=None, size_bytes=None, exec_stats=None,
+                              input_files=[p for p, _ in json.loads(item)[2]]),
+            )
+            for item in self._items
+        ]
+
+
+def _partition_dataset(
+    units: list[tuple[str, str, list[int] | None]], input_format: str,
+    batch_size: int,
+) -> rd.Dataset | None:
+    """A partition's input to ``build_gate``, planned from its read
+    units' row counts (None for a partition without work items).
+
+    When every read unit has a known count of at most ``batch_size``
+    rows, every work item holds fewer than 2 × ``batch_size`` rows, the
+    granularity Ray's own bundling would give: the partition is a
+    Dataset of work items, read inside the gate task. Otherwise (a row
+    group larger than a batch, or a format without free counts) one
+    work item could hold a whole large fragment and starve the
+    cluster, so the items are read by ``_WorkItemDatasource`` and the
+    gate bundles its output."""
+    items = [json.dumps([input_format, batch_size, t])
+             for t in _work_items(units, batch_size)]
+    if not items:
+        return None
+    if all(c is not None and max(c, default=0) <= batch_size
+           for _, _, c in units):
+        return rd.from_items([{"work_item": i} for i in items],
+                             override_num_blocks=len(items))
+    # Ray coalesces each read task's tables into one block and splits
+    # it again into as many blocks as it plans for the read: with the
+    # rows known, plan one block per batch, so that each block is one
+    # gate task (Ray's default of 200 blocks streams tiny blocks out of
+    # the read slower than the gate drains them)
+    if all(c is not None for _, _, c in units):
+        rows = sum(sum(c) for _, _, c in units)
+        return rd.read_datasource(
+            _WorkItemDatasource(items),
+            override_num_blocks=max(len(items), rows // batch_size))
+    return rd.read_datasource(_WorkItemDatasource(items))
 
 
 def _shim_fsspec_http() -> None:
@@ -487,11 +675,14 @@ def _shim_fsspec_http() -> None:
 def auto_partitions(fragments: list[str], target_bytes: int = 1 << 30) -> int:
     """Resume-partition count sized by input bytes, not fragment count:
     each partition must be big enough to amortize the per-execution
-    fixed cost (stream fill/drain edges + the driver-side lineage
-    tally, ~2-3 s together). At 100 TB this yields ~100k resume units
-    of 1 GiB — on a real multi-node cluster those units are dispatched
-    concurrently (one driver per unit group), not in this sequential
-    in-sandbox loop; on a 5 MB bench input it yields 1."""
+    fixed cost: the driver's footer reads and work-item plan, executor
+    start, stream fill/drain and the driver-side lineage tally (about
+    0.1 s together on one core at 4k docs, gatebench's
+    ``framework.fixed_s_per_partition``). At 100 TB this yields ~100k
+    resume units of 1 GiB — on a real multi-node cluster those units
+    are dispatched concurrently (one driver per unit group), not in
+    this sequential in-sandbox loop; on a 5 MB bench input it yields
+    1."""
     total = sum(os.path.getsize(f) for f in fragments if os.path.exists(f))
     return max(1, min(len(fragments), total // target_bytes + (1 if total % target_bytes else 0)))
 
@@ -525,10 +716,6 @@ def run_gate(
     if input_format not in INPUT_FORMATS:
         raise ValueError(f"unsupported input_format {input_format!r}")
     suffix = format_suffixes(input_format)
-    _read_fragments = (
-        FORMATS[input_format].reader if input_format in FORMATS
-        else _read_mixed_fragments
-    )
     fragments = list_parquet_fragments(input_path, suffix)
     if (
         not fragments
@@ -609,59 +796,38 @@ def run_gate(
                 bad.append(f)
         return bad
 
-    def _sized_cfg(frag_group: list[str]) -> GateConfig:
-        """cfg with batch_size shrunk for small parquet partitions.
-
-        batch_size is also the fused operator's task granularity (Ray
-        bundles read blocks up to batch_size rows per task), so a
-        partition needs rows/batch_size ≥ ~2×CPUs tasks to fill the
-        cluster. Parquet/ORC footer row counts are free and IPC's
-        mmap batch-header walk is nearly so (each format's
-        ``count_rows``); row-counting the other formats would need a
-        full parse, so they count 0 and a partition of only those keeps
-        the configured size (their datasources already emit row-true
-        blocks). Floor 1024: below that, per-batch kernel launch
-        overhead starts to show (measured sweep in config.py).
-        """
-
-        def _rows_of(f: str) -> int:
-            count = _format_of(f, input_format).count_rows
-            return count(f) if count else 0
-
-        try:
-            rows = sum(_rows_of(f) for f in frag_group)
-            if rows == 0:
-                return cfg
-        except Exception:
-            return cfg
-        import ray
-
-        ncpu = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        eff = max(1024, -(-rows // (2 * ncpu)))
-        if eff >= cfg.batch_size:
-            return cfg
-        import dataclasses
-
-        return dataclasses.replace(cfg, batch_size=eff)
+    def gate_into(frag_group: list[str], out: str) -> None:
+        """Plan the partition from its footers, then read, gate and
+        write it."""
+        units = []
+        for f in frag_group:
+            name = _format_name(f, input_format)
+            count = FORMATS[name].count_rows
+            units.append((f, name, count(f) if count else None))
+        run_cfg = _sized_cfg(cfg, sum(sum(c) for _, _, c in units if c))
+        ds = _partition_dataset(units, input_format, run_cfg.batch_size)
+        if ds is not None:
+            build_gate(ds, run_cfg).write_parquet(out)
+        os.makedirs(out, exist_ok=True)  # a partition of no rows writes no file
 
     def run_partition(pid: int, frag_group: list[str]) -> None:
         final_dir = os.path.join(docs_root, f"partition={pid}")
-        tmp_dir = os.path.join(docs_root, f".tmp-partition={pid}")
-        if os.path.exists(tmp_dir):  # torn previous attempt
-            shutil.rmtree(tmp_dir)
-        if os.path.exists(final_dir):  # completed write, torn manifest append
-            shutil.rmtree(final_dir)
-        use_group, skipped = frag_group, []
+        # one directory per attempt: when a task fails, tasks of the same
+        # execution that are still running can finish writing their files
+        # after the failure surfaces here, so the retry must not write
+        # where they do
+        first, retry = (
+            os.path.join(docs_root, f".tmp-partition={pid}.{i}") for i in (0, 1)
+        )
+        # torn previous attempts; a completed write with a torn manifest append
+        for d in (first, retry, final_dir):
+            if os.path.exists(d):
+                shutil.rmtree(d)
+        use_group, skipped, out = frag_group, [], first
         try:
-            ds = _read_fragments(use_group)
-            gated = build_gate(ds, _sized_cfg(use_group))
-            gated.write_parquet(tmp_dir)
+            gate_into(use_group, first)
         except Exception:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
+            shutil.rmtree(first, ignore_errors=True)
             skipped = _probe_bad_fragments(frag_group)
             if not skipped:  # not an input-corruption failure
                 raise
@@ -673,13 +839,13 @@ def run_gate(
                 f"unreadable fragment(s): {skipped}",
                 file=_sys.stderr,  # stdout stays machine-readable JSON
             )
-            if use_group:
-                ds = _read_fragments(use_group)
-                gated = build_gate(ds, _sized_cfg(use_group))
-                gated.write_parquet(tmp_dir)
-            else:  # every fragment bad — record an empty partition
-                os.makedirs(tmp_dir, exist_ok=True)
-        os.rename(tmp_dir, final_dir)
+            out = retry
+            gate_into(use_group, out)  # every fragment bad ⇒ an empty partition
+            # a late file of the failed run; a task still running can
+            # recreate the directory after this, so run_gate sweeps the
+            # attempt directories again once every partition is done
+            shutil.rmtree(first, ignore_errors=True)
+        os.rename(out, final_dir)
         lineage = partition_lineage(final_dir) if use_group else {
             "rows": 0, "kept": 0, "dropped": 0, "rule_lang": {},
         }
@@ -696,6 +862,9 @@ def run_gate(
             futures = [ex.submit(run_partition, pid, fg) for pid, fg in pending]
             for f in futures:
                 f.result()  # propagate the first failure; resume recovers
+    for d in os.listdir(docs_root):
+        if d.startswith(".tmp-partition="):
+            shutil.rmtree(os.path.join(docs_root, d), ignore_errors=True)
 
     # global metrics = merge of the per-partition lineage records —
     # no second pass over the written data

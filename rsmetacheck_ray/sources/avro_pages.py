@@ -32,10 +32,10 @@ tz offsets ⇒ null ⇒ skip; ``html`` as real Avro ``bytes``, no base64
 detour; extra fields like ``doc_id`` carried through), so avro-vs-
 parquet parity is structural.
 
-Scale shape: one read task per container file; blocks are decoded
-sequentially within the task and emitted as row-true Arrow blocks
-(the WARC/ORC/tar FileBasedDatasource discipline — never
-``read_binary_files`` + a one-row-per-file parse stage).
+Scale shape: one read per container file; blocks are decoded
+sequentially and emitted as row-true Arrow tables, like the
+WARC/ORC/tar readers. Corruption fails the read strictly, for the
+resume loop's probe-and-skip path.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ import struct
 import zlib
 
 import pyarrow as pa
-
-import ray.data as rd
-from ray.data.datasource import FileBasedDatasource
 
 from ..schema import PAGES_COLUMNS
 from .jsonl_pages import coerce_pages
@@ -239,34 +236,21 @@ def _coerce_avro(t: pa.Table) -> pa.Table:
     return out
 
 
-class AvroPagesDatasource(FileBasedDatasource):
-    """Decode OCF records into row-true page blocks inside the read
-    task itself (strict: corruption fails the task for the resume
-    loop's probe-and-skip path)."""
-
-    def _read_stream(self, f, path: str):
-        t = parse_avro(f.readall())
-        if t.num_rows == 0:
-            yield _coerce_avro(t)[:0].select(PAGES_COLUMNS)
-            return
-        for ofs in range(0, t.num_rows, _ROWS_PER_BLOCK):
-            yield _coerce_avro(t.slice(ofs, _ROWS_PER_BLOCK))
+def _pages(data: bytes):
+    """Pages tables of ``_ROWS_PER_BLOCK`` rows from one container
+    file's bytes."""
+    t = parse_avro(data)
+    if t.num_rows == 0:
+        yield _coerce_avro(t)[:0].select(PAGES_COLUMNS)
+        return
+    for ofs in range(0, t.num_rows, _ROWS_PER_BLOCK):
+        yield _coerce_avro(t.slice(ofs, _ROWS_PER_BLOCK)).select(PAGES_COLUMNS)
 
 
-def read_pages_avro(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from Avro container file(s), schema-identical to
-    the parquet pages path."""
-    import os
-
-    if isinstance(paths, str) and os.path.isdir(paths):
-        paths = sorted(
-            os.path.join(paths, f)
-            for f in os.listdir(paths)
-            if f.endswith(".avro")
-        )
-    return rd.read_datasource(
-        AvroPagesDatasource(paths, file_extensions=None)
-    ).map_batches(lambda t: t.select(PAGES_COLUMNS), batch_format="pyarrow")
+def read(path: str):
+    """One Avro fragment → pages tables (the gate's per-task reader)."""
+    with pa.input_stream(path, compression="detect") as f:
+        yield from _pages(f.read())
 
 
 def probe_avro(path: str) -> int:

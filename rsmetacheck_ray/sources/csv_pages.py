@@ -1,8 +1,8 @@
 """CSV source for the pages table — the third input format (after
 parquet and JSONL), for corpora exported from spreadsheets/warehouses.
 
-``ray.data.read_csv`` parallelizes over files like the other readers;
-the schema boundary REUSES the JSONL coercion (``jsonl_pages.
+``read`` streams one file through ``pyarrow.csv.open_csv``; the
+schema boundary REUSES the JSONL coercion (``jsonl_pages.
 coerce_pages``): every pages column is read as a STRING and coerced to
 the fixed Arrow schema (strict ISO warc_ts, base64 html, null⇒skip) so
 the whole gate runs unchanged on any of the three formats.
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray.data as rd
-
 from .jsonl_pages import _PAGES_READ_SCHEMA, coerce_pages
 
 
@@ -47,12 +45,18 @@ def _csv_options():
     return parse, convert
 
 
-def read_pages_csv(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from CSV file(s) — file-parallel read + the shared
-    coercion boundary, schema-identical to the parquet/JSONL paths."""
+def read(path: str):
+    """One CSV fragment → coerced pages tables, one per parse block
+    (the gate's per-task reader; gzip detected from the suffix)."""
+    import pyarrow.csv as pacsv
+
     parse, convert = _csv_options()
-    ds = rd.read_csv(paths, parse_options=parse, convert_options=convert)
-    return ds.map_batches(coerce_pages, batch_format="pyarrow")
+    with pa.input_stream(path, compression="detect") as f:
+        with pacsv.open_csv(
+            f, parse_options=parse, convert_options=convert
+        ) as reader:
+            for batch in reader:
+                yield coerce_pages(pa.Table.from_batches([batch]))
 
 
 def probe_csv(path: str) -> None:

@@ -3,17 +3,14 @@ format (after parquet, JSONL, CSV, WARC and ORC), for corpora handed
 off between Arrow-native tools (Polars/pandas ``to_feather``, Arrow
 Flight dumps) where IPC is the zero-copy interchange layout.
 
-Ray Data has no ``read_ipc``, so this is a real ``FileBasedDatasource``
-(the WARC lesson, sources/warc_pages.py): the read task decodes the
-IPC file into page ROWS, one block per record batch — the format's
-natural parallel unit within a file — so downstream operators see
-row-count-true blocks, never the one-row-per-file collapse of
-``read_binary_files`` + parse.
+``read`` decodes the IPC file into page ROWS, one table per record
+batch (the format's natural unit within a file), so the gate sees
+row-count-true tables.
 
 IPC stores native Arrow types bit-exactly (timestamp/binary survive
 with zero conversion — this is the wire format of Arrow itself), so
 the boundary only normalizes column order and timestamp unit to the
-shared pages schema. A corrupt file fails its read task strictly, and
+shared pages schema. A corrupt file fails its read strictly, and
 ``probe_ipc`` walks batch-by-batch for the resume loop's
 skip-and-record classification.
 """
@@ -22,9 +19,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.ipc as pipc
-
-import ray.data as rd
-from ray.data.datasource import FileBasedDatasource
 
 from ..schema import PAGES_COLUMNS
 
@@ -40,34 +34,22 @@ def _normalize(t: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-class IpcDatasource(FileBasedDatasource):
-    """One block per IPC record batch — batches are the writer's chosen
-    chunking and the only intra-file parallel unit (files stay the
-    cross-task unit)."""
-
-    def _read_stream(self, f, path: str):
-        reader = pipc.open_file(pa.BufferReader(f.readall()))
-        if reader.num_record_batches == 0:  # header-only: typed empty
-            yield _normalize(reader.read_all())
-            return
-        for i in range(reader.num_record_batches):
-            yield _normalize(
-                pa.Table.from_batches([reader.get_batch(i)])
-            )
+def _batches(source):
+    """One normalized pages table per record batch of an IPC source."""
+    reader = pipc.open_file(source)
+    if reader.num_record_batches == 0:  # header-only: typed empty
+        yield _normalize(reader.read_all())
+        return
+    for i in range(reader.num_record_batches):
+        yield _normalize(pa.Table.from_batches([reader.get_batch(i)]))
 
 
-def read_pages_ipc(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from Arrow IPC file(s), schema-identical to the
-    parquet pages path."""
-    import os
-
-    filter_exts = isinstance(paths, str) and os.path.isdir(paths)
-    return rd.read_datasource(
-        IpcDatasource(
-            paths,
-            file_extensions=["arrow", "feather"] if filter_exts else None,
-        )
-    )
+def read(path: str):
+    """One IPC fragment → pages tables, one per record batch (the
+    gate's per-task reader)."""
+    with pa.input_stream(path, compression="detect") as f:
+        buf = f.read_buffer()
+    yield from _batches(pa.BufferReader(buf))
 
 
 def probe_ipc(path: str) -> int:

@@ -2,9 +2,8 @@
 reference itself consumes JSON documents, ``detect_pitfalls_main.py:
 316-318``; Common-Crawl-adjacent corpora frequently arrive as JSONL).
 
-``ray.data.read_json`` parallelizes over files exactly like the
-parquet reader; this module adds the SCHEMA COERCION boundary the
-fixed-Arrow-schema engine requires (SURVEY §1.4: dynamic input →
+``read`` parses one file with ``pyarrow.json`` and applies the SCHEMA
+COERCION boundary the fixed-Arrow-schema engine requires (SURVEY §1.4: dynamic input →
 nullable typed columns at the table edge):
 
  - ``warc_ts``: ISO-8601 string → ``timestamp[us]`` (unparseable →
@@ -13,7 +12,7 @@ nullable typed columns at the table edge):
    the extract stage treats as text-fallback);
  - ``url``/``text``/``lang``: cast to string, absent → null.
 
-The coerced Dataset is schema-identical to the parquet path, so the
+The coerced table is schema-identical to the parquet path, so the
 entire gate pipeline runs unchanged on either format.
 """
 
@@ -23,8 +22,6 @@ import base64
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray.data as rd
 
 # strict accepted shape: whole ISO-8601 seconds + optional .fraction,
 # nothing after (tz offsets and trailing garbage ⇒ null ⇒ skip)
@@ -81,7 +78,7 @@ def coerce_pages(batch: pa.Table) -> pa.Table:
     if "warc_ts" in names and pa.types.is_timestamp(batch.column("warc_ts").type):
         # a caller handed us an ALREADY-TYPED timestamp column (not a
         # JSON string) — accept it as-is, normalizing the unit. The
-        # JSONL read path can never reach this branch: read_pages_jsonl
+        # JSONL read path can never reach this branch: ``read``
         # pins warc_ts to string in the reader schema, so every JSON
         # value goes through the strict per-row regex below (Arrow's
         # per-file inference would otherwise accept tz-offset values
@@ -129,16 +126,38 @@ _PAGES_READ_SCHEMA = pa.schema(
 )
 
 
-def read_pages_jsonl(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from JSONL file(s) — file-parallel read + the
-    coercion boundary, schema-identical to ``read_parquet`` pages."""
+def _parse_options():
     import pyarrow.json as pajson
 
-    ds = rd.read_json(
-        paths,
-        parse_options=pajson.ParseOptions(
-            explicit_schema=_PAGES_READ_SCHEMA,
-            unexpected_field_behavior="infer",
-        ),
+    return pajson.ParseOptions(
+        explicit_schema=_PAGES_READ_SCHEMA, unexpected_field_behavior="infer"
     )
-    return ds.map_batches(coerce_pages, batch_format="pyarrow")
+
+
+def read(path: str):
+    """One JSONL fragment → coerced pages tables (the gate's per-task
+    reader). Gzip is detected from the suffix. A line longer than the
+    parse block straddles two blocks; the parse is retried with the
+    block doubled up to the Data context's target block size, as
+    ``ray.data.read_json`` does."""
+    import pyarrow.json as pajson
+    from ray.data import DataContext
+
+    with pa.input_stream(path, compression="detect") as f:
+        buf = f.read_buffer()
+    opts = pajson.ReadOptions()
+    cap = DataContext.get_current().target_max_block_size
+    while True:
+        try:
+            t = pajson.read_json(
+                pa.BufferReader(buf), read_options=opts,
+                parse_options=_parse_options(),
+            )
+            break
+        except pa.ArrowInvalid as e:
+            if "straddling object" not in str(e) or (
+                cap is not None and opts.block_size >= cap
+            ):
+                raise
+            opts.block_size *= 2
+    yield coerce_pages(t)

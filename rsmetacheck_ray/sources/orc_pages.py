@@ -2,16 +2,14 @@
 parquet, JSONL, CSV and WARC), for corpora exported from Hive/Spark
 warehouses where ORC is the native columnar layout.
 
-Ray Data has no ``read_orc``, so this is a real ``FileBasedDatasource``
-(the WARC lesson, sources/warc_pages.py): the read task itself decodes
-ORC stripes into page ROWS, one block per stripe, so downstream
-operators see row-count-true blocks and honest row-based scheduling —
-never the one-row-per-file collapse of ``read_binary_files`` + parse.
+``read`` decodes ORC stripes into page ROWS, one table per stripe
+(the format's natural unit within a file), so the gate sees
+row-count-true tables.
 
 ORC stores native Arrow types (timestamp/binary survive), so unlike
 CSV/JSONL there is no string-coercion dialect; the boundary only
 normalizes column order and unit (timestamp → µs) to the shared pages
-schema. A corrupt file fails its read task strictly, and
+schema. A corrupt file fails its read strictly, and
 ``probe_orc`` streams stripe-by-stripe for the resume loop's
 skip-and-record classification.
 """
@@ -19,9 +17,6 @@ skip-and-record classification.
 from __future__ import annotations
 
 import pyarrow as pa
-
-import ray.data as rd
-from ray.data.datasource import FileBasedDatasource
 
 from ..schema import PAGES_COLUMNS
 
@@ -37,34 +32,22 @@ def _normalize(t: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-class OrcDatasource(FileBasedDatasource):
-    """One block per ORC stripe — the format's natural parallel unit
-    within a file (files stay the cross-task unit)."""
+def _stripes(source):
+    """One normalized pages table per stripe of an ORC source."""
+    import pyarrow.orc as orc
 
-    def _read_stream(self, f, path: str):
-        import pyarrow.orc as orc
-
-        of = orc.ORCFile(pa.BufferReader(f.readall()))
-        if of.nstripes == 0:  # header-only file: one empty, typed block
-            yield _normalize(of.read())
-            return
-        for i in range(of.nstripes):
-            yield _normalize(
-                pa.Table.from_batches([of.read_stripe(i)])
-            )
+    of = orc.ORCFile(source)
+    if of.nstripes == 0:  # header-only file: one empty, typed block
+        yield _normalize(of.read())
+        return
+    for i in range(of.nstripes):
+        yield _normalize(pa.Table.from_batches([of.read_stripe(i)]))
 
 
-def read_pages_orc(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from ORC file(s), schema-identical to the parquet
-    pages path."""
-    import os
-
-    filter_exts = isinstance(paths, str) and os.path.isdir(paths)
-    return rd.read_datasource(
-        OrcDatasource(
-            paths, file_extensions=["orc"] if filter_exts else None
-        )
-    )
+def read(path: str):
+    """One ORC fragment → pages tables, one per stripe (the gate's
+    per-task reader)."""
+    yield from _stripes(path)
 
 
 def probe_orc(path: str) -> int:
@@ -86,8 +69,10 @@ def write_pages_orc(
     """Write a pages-shaped table as ORC (test/export helper —
     production output stays parquet). ``stripe_size`` (bytes) bounds
     rows per stripe so multi-stripe files are testable at small
-    sizes."""
+    sizes. The writer checks the stripe size once per written batch
+    (1024 rows by default), so a bound is written in batches of 64
+    rows."""
     import pyarrow.orc as orc
 
-    kw = {"stripe_size": stripe_size} if stripe_size else {}
+    kw = {"stripe_size": stripe_size, "batch_size": 64} if stripe_size else {}
     orc.write_table(_normalize(table), path, **kw)

@@ -4,18 +4,16 @@
 of files, shipped as one archive" shape common for small-team corpus
 handoffs.
 
-Like the WARC/ORC sources this is a real ``FileBasedDatasource``: the
-read task itself walks the tar stream (pure-stdlib ``tarfile``) and
-emits page ROWS in member-grouped blocks, so downstream operators see
-row-count-true blocks — never ``read_binary_files`` + a driver-side
-parse. Field semantics are IDENTICAL to the JSONL path: every member
+Like the WARC/ORC sources, ``read`` walks the tar stream
+(pure-stdlib ``tarfile``) and emits page ROWS in member-grouped
+tables, so the gate sees row-count-true tables. Field semantics are IDENTICAL to the JSONL path: every member
 routes through the same ``coerce_pages`` boundary (strict ISO
 ``warc_ts`` — tz offsets ⇒ null ⇒ skip; base64 ``html``; extra fields
 carried through), so tar-vs-jsonl parity is structural, not
 re-implemented.
 
 Strictness contract: a malformed member (non-JSON payload, non-object
-root) fails the read task — corruption surfaces, never silently drops
+root) fails the read — corruption surfaces, never silently drops
 — while the resume loop's ``probe_tar`` streams member-by-member to
 classify a fragment as skippable."""
 
@@ -26,9 +24,6 @@ import json
 import tarfile
 
 import pyarrow as pa
-
-import ray.data as rd
-from ray.data.datasource import FileBasedDatasource
 
 from ..schema import PAGES_COLUMNS
 from .jsonl_pages import coerce_pages
@@ -57,46 +52,34 @@ def _rows_to_table(rows: list[dict]) -> pa.Table:
     return coerce_pages(pa.table(cols))
 
 
-class TarPagesDatasource(FileBasedDatasource):
-    """One block per ``_MEMBERS_PER_BLOCK`` tar members."""
-
-    def _read_stream(self, f, path: str):
-        tf = tarfile.open(fileobj=io.BytesIO(f.readall()), mode="r:*")
-        rows: list[dict] = []
-        for member in tf:
-            if not member.isfile():
-                continue
-            payload = tf.extractfile(member).read()
-            obj = json.loads(payload)  # malformed member ⇒ strict task failure
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"tar member {member.name!r} is not a JSON object"
-                )
-            rows.append(obj)
-            if len(rows) >= _MEMBERS_PER_BLOCK:
-                yield _rows_to_table(rows)
-                rows = []
-        if rows:
-            yield _rows_to_table(rows)
-        elif not tf.getmembers():
-            # empty archive: one empty, typed block keeps schema stable
-            yield _rows_to_table([])[:0].select(PAGES_COLUMNS)
+def read(path: str):
+    """One tar fragment → pages tables of ``_MEMBERS_PER_BLOCK``
+    members each (the gate's per-task reader)."""
+    with pa.input_stream(path, compression="detect") as f:
+        yield from _members(f.read())
 
 
-def read_pages_tar(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from tar archive(s), schema-identical to the
-    parquet pages path."""
-    import os
-
-    if isinstance(paths, str) and os.path.isdir(paths):
-        paths = sorted(
-            os.path.join(paths, f)
-            for f in os.listdir(paths)
-            if f.endswith((".tar", ".tar.gz", ".tgz"))
-        )
-    return rd.read_datasource(
-        TarPagesDatasource(paths, file_extensions=None)
-    ).map_batches(lambda t: t.select(PAGES_COLUMNS), batch_format="pyarrow")
+def _members(data: bytes):
+    """Pages tables (pages columns only) from one archive's bytes."""
+    tf = tarfile.open(fileobj=io.BytesIO(data), mode="r:*")
+    rows: list[dict] = []
+    for member in tf:
+        if not member.isfile():
+            continue
+        payload = tf.extractfile(member).read()
+        obj = json.loads(payload)  # malformed member ⇒ strict task failure
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"tar member {member.name!r} is not a JSON object"
+            )
+        rows.append(obj)
+        if len(rows) >= _MEMBERS_PER_BLOCK:
+            yield _rows_to_table(rows).select(PAGES_COLUMNS)
+            rows = []
+    if rows or not tf.getmembers():
+        # an empty archive still yields one empty, typed block so the
+        # schema stays stable
+        yield _rows_to_table(rows).select(PAGES_COLUMNS)
 
 
 def probe_tar(path: str) -> None:

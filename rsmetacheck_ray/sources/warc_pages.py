@@ -27,11 +27,10 @@ Parsed from scratch against the public spec — no external libraries:
    no reliable resync point) but keeps every record parsed before it —
    the same corrupt-fragment lineage discipline as the JSONL source.
 
-Scale shape: one read task per WARC file (crawl files are ~1 GiB by
+Scale shape: one read per WARC file (crawl files are ~1 GiB by
 convention — the same unit real pipelines parallelize over), emitting
-the standard pages schema so the whole gate runs unchanged. The raw
-file bytes live in the object store exactly once; parsing is
-zero-copy slicing of one bytes object per file.
+the standard pages schema so the whole gate runs unchanged; parsing
+is zero-copy slicing of one bytes object per file.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from __future__ import annotations
 import zlib
 
 import pyarrow as pa
-
-import ray.data as rd
 
 from .jsonl_pages import strict_iso_ts
 
@@ -175,54 +172,27 @@ def _coerce(batch: pa.Table) -> pa.Table:
     return out
 
 
-from ray.data.datasource import FileBasedDatasource
+def _pages(data: bytes) -> pa.Table:
+    """Strict parse + timestamp coercion of one file's bytes."""
+    return _coerce(parse_warc(data, strict=True))
 
 
-class WarcDatasource(FileBasedDatasource):
-    """Real Ray Data source: the read task itself parses WARC records
-    into page ROWS, so the downstream gate sees row-count-true blocks.
+def read(path: str):
+    """One WARC fragment → its pages table (the gate's per-task
+    reader), parsed into page ROWS so the gate sees row-count-true
+    tables.
 
-    (The obvious alternative — ``read_binary_files`` + a parse
-    ``map_batches`` — emits ONE ROW PER FILE from the read, and the
-    fused parse→gate operator bundles its inputs by row count: a
-    32-file corpus collapsed into a single task running the whole gate
-    on one core, measured 4× slower than the parquet path. A
-    datasource whose blocks already hold page rows restores honest
-    row-based scheduling.)
-
-    Strict parse: a corrupt file FAILS its read task so the resume
-    loop's probe can skip-and-record the fragment, never silently
-    half-read it. Compression on THIS path is handled by Arrow:
-    ``FileBasedDatasource`` detects ``.gz`` from the path and hands
-    ``_read_stream`` an already-decompressed stream (an Arrow gzip
-    stream also consumes concatenated per-record members), so
-    ``parse_warc`` sees plain bytes here and gzip corruption surfaces
-    as Arrow's ``OSError`` — still caught by the resume loop, which
-    classifies the fragment via ``probe_warc``. ``parse_warc``'s own
-    magic-sniffed ``_gunzip_members`` governs the direct-bytes API
-    (``probe_warc`` and library callers), not this stream path.
-    """
-
-    def _read_stream(self, f, path: str):
-        yield parse_warc(f.readall(), strict=True)
-
-
-def read_pages_warc(paths: str | list[str]) -> rd.Dataset:
-    """Pages Dataset from WARC file(s) — one read task per file (the
-    crawl world's natural parallel unit), schema-identical to the
-    parquet pages path. Directories are filtered to ``*.warc`` /
-    ``*.warc.gz``; explicitly named files are read whatever their
-    name (content is magic-sniffed, matching the old binary-read
-    behavior)."""
-    import os
-
-    filter_exts = isinstance(paths, str) and os.path.isdir(paths)
-    return rd.read_datasource(
-        WarcDatasource(
-            paths,
-            file_extensions=["warc", "warc.gz"] if filter_exts else None,
-        )
-    ).map_batches(_coerce, batch_format="pyarrow")
+    Strict parse: a corrupt file FAILS the read so the resume loop's
+    probe can skip-and-record the fragment, never silently half-read
+    it. A ``.gz`` suffix is decompressed by Arrow (an Arrow gzip stream
+    also consumes concatenated per-record members), so ``parse_warc``
+    sees plain bytes here and gzip corruption surfaces as Arrow's
+    ``OSError`` — still caught by the resume loop, which classifies the
+    fragment via ``probe_warc``. ``parse_warc``'s own magic-sniffed
+    ``_gunzip_members`` governs the direct-bytes API (``probe_warc``
+    and library callers), not this stream path."""
+    with pa.input_stream(path, compression="detect") as f:
+        yield _pages(f.read())
 
 
 # --- writer (fixtures / tests / round-tripping) -----------------------------

@@ -28,7 +28,7 @@ def _to_avro(pages_dir: str, out_dir: str, codec: str = "null"):
 def test_avro_roundtrip_preserves_pages(
     ray_session, small_corpus, tmp_path, codec
 ):
-    from rsmetacheck_ray.sources.avro_pages import read_pages_avro
+    from tests.test_gate_read_plan import read_pages
 
     pages_dir, _ = small_corpus
     adir = tmp_path / "avro"
@@ -44,7 +44,7 @@ def test_avro_roundtrip_preserves_pages(
         .reset_index(drop=True)
     )
     b = (
-        read_pages_avro(str(adir))
+        read_pages("avro", adir)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)[cols]
@@ -95,9 +95,8 @@ def test_avro_corrupt_fragment_skipped(ray_session, small_corpus, tmp_path):
 
 
 def test_avro_strict_timestamp_discipline(ray_session, tmp_path):
-    from rsmetacheck_ray.sources.avro_pages import (
-        read_pages_avro, write_pages_avro,
-    )
+    from rsmetacheck_ray.sources.avro_pages import write_pages_avro
+    from tests.test_gate_read_plan import read_pages
 
     t = pa.table(
         {
@@ -110,7 +109,7 @@ def test_avro_strict_timestamp_discipline(ray_session, tmp_path):
     )
     path = str(tmp_path / "p.avro")
     write_pages_avro(t, path)
-    got = read_pages_avro([path]).to_pandas().sort_values("url")
+    got = read_pages("avro", path).to_pandas().sort_values("url")
     assert got["warc_ts"].notna().tolist() == [True, False]
 
 

@@ -11,10 +11,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from rsmetacheck_ray.sources.csv_pages import (
-    read_pages_csv,
-    write_pages_csv,
-)
+from rsmetacheck_ray.sources.csv_pages import write_pages_csv
+from tests.test_gate_read_plan import read_pages
 
 
 def _to_csv(parquet_dir: str, out_dir: str) -> None:
@@ -43,7 +41,7 @@ def test_dialect_null_vs_empty_roundtrip(ray_session, tmp_path):
     )
     p = str(tmp_path / "pages.csv")
     write_pages_csv(t, p)
-    out = read_pages_csv(p).to_pandas().sort_values("doc_id")
+    out = read_pages("csv", p).to_pandas().sort_values("doc_id")
     assert out["text"].tolist()[0] == ""  # quoted empty survives as ""
     assert out["text"].tolist()[1] is None  # unquoted empty -> null
     assert out["html"].tolist() == [b"<p>hi</p>", None]
@@ -59,7 +57,7 @@ def test_na_like_strings_are_not_nulled(ray_session, tmp_path):
     with open(p, "w") as fh:
         fh.write("url,warc_ts,html,text,lang,doc_id\n")
         fh.write('https://a.example/x,2023-01-01T00:00:00,,NA,null,1\n')
-    out = read_pages_csv(p).to_pandas()
+    out = read_pages("csv", p).to_pandas()
     assert out["text"].tolist() == ["NA"]
     assert out["lang"].tolist() == ["null"]
     assert out["html"].tolist() == [None]  # empty field stays null
@@ -77,7 +75,7 @@ def test_newlines_in_text_survive(ray_session, tmp_path):
     )
     p = str(tmp_path / "pages.csv")
     write_pages_csv(t, p)
-    out = read_pages_csv(p).to_pandas()
+    out = read_pages("csv", p).to_pandas()
     assert out["text"].tolist() == ["line one\nLicense: MIT\nline three"]
 
 

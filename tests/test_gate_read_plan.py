@@ -1,0 +1,309 @@
+"""run_gate's read plan: work items read inside the fused gate task.
+
+A partition is planned as work items (runs of parquet row groups, or
+whole fragments of the other formats). When every item is bounded by
+the footers, one task-pool operator reads each item, gates it and
+writes its file; otherwise the items are read by a Ray read operator
+and the gate bundles its output. These tests pin both plans, their
+parallelism, the registry queries' bundled layout and that every
+format's per-fragment reader gives back the pages written to it."""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+
+def _capture_gate(monkeypatch):
+    """Patch build_gate to keep the Dataset each partition builds."""
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    built = []
+    orig = qg.build_gate
+
+    def capture(ds, cfg, *a, **kw):
+        out = orig(ds, cfg, *a, **kw)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(qg, "build_gate", capture)
+    return built
+
+
+def test_partition_is_one_fused_operator(ray_session, small_corpus, tmp_path,
+                                         monkeypatch):
+    from rsmetacheck_ray.pipelines.quality_gate import run_gate
+
+    pages_dir, _ = small_corpus
+    built = _capture_gate(monkeypatch)
+    run_gate(pages_dir, str(tmp_path / "out"), n_partitions=1)
+    assert len(built) == 1
+    stats = built[0].stats()
+    assert "MapBatches(_read_task)->MapBatches(_gate_task_fn)->Write" in stats
+    assert "ReadParquet" not in stats
+    assert "SplitBlocks" not in stats
+
+
+def test_work_items_group_row_groups_greedily():
+    from rsmetacheck_ray.pipelines.quality_gate import _work_items
+
+    units = [("a.parquet", "parquet", [1000] * 8)]
+    assert _work_items(units, 2048) == [
+        [("a.parquet", [0, 1, 2])],
+        [("a.parquet", [3, 4, 5])],
+        [("a.parquet", [6, 7])],
+    ]
+    # a one-row-group fragment is read whole; small ones share a task
+    units = [("a.parquet", "parquet", [1500]), ("b.parquet", "parquet", [700]),
+             ("c.parquet", "parquet", [900, 900])]
+    assert _work_items(units, 2048) == [
+        [("a.parquet", None), ("b.parquet", None)],
+        [("c.parquet", [0, 1])],
+    ]
+    # no free count ⇒ a task of its own; formats never share a task
+    units = [("a.orc", "orc", [10]), ("b.jsonl", "jsonl", None),
+             ("c.orc", "orc", [10]), ("d.arrow", "ipc", [10])]
+    assert _work_items(units, 2048) == [
+        [("a.orc", None)], [("b.jsonl", None)], [("c.orc", None)],
+        [("d.arrow", None)],
+    ]
+
+
+def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
+                                          monkeypatch):
+    """One 8-row-group fragment runs fused, as several tasks, one
+    greedy work item each. The same rows in ONE row group are too large
+    for a work item: the partition streams them through its own read
+    operator and the gate still runs in several tasks. Both write the
+    same rows."""
+    import dataclasses
+
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        _sized_cfg, _work_items, run_gate,
+    )
+
+    pages_dir, _ = small_corpus
+    pages = pq.read_table(pages_dir).select(["url", "warc_ts", "html", "text", "lang"])
+    tiled = pa.concat_tables([pages] * 4)
+    frag = tmp_path / "groups" / "pages.parquet"
+    single = tmp_path / "single" / "pages.parquet"
+    for p in (frag, single):
+        os.makedirs(p.parent)
+    pq.write_table(tiled, frag, row_group_size=1000)
+    pq.write_table(tiled, single)
+    assert pq.ParquetFile(frag).metadata.num_row_groups == 8
+    assert pq.ParquetFile(single).metadata.num_row_groups == 1
+
+    cfg = dataclasses.replace(DEFAULT_CONFIG, batch_size=2048)
+    sized = _sized_cfg(cfg, 8000).batch_size
+    plan = _work_items([(str(frag), "parquet", [1000] * 8)], sized)
+    assert len(plan) > 1
+
+    built = _capture_gate(monkeypatch)
+    out = tmp_path / "out"
+    m = run_gate(str(frag.parent), str(out), cfg, n_partitions=1)
+    assert m["total_documents"] == 8000
+    files = sorted(glob.glob(str(out / "docs" / "partition=0" / "*.parquet")))
+    assert len(files) == len(plan)
+    assert sorted(pq.ParquetFile(f).metadata.num_rows for f in files) == sorted(
+        sum(1000 * len(rgs) for _, rgs in task) for task in plan)
+    assert f"{len(plan)} tasks executed" in built[0].stats()
+
+    whole = tmp_path / "whole"
+    run_gate(str(single.parent), str(whole), cfg, n_partitions=1)
+    stats = built[1].stats()
+    assert "MapBatches(_read_task)" not in stats
+    # one read block per batch, each its own gate task
+    read_op = next(line for line in stats.splitlines() if "ReadWorkItems" in line)
+    assert f"{8000 // sized} blocks produced" in read_op
+    gate_op = next(line for line in stats.splitlines()
+                   if "MapBatches(_gate_task_fn)->Write:" in line)
+    assert int(gate_op.split(": ")[1].split()[0]) >= 8000 // sized
+    a = pq.read_table(str(out / "docs")).to_pandas()
+    b = pq.read_table(str(whole / "docs")).to_pandas()
+    keys = ["url", "content_hash", "warc_ts"]
+    assert a.sort_values(keys).reset_index(drop=True).equals(
+        b.sort_values(keys).reset_index(drop=True))
+
+
+def test_partition_plan_follows_the_footers(ray_session, tmp_path):
+    """Work items are read inside the gate task only when every read
+    unit has a known count of at most one batch."""
+    from rsmetacheck_ray.pipelines.quality_gate import _partition_dataset
+
+    def fused(units):
+        units = [(str(tmp_path / p), f, c) for p, f, c in units]
+        for p, _, _ in units:
+            open(p, "w").close()
+        ds = _partition_dataset(units, "auto", 2048)
+        schema = ds.schema(fetch_if_missing=False)
+        return schema is not None and schema.names == ["work_item"]
+
+    assert fused([("a.parquet", "parquet", [2048, 100]),
+                  ("b.orc", "orc", [5])])
+    assert not fused([("a.parquet", "parquet", [2049])])
+    assert not fused([("a.parquet", "parquet", [10]),
+                      ("b.jsonl", "jsonl", None)])
+    assert _partition_dataset([("a.parquet", "parquet", [])], "auto",
+                              2048) is None
+
+
+def test_pages_dataset_keeps_row_bundling(ray_session, small_corpus):
+    """A pages Dataset (the registry queries' input) is still gated in
+    ``cfg.batch_size``-row bundles: four small blocks make one task."""
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines.quality_gate import build_gate
+
+    pages = pq.read_table(small_corpus[0])
+    ds = rd.from_arrow([pages.slice(i * 100, 100) for i in range(4)])
+    out = build_gate(ds).materialize()
+    assert out.count() == 400
+    gate_op = next(line for line in out.stats().splitlines()
+                   if "MapBatches(_gate_task_fn)" in line and "tasks executed" in line)
+    assert ": 1 tasks executed" in gate_op
+
+
+# --- per-format readers ------------------------------------------------------
+
+
+def read_pages(fmt: str, path) -> pa.Table:
+    """Every fragment of ``path`` (one file, or a directory listed by
+    the format's suffixes) read with ``FORMATS[fmt].read``, as one
+    table."""
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        FORMATS, list_parquet_fragments,
+    )
+
+    paths = list_parquet_fragments(str(path), FORMATS[fmt].suffixes)
+    return pa.concat_tables(
+        [t for p in paths for t in FORMATS[fmt].read(p)],
+        promote_options="default",
+    )
+
+
+def _big_jsonl(path: str) -> list[dict]:
+    """A JSONL fragment with a line larger than pyarrow's 1 MiB parse
+    block, placed so that it straddles a block boundary; returns the
+    rows as the reader must give them back."""
+    import datetime as dt
+
+    rows = [
+        {"url": f"https://a.example/s{i}", "warc_ts": "2023-01-01T00:00:01",
+         "text": "a short page " * 15, "lang": "en"}
+        for i in range(3000)
+    ]
+    rows += [
+        {"url": "https://a.example/big", "warc_ts": "2023-01-01T00:00:02",
+         "text": "word " * 400_000, "lang": "en"},
+        {"url": "https://a.example/last", "warc_ts": "2023-01-01T00:00:03.5",
+         "text": "another page", "lang": "fr"},
+    ]
+    with open(path, "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r) + "\n")
+    import pyarrow.json as pajson
+
+    with pytest.raises(pa.ArrowInvalid, match="straddling object"):
+        pajson.read_json(path)
+    return [
+        dict(r, html=None, warc_ts=dt.datetime.fromisoformat(r["warc_ts"]))
+        for r in rows
+    ]
+
+
+def _multiline_csv(path: str) -> list[dict]:
+    """CSV values with embedded newlines, quotes and commas; returns
+    the rows as the reader must give them back."""
+    from rsmetacheck_ray.sources.csv_pages import write_pages_csv
+
+    t = pa.table({
+        "url": ["https://c.example/1", "https://c.example/2"],
+        "warc_ts": pa.array([1_672_531_200_000_000, 1_672_531_201_000_000],
+                            pa.timestamp("us")),
+        "html": pa.array([b"<p>a\nb</p>", None], pa.binary()),
+        "text": ["line one\nline two\r\nline three", "quote \" and, comma\n"],
+        "lang": ["en", None],
+    })
+    write_pages_csv(t, path)
+    return t.to_pylist()
+
+
+@pytest.fixture(scope="module")
+def format_lake(ray_session, small_corpus, tmp_path_factory):
+    """{format: (fragment paths, expected page rows)}: the small corpus
+    written in every format, plus the edge cases each format's reader
+    has to get right."""
+    from tests.test_avro_source import _to_avro
+    from tests.test_csv_source import _to_csv
+    from tests.test_ipc_source import _to_ipc
+    from tests.test_jsonl_source import _to_jsonl
+    from tests.test_orc_source import _to_orc
+    from tests.test_tar_source import _to_tar
+    from tests.test_warc_source import _to_warc
+
+    from rsmetacheck_ray.schema import PAGES_COLUMNS
+
+    pages_dir, _ = small_corpus
+    pages = pq.read_table(pages_dir).select(PAGES_COLUMNS).to_pylist()
+    root = tmp_path_factory.mktemp("formats")
+    lake = {"parquet": (sorted(glob.glob(os.path.join(pages_dir, "*.parquet"))),
+                        pages)}
+    for fmt, conv in [("jsonl", _to_jsonl), ("csv", _to_csv),
+                      ("orc", lambda d, o: _to_orc(d, o, stripe_size=64 << 10)),
+                      ("ipc", lambda d, o: _to_ipc(d, o, max_chunksize=300)),
+                      ("tar", _to_tar), ("avro", _to_avro),
+                      ("warc", lambda d, o: _to_warc(d, o, gz_half=True))]:
+        conv(pages_dir, str(root / fmt))
+        # WARC carries no pre-extracted text
+        rows = [dict(r, text=None) for r in pages] if fmt == "warc" else pages
+        lake[fmt] = (sorted(glob.glob(str(root / fmt / "*"))), rows)
+    big = str(root / "jsonl" / "zz-big.jsonl")
+    lake["jsonl"] = (lake["jsonl"][0] + [big], pages + _big_jsonl(big))
+    multi = str(root / "csv" / "zz-multiline.csv")
+    lake["csv"] = (lake["csv"][0] + [multi], pages + _multiline_csv(multi))
+    assert any(p.endswith(".warc.gz") for p in lake["warc"][0])
+    assert any(p.endswith(".warc") for p in lake["warc"][0])
+    return lake
+
+
+@pytest.mark.parametrize(
+    "fmt", ["parquet", "jsonl", "csv", "warc", "orc", "ipc", "tar", "avro"])
+def test_format_read_gives_back_the_pages(format_lake, fmt):
+    """``FORMATS[fmt].read`` returns, fragment by fragment, exactly the
+    page rows that were written, in the shared pages schema."""
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS
+    from rsmetacheck_ray.schema import PAGES_COLUMNS, PAGES_SCHEMA
+
+    paths, expected = format_lake[fmt]
+    got = pa.concat_tables(
+        [t for p in paths for t in FORMATS[fmt].read(p)],
+        promote_options="default",
+    )
+    assert [(f.name, f.type) for f in got.select(PAGES_COLUMNS).schema] == [
+        (f.name, f.type) for f in PAGES_SCHEMA]
+    rows = got.select(PAGES_COLUMNS).sort_by("url").to_pylist()
+    assert rows == sorted(expected, key=lambda r: r["url"])
+    if fmt == "jsonl":
+        big = [r for r in rows if r["url"] == "https://a.example/big"]
+        assert len(big[0]["text"]) > 1 << 20
+
+
+def test_parquet_read_takes_row_group_runs(tmp_path):
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS
+
+    t = pa.table({"url": [f"u{i}" for i in range(10)]})
+    path = str(tmp_path / "p.parquet")
+    pq.write_table(t, path, row_group_size=3)
+    got = pa.concat_tables(FORMATS["parquet"].read(path, [1, 2]))
+    assert got.column("url").to_pylist() == [f"u{i}" for i in range(3, 9)]
+    assert FORMATS["parquet"].count_rows(path) == [3, 3, 3, 1]
+    # streamed in tables of at most batch_size rows
+    sizes = [len(b) for b in FORMATS["parquet"].read(path, None, 4)]
+    assert max(sizes) <= 4 and sum(sizes) == 10

@@ -22,7 +22,7 @@ def _to_ipc(pages_dir: str, out_dir: str, max_chunksize: int | None = None,
 
 
 def test_ipc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
-    from rsmetacheck_ray.sources.ipc_pages import read_pages_ipc
+    from tests.test_gate_read_plan import read_pages
 
     pages_dir, _ = small_corpus
     odir = tmp_path / "ipc"
@@ -37,7 +37,7 @@ def test_ipc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
         .reset_index(drop=True)
     )
     b = (
-        read_pages_ipc(str(odir))
+        read_pages("ipc", odir)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)[a.columns.tolist()]
@@ -47,20 +47,18 @@ def test_ipc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
 
 def test_ipc_multibatch_blocks_are_row_true(ray_session, small_corpus, tmp_path):
     """A small max_chunksize forces multiple record batches per file;
-    the datasource must emit one block per batch with all rows intact."""
-    from rsmetacheck_ray.sources.ipc_pages import (
-        count_rows_ipc,
-        read_pages_ipc,
-    )
+    the reader must emit one table per batch with all rows intact."""
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS
+    from rsmetacheck_ray.sources.ipc_pages import count_rows_ipc
 
     pages_dir, _ = small_corpus
     odir = tmp_path / "ipc_small"
     _to_ipc(pages_dir, str(odir), max_chunksize=100)
-    ds = read_pages_ipc(str(odir))
-    total = pq.read_table(pages_dir).num_rows
-    assert ds.count() == total
     files = glob.glob(str(odir / "*.arrow"))
-    assert ds.materialize().num_blocks() > len(files)  # >1 batch somewhere
+    tables = [t for f in files for t in FORMATS["ipc"].read(f)]
+    total = pq.read_table(pages_dir).num_rows
+    assert sum(t.num_rows for t in tables) == total
+    assert len(tables) > len(files)  # >1 batch somewhere
     assert sum(count_rows_ipc(f) for f in files) == total
 
 

@@ -21,7 +21,7 @@ def _to_orc(pages_dir: str, out_dir: str, stripe_size: int | None = None):
 
 
 def test_orc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
-    from rsmetacheck_ray.sources.orc_pages import read_pages_orc
+    from tests.test_gate_read_plan import read_pages
 
     pages_dir, _ = small_corpus
     odir = tmp_path / "orc"
@@ -36,7 +36,7 @@ def test_orc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
         .reset_index(drop=True)
     )
     b = (
-        read_pages_orc(str(odir))
+        read_pages("orc", odir)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)[a.columns.tolist()]
@@ -46,17 +46,17 @@ def test_orc_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
 
 def test_orc_multistripe_blocks_are_row_true(ray_session, small_corpus, tmp_path):
     """A small stripe_size forces multiple stripes per file; the
-    datasource must emit one block per stripe with all rows intact."""
-    from rsmetacheck_ray.sources.orc_pages import read_pages_orc
+    reader must emit one table per stripe with all rows intact."""
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS
 
     pages_dir, _ = small_corpus
     odir = tmp_path / "orc_small"
     _to_orc(pages_dir, str(odir), stripe_size=64 * 1024)
-    ds = read_pages_orc(str(odir))
+    files = glob.glob(str(odir / "*.orc"))
+    tables = [t for f in files for t in FORMATS["orc"].read(f)]
     total = pq.read_table(pages_dir).num_rows
-    assert ds.count() == total
-    n_files = len(glob.glob(str(odir / "*.orc")))
-    assert ds.materialize().num_blocks() > n_files  # >1 stripe somewhere
+    assert sum(t.num_rows for t in tables) == total
+    assert len(tables) > len(files)  # >1 stripe somewhere
 
 
 def test_orc_gate_matches_parquet_gate(ray_session, small_corpus, tmp_path):

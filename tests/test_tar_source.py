@@ -35,7 +35,7 @@ def _to_tar(pages_dir: str, out_dir: str, gz: bool = False):
 
 
 def test_tar_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
-    from rsmetacheck_ray.sources.tar_pages import read_pages_tar
+    from tests.test_gate_read_plan import read_pages
 
     pages_dir, _ = small_corpus
     tdir = tmp_path / "tar"
@@ -51,7 +51,7 @@ def test_tar_roundtrip_preserves_pages(ray_session, small_corpus, tmp_path):
     )
     cols = ["url", "warc_ts", "html", "text", "lang"]
     b = (
-        read_pages_tar(str(tdir))
+        read_pages("tar", tdir)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)[cols]
@@ -73,12 +73,12 @@ def test_tar_gate_matches_parquet_gate(ray_session, small_corpus, tmp_path):
 
 
 def test_tar_gzip_archive_reads(ray_session, small_corpus, tmp_path):
-    from rsmetacheck_ray.sources.tar_pages import read_pages_tar
+    from tests.test_gate_read_plan import read_pages
 
     pages_dir, _ = small_corpus
     tdir = tmp_path / "targz"
     _to_tar(pages_dir, str(tdir), gz=True)
-    n = read_pages_tar(str(tdir)).count()
+    n = read_pages("tar", tdir).num_rows
     assert n == pq.read_table(pages_dir).num_rows
 
 
@@ -119,7 +119,8 @@ def test_tar_corrupt_member_skips_fragment(ray_session, small_corpus, tmp_path):
 def test_tar_strict_timestamp_discipline(ray_session, tmp_path):
     """tz-offset warc_ts in a tar member nulls out exactly like the
     JSONL path (shared coerce_pages boundary)."""
-    from rsmetacheck_ray.sources.tar_pages import read_pages_tar, write_pages_tar
+    from rsmetacheck_ray.sources.tar_pages import write_pages_tar
+    from tests.test_gate_read_plan import read_pages
 
     t = pa.table(
         {
@@ -133,6 +134,6 @@ def test_tar_strict_timestamp_discipline(ray_session, tmp_path):
     )
     path = str(tmp_path / "pages.tar")
     write_pages_tar(t, path)
-    out = read_pages_tar(path).to_pandas().sort_values("url")
+    out = read_pages("tar", path).to_pandas().sort_values("url")
     assert out.iloc[0]["warc_ts"] is not None
     assert out.iloc[1]["warc_ts"] is None or str(out.iloc[1]["warc_ts"]) == "NaT"

@@ -14,7 +14,7 @@ import pytest
 from rsmetacheck_ray.sources.warc_pages import (
     parse_warc,
     probe_warc,
-    read_pages_warc,
+    read,
     write_warc,
 )
 
@@ -111,10 +111,9 @@ def test_identity_payload_and_bracketed_uri():
 def test_read_pages_warc_schema(ray_session, tmp_path):
     p = str(tmp_path / "f.warc.gz")
     write_warc(p, ROWS)
-    ds = read_pages_warc(p)
-    t = pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
+    (t,) = read(p)
     assert t.schema.field("warc_ts").type == pa.timestamp("us")
-    # row order across blocks is not guaranteed: look the row up by url
+    # look the row up by url, not by position
     by_url = dict(
         zip(t.column("url").to_pylist(), t.column("warc_ts").to_pylist())
     )

@@ -12,6 +12,14 @@ per-rule hit counts. Run it on two checkouts and diff the output:
 ``--write-dropped-text`` hashes the other output layout, in which dropped
 rows keep their scrubbed text (and its content hash) instead of null.
 
+``--run-gate`` hashes a real ``run_gate`` output instead: it starts a
+local Ray cluster, gates each seed's fragments in one partition, and
+hashes every written column with the rows sorted by (url, content_hash)
+and then by the remaining columns, so a change to the Ray path (read,
+task layout, write) can be diffed the same way:
+
+    python tools/gate_hash.py --workload html_gate --seeds 1 2 3 4 --run-gate
+
 Column hashes are taken over each value's exact Python repr (floats
 round-trip bit for bit), so two runs hash equal only if every value is
 identical.
@@ -44,6 +52,20 @@ def gate_output(fragments: list, cfg, write_dropped_text: bool = False):
     return pa.concat_tables(outs)
 
 
+def run_gate_output(fragments: list, cfg, out_dir: str):
+    """Every row ``run_gate`` writes for ``fragments`` (one partition),
+    in a total order: (url, content_hash), then the other columns."""
+    import pyarrow.parquet as pq
+
+    from rsmetacheck_ray.pipelines.quality_gate import run_gate
+
+    run_gate(fragments, out_dir, cfg, n_partitions=1)
+    out = pq.read_table(os.path.join(out_dir, "docs", "partition=0"))
+    keys = ["url", "content_hash"]
+    keys += [c for c in out.column_names if c not in keys]
+    return out.sort_by([(k, "ascending") for k in keys])
+
+
 def column_hashes(out) -> dict:
     return {
         name: hashlib.sha256(repr(out.column(name).to_pylist()).encode()).hexdigest()
@@ -64,15 +86,35 @@ def main(argv=None) -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
     ap.add_argument("--write-dropped-text", action="store_true",
                     help="keep the scrubbed text of dropped rows")
+    ap.add_argument("--run-gate", action="store_true",
+                    help="hash a run_gate output (starts a local Ray cluster)")
     args = ap.parse_args(argv)
 
     from gatebench import inputs
     from rsmetacheck_ray.config import DEFAULT_CONFIG as cfg
 
+    if args.run_gate:
+        if args.write_dropped_text:
+            ap.error("--run-gate writes the default layout only")
+        import tempfile
+
+        import ray
+
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR", log_to_driver=False)
+        from ray.data import DataContext
+
+        DataContext.get_current().enable_progress_bars = False
     w = inputs.WORKLOADS[args.workload]
     for seed in args.seeds:
         ins = inputs.prepare(w, seed, os.path.join(ROOT, ".gatebench", "cache"))
-        out = gate_output(ins.fragments, cfg, args.write_dropped_text)
+        if args.run_gate:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = run_gate_output(ins.fragments, cfg, os.path.join(tmp, "out"))
+        else:
+            out = gate_output(ins.fragments, cfg, args.write_dropped_text)
         print(f"# {args.workload} seed {seed}: {len(out)} rows, "
               f"kept {out.column('keep').to_numpy().sum()}")
         for name, digest in column_hashes(out).items():

@@ -1,7 +1,7 @@
 """No-Ray full-occupancy scaling probe for the gate's COMPUTE.
 
 Runs the complete per-document work of the WARC headline pipeline —
-record framing + member gunzip (``parse_warc``), timestamp
+gunzip and record framing (``FORMATS["warc"].read``), timestamp
 normalization, html → text extraction, langid, perplexity LM, the
 30-rule vector — in N plain OS processes (multiprocessing, no Ray, no
 object store, no write stage), pinned externally with taskset.
@@ -48,20 +48,14 @@ def _warc_dir() -> tuple[str, int]:
 
 def work(flist: list[str]) -> int:
     from rsmetacheck_ray.config import DEFAULT_CONFIG
-    from rsmetacheck_ray.pipelines.quality_gate import _gate_task_fn
-    from rsmetacheck_ray.sources.jsonl_pages import strict_iso_ts
-    from rsmetacheck_ray.sources.warc_pages import parse_warc
+    from rsmetacheck_ray.pipelines.quality_gate import FORMATS, _gate_task_fn
 
     n = 0
     for fp in flist:
-        with open(fp, "rb") as fh:
-            tbl = parse_warc(fh.read())
-        i = tbl.schema.get_field_index("warc_ts")
-        tbl = tbl.set_column(
-            i, "warc_ts", strict_iso_ts(tbl.column("warc_ts"))
-        )
-        _gate_task_fn(tbl, DEFAULT_CONFIG, False, False)
-        n += tbl.num_rows
+        for tbl in FORMATS["warc"].read(fp):
+            for _ in _gate_task_fn(tbl, DEFAULT_CONFIG, False, False):
+                pass
+            n += tbl.num_rows
     return n
 
 
