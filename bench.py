@@ -405,8 +405,6 @@ BENCH_QUERIES = [
     "gate_classifier_auc",
     "neyman_allocation",
     "stratified_neyman_sample",
-    "event_attribution",
-    "purchase_next_touch",
     "alpha_mixture_weights",
     "mmr_select",
     "source_quality_shrunk",
@@ -425,20 +423,12 @@ BENCH_QUERIES = [
     "kmeans_margin",
     "lang_tokenizer_fertility",
     "dedup_graph_diameter",
-    "part_golden_record",
-    "events_late_arrivals",
-    "events_value_near_pairs",
     "ivm_lang_tokens",
     "crawl_disallowed",
     "kwic_concordance",
     "top_quality_host_capped",
     "gate_rule_examples",
     "source_quality_influence",
-    "q1_pricing",
-    "events_hourly",
-    "events_sliding_3h",
-    "nation_order_stats",
-    "customers_without_orders",
     "doc_stats",
     "doc_encoding_flags",
     "doc_readability",
@@ -486,30 +476,13 @@ BENCH_QUERIES = [
     "gate_drop_vector",
     "gate_then_dedup",
     # fourth-session operators
-    "events_running_totals",
-    "events_value_ranks",
-    "events_value_corr",
-    "events_hour_moments",
-    "events_hourly_autocorr",
-    "decayed_type_counts",
-    "events_type_fano",
-    "events_changepoint",
-    "events_runs_test",
-    "events_cusum",
-    "customer_order_counts",
-    "customer_rfm_bins",
     "split_assign",
     "doc_sentences",
     "score_bigram_lm",
     "kmeans_clusters",
     "dedup_semantic",
     "pca_embeddings",
-    "events_latest_per_user",
-    "session_duration_quantiles",
-    "user_event_sequences",
-    "approx_quantiles_sampled",
     # sixth-session operators
-    "user_type_entropy",
     "bm25_search",
     "top_tokens_by_lang",
     "lang_keyness",
@@ -545,21 +518,9 @@ BENCH_QUERIES = [
     "term_postings",
     "token_budget_sample",
     # seventh-session operators
-    "price_quantiles",
     "collocations",
-    "events_ewma",
-    "common_users_by_type",
-    "price_quantiles_by_flag",
-    "events_zorder",
-    "user_type_islands",
-    "events_value_share",
-    # round-4 TPC-H shapes (built on the generic join API)
     # round-4 batch 2: the heaviest previously-unbenched pipelines
-    # (join showcase, actor-pool codec path) + this round's
-    # oracle-conversion queries
-    "shipping_priority",
-    "revenue_by_priority",
-    "orders_events_window",
+    # + this round's oracle-conversion queries
     "curate_semantic",
     "knn_ivf",
     "bpe_token_counts",
@@ -574,10 +535,7 @@ BENCH_QUERIES = [
     "host_lorenz",
     "lang_simpson",
     "events_temporal_gini",
-    "price_quantiles_weighted",
     "doc_token_novelty",
-    "part_soundex_blocks",
-    "event_value_heavy_hitters",
     "lang_shannon",
     "dedup_degree_hist",
     "source_score_calibration",

@@ -14,9 +14,9 @@ Two streaming passes, no all-to-all on document payloads:
     (doc, line) WITHIN the batch and emits per-batch partial counts:
     only the batch's UNIQUE ``(line_hash u64, n_docs i64)`` rows ever
     shuffle — bounded by the batch's line vocabulary, not its line
-    count (the q1_pricing partial-combine discipline). A small global
-    ``groupby(line_hash).sum`` then yields document frequencies, and
-    ``n_docs >= min_df`` prunes to the hot set.
+    count. A small global ``groupby(line_hash).sum`` then yields
+    document frequencies, and ``n_docs >= min_df`` prunes to the hot
+    set.
  2. **scrub pass** — the hot hashes broadcast ONCE (``ray.put``; the
     hot-set size is at most total_lines / min_df, and in practice the
     handful of template lines min_df is chosen to catch); a cached-

@@ -10,8 +10,7 @@ The reference has no cross-document analog (its only dedup is the
 per-document language ``set``, ``utils/pitfall_utils.py:21-37``); this
 is the training-data-pipeline step its rule catalog feeds at 100 TB.
 
-Size-gated plan (the ``_BROADCAST_MAX_ROWS`` discipline of
-pipelines/relational.py):
+Size-gated plan:
 
  - **small edge sets** (≤ ``LOCAL_MAX_EDGES``, i.e. ≤ ~32 MB of int64
    pairs): ONE Ray task runs a fully vectorized min-label propagation

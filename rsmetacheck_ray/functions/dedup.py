@@ -799,8 +799,7 @@ def embedding_near_dup_pairs(
 
 # Above this row count the exact O(n²·d) block-pair path stops being
 # defensible (10⁵ rows ≈ 5·10⁹ dot products); the public entry reroutes
-# to the LSH scale path (the _BROADCAST_MAX_ROWS size-gate discipline
-# of pipelines/relational.py).
+# to the LSH scale path.
 EXACT_EMBEDDING_MAX_ROWS = 100_000
 
 

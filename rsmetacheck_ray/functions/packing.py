@@ -18,8 +18,8 @@ Scale plan: the only shuffle is the 32-byte (doc_id, n_tokens, shard,
 part)
 projection onto a size-adaptive HASHED SHARD PARTITION; each
 ``map_groups`` call computes every shard of its partition in one
-lexsort + segment-reset cumulative sum (the sessionize discipline —
-Python-call count is O(#partitions), not O(#shards)). Token counting
+lexsort + segment-reset cumulative sum (the Python-call count is
+O(#partitions), not O(#shards)). Token counting
 is the vectorized RE2 pass of functions/tokenize.py; the text never
 shuffles. Packing is shard-local by construction, exactly like the
 training shards it models, so a 100 TB corpus packs embarrassingly

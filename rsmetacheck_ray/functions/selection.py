@@ -1,12 +1,10 @@
 """Distributed exact quantile selection by two-level radix counting.
 
-The engine's other exact-percentile paths (``events_value_percentiles``,
-``events_value_quantile_cont``) exploit a BOUNDED value domain — one
-histogram pass and driver math. This module handles the general case,
-a 32-bit-wide non-negative integer domain (e.g. price cents up to
-~$42M), where a single flat histogram would be 2³² buckets and a
-distributed sort a full shuffle: instead it runs TWO streaming counting
-passes —
+A BOUNDED value domain needs only one histogram pass and driver math.
+This module handles the general case, a 32-bit-wide non-negative
+integer domain (e.g. price cents up to ~$42M), where a single flat
+histogram would be 2³² buckets and a distributed sort a full shuffle:
+instead it runs TWO streaming counting passes —
 
  1. per-batch ``bincount`` of the HIGH 16 bits of each value (≤65,536
     partial rows per batch, reduced driver-side), locating for each

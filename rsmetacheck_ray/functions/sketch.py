@@ -107,13 +107,6 @@ def approx_distinct(ds: rd.Dataset, col: str) -> int:
     return hll_estimate(hll_merge(blobs))
 
 
-def approx_distinct_table(ds: rd.Dataset, col: str) -> pa.Table:
-    """Driver-contract-friendly wrapper: one-row result table."""
-    return pa.table(
-        {"approx_distinct": pa.array([approx_distinct(ds, col)], pa.int64())}
-    )
-
-
 # ---------------------------------------------------------------------------
 # Count-min sketch — approximate per-item FREQUENCY at unbounded
 # vocabulary (Cormode & Muthukrishnan 2005). The companion to HLL:
@@ -634,8 +627,7 @@ def approx_quantiles_by_key(
     """(key, q, estimate): per-group approximate quantiles — the MRL
     sketch as a grouped aggregate (one KB-scale sketch blob per
     (batch, key) into the shuffle, associative level-wise merge per
-    group), the unbounded-domain companion to the exact bounded-domain
-    percentiles in pipelines/relational.py.
+    group), for value domains too wide for an exact histogram.
 
     ``with_sketch=True`` additionally emits each group's FINAL merged
     sketch content as marker rows (q = −(level+1), estimate = item;

@@ -28,7 +28,7 @@ Scale shape (100 TB discipline): two corpus passes, no more.
  1. **DF pass** (partial-combined): per batch, per-document-distinct
     terms collapse through one Arrow ``group_by`` so the global
     ``groupby(term).sum`` ships per-batch partials only.
- 2. **Score pass**, size-gated like ``relational.py``'s join plan:
+ 2. **Score pass**, size-gated like ``pipelines/join.py``'s plan:
     - *broadcast* (df table ≤ ``broadcast_max_terms``): the sorted
       (term, df) arrays ride the object store once; each batch scores
       and top-k's its own documents — a document is one row, so its

@@ -1180,9 +1180,9 @@ def active_learning_pool(sf_dir: str, k: int = _UNCERTAIN_K) -> rd.Dataset:
     the docs whose labels teach the classifier most. Ties break to the
     lowest doc_id.
 
-    The sort+limit discipline of relational.top_orders: per-batch
-    local bottom-k prune, then a global sort over only the tiny
-    survivors — the corpus is never globally sorted."""
+    Sort+limit: per-batch local bottom-k prune, then a global sort
+    over only the tiny survivors — the corpus is never globally
+    sorted."""
     from ..functions.classifier import TH_DEN, TH_NUM, classify_quality
 
     scored = classify_quality(_docs(sf_dir, ["doc_id", "text"]))

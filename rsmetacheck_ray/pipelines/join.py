@@ -144,7 +144,6 @@ def join(
     *,
     by: str | tuple[str, str] | None = None,
     right_bounds: tuple[str, str] | None = None,
-    direction: str = "backward",
     broadcast_max: int = BROADCAST_MAX_ROWS,
     num_partitions: int | None = None,
 ) -> rd.Dataset:
@@ -162,9 +161,8 @@ def join(
       - ``semi`` / ``anti``: left columns only, filtered by (non-)
         existence of a right match.
       - ``asof``: ``by`` = equi-key, ``on`` = ordering column; each
-        left row gets the latest right row with ``r.on <= l.on``
-        (``direction="backward"``; ``"forward"`` = earliest with
-        ``>=``). Left join semantics (unmatched → nulls).
+        left row gets the latest right row with ``r.on <= l.on``.
+        Left join semantics (unmatched → nulls).
       - ``range``: ``by`` = equi-key, ``on`` = left value column,
         ``right_bounds=(lo, hi)``; inner join on
         ``lo <= value <= hi``.
@@ -182,7 +180,7 @@ def join(
         lb, rb = (by, by) if isinstance(by, str) else by
         lo_, ro_ = (on, on) if isinstance(on, str) else on
         return _asof_join(
-            left, right, lb, rb, lo_, ro_, direction, num_partitions
+            left, right, lb, rb, lo_, ro_, num_partitions
         )
     if how == "range":
         if by is None or on is None or right_bounds is None:
@@ -415,7 +413,7 @@ def _equi_copart(
 
 
 # ---------------------------------------------------------------------------
-# as-of join (by key, backward/forward on an ordering column)
+# as-of join (by key, backward on an ordering column)
 # ---------------------------------------------------------------------------
 
 def _ord_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -433,11 +431,8 @@ def _asof_join(
     rb: str,
     l_on: str,
     r_on: str,
-    direction: str,
     num_partitions: int | None,
 ) -> rd.Dataset:
-    if direction not in ("backward", "forward"):
-        raise ValueError(f"direction={direction!r}")
     l_schema = _schema_of(left)
     r_schema = _schema_of(right)
     l_cols = list(l_schema.names)
@@ -483,7 +478,6 @@ def _asof_join(
     both = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    fwd = direction == "forward"
 
     def merge(g: pa.Table) -> pa.Table:
         tag = g.column("_jtag").to_numpy(zero_copy_only=False)
@@ -523,8 +517,6 @@ def _asof_join(
         )
         l_codes, r_codes = codes[lsel], codes[rsel]
         l_ts, r_ts = ts[lsel], ts[rsel]
-        if fwd:  # mirror: forward asof = backward on negated time
-            l_ts, r_ts = -l_ts, -r_ts
         # one lexsorted sweep: right rows sort BEFORE left rows at
         # equal (code, ts) so 'r.ts <= l.ts' is inclusive; a per-code
         # segment cummax of right-row indices gives each left row its

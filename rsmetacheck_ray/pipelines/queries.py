@@ -4,10 +4,10 @@
 Each callable takes ``sf_dir`` and returns a Dataset / Arrow table; the
 SQL string (when present) is the DuckDB-equivalent over the driver's
 pre-registered views — same column NAMES and value domains, integer
-cents for anything summed (see pipelines/relational.py's exactness
-discipline). SQL-less entries are genuinely non-SQL-expressible
-(sketches, model scoring, approximate search) and get the driver's
-rows-only check; their correctness is pinned by pytest instead.
+counts for anything summed so both engines agree exactly. SQL-less
+entries are genuinely non-SQL-expressible (sketches, model scoring,
+approximate search) and get the driver's rows-only check; their
+correctness is pinned by pytest instead.
 
 The gate queries run the REAL pipeline (sources/pages_from_documents →
 stages/extract → langid → perplexity → stages/rules) and the oracle
@@ -60,11 +60,9 @@ from ..stages.rules import (
     PLACEHOLDER_RE,
     URL_ANY_RE,
 )
-from . import analytics as ana
 from . import corpus as cor
 from . import corpus2 as cor2
 from . import corpus3 as cor3
-from . import relational as rel
 from . import stats as st
 from .quality_gate import build_gate
 
@@ -2868,115 +2866,6 @@ ORDER BY threshold
 """
 
 
-_PRICE_QS = [0.25, 0.5, 0.75, 0.99]
-
-
-def q_price_quantiles(sf_dir: str):
-    """Exact quantile_disc of lineitem price cents by two-level radix
-    counting (functions/selection.py) — the wide-domain counterpart of
-    the bounded-histogram percentile family. TWO streaming counting
-    passes, no sort, count partials only on the wire."""
-    from ..functions.selection import radix_quantiles
-
-    ds = read_pq(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice"],
-    ).map_batches(
-        lambda b: pa.table({"cents": rel._cents(b.column("l_extendedprice"))}),
-        batch_format="pyarrow",
-    )
-    vals = radix_quantiles(ds, "cents", _PRICE_QS)
-    if vals is None:
-        return pa.table(
-            {
-                "q": pa.array([], pa.float64()),
-                "price_cents": pa.array([], pa.int64()),
-            }
-        )
-    return pa.table(
-        {
-            "q": pa.array(_PRICE_QS, pa.float64()),
-            "price_cents": pa.array(vals, pa.int64()),
-        }
-    )
-
-
-SQL_PRICE_QUANTILES = """
-WITH c AS (
-  SELECT CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS cents
-  FROM lineitem
-)
-SELECT 0.25::DOUBLE AS q,
-       CAST(quantile_disc(cents, 0.25) AS BIGINT) AS price_cents FROM c
-UNION ALL
-SELECT 0.5::DOUBLE, CAST(quantile_disc(cents, 0.5) AS BIGINT) FROM c
-UNION ALL
-SELECT 0.75::DOUBLE, CAST(quantile_disc(cents, 0.75) AS BIGINT) FROM c
-UNION ALL
-SELECT 0.99::DOUBLE, CAST(quantile_disc(cents, 0.99) AS BIGINT) FROM c
-ORDER BY q
-"""
-
-
-def q_price_quantiles_weighted(sf_dir: str):
-    """Quantity-WEIGHTED exact price quantiles — the "typical traded
-    price" (each lineitem counts once per unit, so a 50-unit line
-    moves the median 50× more than a 1-unit line; the VWAP-style view
-    of the same wide cents domain as `price_quantiles`). Two streaming
-    counting passes with integer WEIGHT sums in place of counts
-    (functions/selection.radix_weighted_quantiles) — no sort, no row
-    shuffle, identical plan at any scale."""
-    from ..functions.selection import radix_weighted_quantiles
-
-    ds = read_pq(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice", "l_quantity"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "cents": rel._cents(b.column("l_extendedprice")),
-                "w": pc.cast(b.column("l_quantity"), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    vals = radix_weighted_quantiles(ds, "cents", "w", _PRICE_QS)
-    if vals is None:
-        return pa.table(
-            {
-                "q": pa.array([], pa.float64()),
-                "price_cents": pa.array([], pa.int64()),
-            }
-        )
-    return pa.table(
-        {
-            "q": pa.array(_PRICE_QS, pa.float64()),
-            "price_cents": pa.array(vals, pa.int64()),
-        }
-    )
-
-
-def _sql_price_quantiles_weighted() -> str:
-    per_q = "\nUNION ALL\n".join(
-        f"""SELECT {q}::DOUBLE AS q,
-  (SELECT min(cents) FROM cum CROSS JOIN tot
-   WHERE cw >= greatest(1, CAST(ceil({q} * W) AS BIGINT))) AS price_cents"""
-        for q in _PRICE_QS
-    )
-    return f"""
-WITH c AS (
-  SELECT CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS cents,
-         CAST(l_quantity AS BIGINT) AS w
-  FROM lineitem
-), agg AS (SELECT cents, CAST(SUM(w) AS BIGINT) AS w FROM c GROUP BY 1),
-cum AS (
-  SELECT cents, SUM(w) OVER (ORDER BY cents) AS cw FROM agg
-), tot AS (SELECT CAST(SUM(w) AS BIGINT) AS W FROM agg)
-{per_q}
-ORDER BY q
-"""
-
-
 _CAL_QS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -3101,322 +2990,6 @@ j AS MATERIALIZED (
 SELECT per_src.source, per_src.q, per_src.source_score, gq.global_score
 FROM per_src JOIN gq USING (q)
 ORDER BY source, q
-"""
-
-
-_HH_PHI = 0.0005
-
-
-def q_event_value_heavy_hitters(sf_dir: str):
-    """(value_cents, n): every event value (in cents) carrying at
-    least a 0.05% share of all events — EXACT heavy hitters over the
-    wide cents domain, no sketch error and no caps (the CMS sketch in
-    `cms_heavy_hitters` is the approximate cousin; this is the
-    support-bounded exact form). Pass 1's high-bucket totals are a
-    sound prune (a value's count ≤ its bucket's total) and at most
-    1/φ buckets can hold ≥ φ·N mass, so pass 2's exact counting is
-    support-bounded regardless of corpus size — two streaming counting
-    passes, zero sorts, zero row shuffles."""
-    from ..functions.selection import radix_heavy_hitters
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"), columns=["value"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "cents": pa.array(
-                    np.floor(
-                        b.column("value").to_numpy(zero_copy_only=False)
-                        * 100.0
-                        + 0.5
-                    ),
-                    pa.float64(),
-                )
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    t = radix_heavy_hitters(ds, "cents", _HH_PHI)
-    if t is None:
-        t = pa.table(
-            {"value": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-    return t.rename_columns(["value_cents", "n"])
-
-
-def _sql_event_value_heavy_hitters() -> str:
-    return f"""
-WITH c AS (
-  SELECT CAST(floor(value * 100 + 0.5) AS BIGINT) AS v
-  FROM events WHERE value IS NOT NULL
-), g AS (SELECT CAST(COUNT(*) AS BIGINT) AS N FROM c)
-SELECT v AS value_cents, CAST(COUNT(*) AS BIGINT) AS n
-FROM c CROSS JOIN g
-GROUP BY v, g.N
-HAVING COUNT(*) >= greatest(1, CAST(ceil({_HH_PHI} * N) AS BIGINT))
-ORDER BY n DESC, value_cents
-"""
-
-
-def q_part_soundex_blocks(sf_dir: str):
-    """(soundex, n_parts, n_names): part rows blocked by the American
-    Soundex code of their name's first word — the phonetic blocking
-    stage of entity resolution (block on the code, verify inside; the
-    FastSS edit-distance join is the verify-stage analog). n_names
-    counts distinct full names per block, so n_parts ≫ n_names flags a
-    block dominated by exact repeats rather than phonetic variety.
-
-    Plan: one vectorized replace-chain column pass (RE2 on both
-    engines — no backreferences, so run-collapse is six per-digit
-    replaces); per-batch (code, name) count partials reduce under the
-    bounded guard on the name-template domain; the rollup is
-    |codes|-bounded driver work."""
-    from ..functions.phonetic import soundex_arrow
-
-    ds = read_pq(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_name"]
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        name = b.column("p_name")
-        if isinstance(name, pa.ChunkedArray):
-            name = name.combine_chunks()
-        t = pa.table({"soundex": soundex_arrow(name), "name": name})
-        t = t.filter(pc.is_valid(t.column("soundex")))
-        g = t.group_by(["soundex", "name"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["soundex", "name", "n"])
-        return g.set_column(2, "n", pc.cast(g.column(2), pa.int64()))
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["soundex", "name"],
-        [("n", "sum")],
-    )
-    empty = pa.table(
-        {
-            "soundex": pa.array([], pa.string()),
-            "n_parts": pa.array([], pa.int64()),
-            "n_names": pa.array([], pa.int64()),
-        }
-    )
-    if tbl is None:
-        return empty
-    acc: dict[str, list[int]] = {}
-    for code, n in zip(
-        tbl.column("soundex").to_pylist(),
-        tbl.column("n").to_pylist(),
-    ):
-        a = acc.setdefault(code, [0, 0])
-        a[0] += int(n)
-        a[1] += 1
-    codes = sorted(acc)
-    return pa.table(
-        {
-            "soundex": pa.array(codes, pa.string()),
-            "n_parts": pa.array([acc[c][0] for c in codes], pa.int64()),
-            "n_names": pa.array([acc[c][1] for c in codes], pa.int64()),
-        }
-    )
-
-
-def q_part_golden_record(sf_dir: str):
-    """(soundex, n_parts, canonical_partkey, canonical_brand,
-    canonical_type): SURVIVORSHIP per phonetic entity block — the
-    'golden record' step after blocking: the canonical id is the
-    block's minimum partkey, and the canonical brand/type are the
-    block MAJORITY values (most frequent; ties → lexicographically
-    smallest — the deterministic most-common-value merge rule master-
-    data systems apply). Per-batch (code, brand/type) count partials
-    on bounded domains (|codes|×|brands|, |codes|×|types|); the mode
-    resolution is |codes|-bounded driver work."""
-    from ..functions.phonetic import soundex_arrow
-
-    ds = read_pq(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_name", "p_brand", "p_type"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        name = b.column("p_name")
-        if isinstance(name, pa.ChunkedArray):
-            name = name.combine_chunks()
-        t = pa.table(
-            {
-                "soundex": soundex_arrow(name),
-                "p_partkey": pc.cast(b.column("p_partkey"), pa.int64()),
-                "p_brand": b.column("p_brand"),
-                "p_type": b.column("p_type"),
-            }
-        )
-        t = t.filter(pc.is_valid(t.column("soundex")))
-        g = t.group_by(["soundex", "p_brand", "p_type"]).aggregate(
-            [([], "count_all"), ("p_partkey", "min")]
-        )
-        return pa.table(
-            {
-                "soundex": g.column("soundex"),
-                "p_brand": g.column("p_brand"),
-                "p_type": g.column("p_type"),
-                "n": pc.cast(g.column("count_all"), pa.int64()),
-                "min_key": pc.cast(g.column("p_partkey_min"), pa.int64()),
-            }
-        )
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["soundex", "p_brand", "p_type"],
-        [("n", "sum"), ("min_key", "min")],
-    )
-    empty = pa.table(
-        {
-            "soundex": pa.array([], pa.string()),
-            "n_parts": pa.array([], pa.int64()),
-            "canonical_partkey": pa.array([], pa.int64()),
-            "canonical_brand": pa.array([], pa.string()),
-            "canonical_type": pa.array([], pa.string()),
-        }
-    )
-    if tbl is None or tbl.num_rows == 0:
-        return empty
-    from collections import defaultdict
-
-    nparts: dict[str, int] = defaultdict(int)
-    minkey: dict[str, int] = {}
-    brand_n: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    type_n: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for code, br, ty, n, mk in zip(
-        tbl.column("soundex").to_pylist(),
-        tbl.column("p_brand").to_pylist(),
-        tbl.column("p_type").to_pylist(),
-        tbl.column("n").to_pylist(),
-        tbl.column("min_key").to_pylist(),
-    ):
-        nparts[code] += n
-        minkey[code] = min(minkey.get(code, mk), mk)
-        brand_n[code][br] += n
-        type_n[code][ty] += n
-
-    def mode(d: dict[str, int]) -> str:
-        return min(d, key=lambda v: (-d[v], v))
-
-    codes = sorted(nparts)
-    return pa.table(
-        {
-            "soundex": pa.array(codes, pa.string()),
-            "n_parts": pa.array([nparts[c] for c in codes], pa.int64()),
-            "canonical_partkey": pa.array(
-                [minkey[c] for c in codes], pa.int64()
-            ),
-            "canonical_brand": pa.array(
-                [mode(brand_n[c]) for c in codes], pa.string()
-            ),
-            "canonical_type": pa.array(
-                [mode(type_n[c]) for c in codes], pa.string()
-            ),
-        }
-    )
-
-
-def _sql_part_golden_record() -> str:
-    from ..functions.phonetic import soundex_sql
-
-    return f"""
-WITH coded AS (
-  SELECT {soundex_sql('p_name')} AS soundex, p_partkey, p_brand, p_type
-  FROM part
-),
-ok AS (SELECT * FROM coded WHERE soundex IS NOT NULL),
-base AS (
-  SELECT soundex, CAST(COUNT(*) AS BIGINT) AS n_parts,
-    CAST(MIN(p_partkey) AS BIGINT) AS canonical_partkey
-  FROM ok GROUP BY soundex
-),
-bmode AS (
-  SELECT soundex, p_brand AS canonical_brand FROM (
-    SELECT soundex, p_brand, COUNT(*) AS n FROM ok
-    GROUP BY soundex, p_brand
-  )
-  QUALIFY row_number() OVER (
-    PARTITION BY soundex ORDER BY n DESC, p_brand) = 1
-),
-tmode AS (
-  SELECT soundex, p_type AS canonical_type FROM (
-    SELECT soundex, p_type, COUNT(*) AS n FROM ok
-    GROUP BY soundex, p_type
-  )
-  QUALIFY row_number() OVER (
-    PARTITION BY soundex ORDER BY n DESC, p_type) = 1
-)
-SELECT b.soundex, b.n_parts, b.canonical_partkey,
-  bm.canonical_brand, tm.canonical_type
-FROM base b
-JOIN bmode bm ON bm.soundex = b.soundex
-JOIN tmode tm ON tm.soundex = b.soundex
-"""
-
-
-def _sql_part_soundex_blocks() -> str:
-    from ..functions.phonetic import soundex_sql
-
-    return f"""
-WITH coded AS (
-  SELECT {soundex_sql('p_name')} AS soundex, p_name FROM part
-)
-SELECT soundex, CAST(COUNT(*) AS BIGINT) AS n_parts,
-  CAST(COUNT(DISTINCT p_name) AS BIGINT) AS n_names
-FROM coded WHERE soundex IS NOT NULL
-GROUP BY soundex
-ORDER BY soundex
-"""
-
-
-_FLAG_QS = [0.5, 0.9]
-
-
-def q_price_quantiles_by_flag(sf_dir: str):
-    """Grouped exact quantile_disc over the wide price domain — the
-    per-group form of `price_quantiles` (two counting passes, no
-    sort; group domain = l_returnflag, bounded)."""
-    from ..functions.selection import radix_quantiles_by_group
-
-    ds = read_pq(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_extendedprice"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "l_returnflag": b.column("l_returnflag"),
-                "cents": rel._cents(b.column("l_extendedprice")),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    t = radix_quantiles_by_group(ds, "l_returnflag", "cents", _FLAG_QS)
-    if t is None:
-        return pa.table(
-            {
-                "l_returnflag": pa.array([], pa.string()),
-                "q": pa.array([], pa.float64()),
-                "price_cents": pa.array([], pa.int64()),
-            }
-        )
-    return t.rename_columns(["l_returnflag", "q", "price_cents"])
-
-
-SQL_PRICE_QUANTILES_BY_FLAG = """
-WITH c AS (
-  SELECT l_returnflag,
-         CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT) AS cents
-  FROM lineitem
-)
-SELECT l_returnflag, 0.5::DOUBLE AS q,
-       CAST(quantile_disc(cents, 0.5) AS BIGINT) AS price_cents
-FROM c GROUP BY l_returnflag
-UNION ALL
-SELECT l_returnflag, 0.9::DOUBLE,
-       CAST(quantile_disc(cents, 0.9) AS BIGINT)
-FROM c GROUP BY l_returnflag
-ORDER BY l_returnflag, q
 """
 
 
@@ -5813,7 +5386,6 @@ FROM documents d LEFT JOIN scored s ON s.doc_id = d.doc_id
 
 # quartile cutpoints: exactly-representable binary fractions so the
 # engine's ceil(q*n) walk can never drift from the oracle's float math
-# (the events_value_percentiles discipline)
 _BIN_QS = (0.25, 0.5, 0.75)
 
 
@@ -6569,464 +6141,6 @@ def q_cms_heavy_hitters(sf_dir: str):
     )
     _ensure_cms_export(sf_dir, toks)
     return rd.from_arrow(cms_rank_candidates(tab, toks, k=50))
-
-
-def q_common_users_by_type(sf_dir: str):
-    """Pairwise ESTIMATED common distinct users between event types —
-    the set-INTERSECTION cardinality HLL cannot provide, from bottom-k
-    (KMV) sketches (functions/sketch.py).
-
-    Plan: per batch, one bottom-k partial per event type (distinct
-    splitmix64 user hashes, k smallest — ≤ |types|·k sketch rows per
-    batch on the wire, never user rows); a |types|-group merge keeps
-    each type's global bottom-k; the driver forms the |types|² pair
-    estimates from the bounded sketch table.
-
-    Oracle note: a KMV sketch with fewer than k entries IS the complete
-    distinct hash set, so the estimate is EXACT whenever per-type
-    distinct users ≤ k=4096 — true at the driver's correctness SF
-    (hence the SQL oracle); at larger scale it degrades to the
-    standard θ-thresholded KMV estimate (accuracy pinned in
-    tests/test_sketch.py)."""
-    from ..functions.sketch import (
-        KMV_K, kmv_intersection, kmv_merge, kmv_partial,
-    )
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "user_id"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        et = b.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        enc = et.dictionary_encode()
-        types = enc.dictionary.to_pylist()
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        uid = b.column("user_id").to_numpy(zero_copy_only=False)
-        out_t, out_h = [], []
-        for i, t in enumerate(types):
-            h = kmv_partial(uid[idx == i])
-            out_t.extend([t] * len(h))
-            out_h.append(h)
-        return pa.table(
-            {
-                "event_type": pa.array(out_t, pa.string()),
-                "h": pa.array(
-                    np.concatenate(out_h)
-                    if out_h
-                    else np.empty(0, np.uint64),
-                    pa.uint64(),
-                ),
-            }
-        )
-
-    def merge(g: pa.Table) -> pa.Table:
-        h = kmv_merge(
-            [g.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)]
-        )
-        t = g.column("event_type")[0].as_py()
-        return pa.table(
-            {
-                "event_type": pa.array([t] * len(h), pa.string()),
-                "h": pa.array(h, pa.uint64()),
-            }
-        )
-
-    sketches = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pyarrow")
-    )
-    tbl = sketches.take_all()  # ≤ |types| × k sketch rows — bounded
-    by_type: dict[str, list] = {}
-    for r in tbl:
-        by_type.setdefault(r["event_type"], []).append(r["h"])
-    sk = {
-        t: np.asarray(sorted(hs), np.uint64) for t, hs in by_type.items()
-    }
-    types = sorted(sk)
-    rows_a, rows_b, rows_e = [], [], []
-    for i, a in enumerate(types):
-        for b in types[i + 1:]:
-            est = kmv_intersection(sk[a], sk[b])
-            if est > 0:
-                rows_a.append(a)
-                rows_b.append(b)
-                rows_e.append(est)
-    return pa.table(
-        {
-            "type_a": pa.array(rows_a, pa.string()),
-            "type_b": pa.array(rows_b, pa.string()),
-            "est_common": pa.array(rows_e, pa.int64()),
-        }
-    )
-
-
-SQL_COMMON_USERS = """
-WITH tu AS (SELECT DISTINCT event_type, user_id FROM events)
-SELECT a.event_type AS type_a, b.event_type AS type_b,
-       CAST(COUNT(*) AS BIGINT) AS est_common
-FROM tu a JOIN tu b
-  ON a.user_id = b.user_id AND a.event_type < b.event_type
-GROUP BY 1, 2
-ORDER BY 1, 2
-"""
-
-
-def q_approx_distinct_users(sf_dir: str):
-    """HyperLogLog distinct user count over events (the mergeable
-    cardinality sketch; deterministic, rows-only — accuracy pinned by
-    tests/test_sketch.py against the exact distinct)."""
-    from ..functions.sketch import approx_distinct_table
-
-    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
-    return approx_distinct_table(ds, "user_id")
-
-
-def q_approx_distinct_users_by_type(sf_dir: str):
-    """Per-event-type HLL distinct users — the mergeable sketch as a
-    GROUPED aggregate (one 4 KiB register blob per (batch, key) into
-    the shuffle, register-max reduce per group). The estimate itself
-    is deterministic and order-free (exact-integer harmonic sum), so
-    the DuckDB oracle re-derives every register and estimate from raw
-    rows; per-group accuracy vs exact stays pinned in
-    tests/test_sketch.py."""
-    from ..functions.sketch import approx_distinct_by_key
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "user_id"],
-    )
-    return approx_distinct_by_key(ds, "event_type", "user_id")
-
-
-def _sql_hll(group_cols: str) -> str:
-    """HLL re-derivation: splitmix64(user_id) → (register, rank) →
-    per-group register max → the exact-integer harmonic estimate. The
-    ``bin()`` string length gives the exact bit length (floor(log2)
-    rounds wrong within half an ulp of integer exponents)."""
-    from ..functions.sketch import _ALPHA, N_REGS, P_BITS
-
-    g = group_cols
-    gsel = f"{g}, " if g else ""
-    gby = f"GROUP BY {g}" if g else ""
-    sm, cte, col = _sql_splitmix_ctes("hqm", "uvals", "v")
-    w_mask = (1 << (64 - P_BITS)) - 1
-    two53 = 1 << 53
-    return f"""
-uvals AS (SELECT {gsel}CAST(user_id AS UBIGINT) AS v FROM events),
-{sm.strip()},
-rw AS (
-  SELECT {gsel}{col} >> {64 - P_BITS} AS idx,
-         {col} % {w_mask + 1} AS w
-  FROM {cte}
-),
-rk AS (
-  SELECT {gsel}idx,
-    CASE WHEN w = 0 THEN {64 - P_BITS + 1}
-         ELSE {64 - P_BITS + 1} - length(bin(CAST(w AS BIGINT))) END
-      AS rank
-  FROM rw
-),
-regs AS (
-  SELECT {gsel}idx, MAX(rank) AS r FROM rk GROUP BY {gsel}idx
-),
-hagg AS (
-  SELECT {gsel}
-    SUM(CAST(CAST(1 AS BIGINT) << (53 - r) AS HUGEINT)) AS s,
-    COUNT(*) AS nidx
-  FROM regs {gby}
-),
-hest AS (
-  SELECT {gsel}
-    ((CAST({_ALPHA!r} AS DOUBLE) * {float(N_REGS)!r}) * {float(N_REGS)!r})
-      / (CAST(s + CAST({N_REGS} - nidx AS HUGEINT) * {two53}
-              AS DOUBLE) / CAST({float(two53)!r} AS DOUBLE)) AS raw,
-    {N_REGS} - nidx AS zeros
-  FROM hagg
-),
-hfinal AS (
-  SELECT {gsel}
-    CAST(FLOOR((CASE WHEN raw <= {2.5 * N_REGS!r} AND zeros > 0
-          THEN {float(N_REGS)!r} * ln({float(N_REGS)!r}
-                                      / CAST(zeros AS DOUBLE))
-          ELSE raw END) + 0.5) AS BIGINT) AS approx_distinct
-  FROM hest
-)"""
-
-
-def _sql_approx_distinct_users() -> str:
-    return f"""
-WITH {_sql_hll("").strip()}
-SELECT approx_distinct FROM hfinal
-"""
-
-
-def _sql_approx_distinct_users_by_type() -> str:
-    return f"""
-WITH {_sql_hll("event_type").strip()}
-SELECT event_type, approx_distinct FROM hfinal
-"""
-
-
-def q_approx_quantiles_by_type(sf_dir: str):
-    """Per-event-type MRL quantile estimates — the mergeable quantile
-    sketch as a GROUPED aggregate (one KB blob per (batch, key), level-
-    wise merge per group); the unbounded-domain companion to the exact
-    events_value_percentiles. Since r5: each group's final merged
-    sketch rides out of the merge task as marker rows (q = −(level+1))
-    — exported from THE task that produced the answers, so the oracle
-    validates and re-derives from the exact same compaction — and the
-    sketch-validating SQL oracle recomputes every estimate (see
-    q_approx_quantiles). Per-group rank error vs exact remains pinned
-    in tests/test_sketch.py."""
-    from ..functions.sketch import approx_quantiles_by_key
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "value"],
-    )
-    full = approx_quantiles_by_key(
-        ds, "event_type", "value", with_sketch=True
-    ).take_all()  # bounded: |types| × (|qs| + MRL_K·levels) rows
-    sketch_levels = [
-        (r["event_type"], int(-r["q"]) - 1, [r["estimate"]])
-        for r in full
-        if r["q"] < 0
-    ]
-    _export_mrl_sketch(sketch_levels, "mrl_by_type.parquet", grouped=True)
-    est = [r for r in full if r["q"] > 0]
-    return pa.table(
-        {
-            "event_type": pa.array(
-                [r["event_type"] for r in est], pa.string()
-            ),
-            "q": pa.array([r["q"] for r in est], pa.float64()),
-            "estimate": pa.array([r["estimate"] for r in est], pa.float64()),
-        }
-    )
-
-
-def q_approx_quantiles(sf_dir: str):
-    """MRL/KLL-family mergeable quantile sketch over event values —
-    one partial-sketch pass, no sort shuffle. Since r5 the FINAL
-    merged sketch is exported as (item, weight=2^level) rows and the
-    DuckDB oracle (a) VALIDATES it against the raw table — total
-    weight must equal the non-null row count exactly (the compactor's
-    odd-element rule never drops weight) and every item must be an
-    actual data value — then (b) re-derives every estimate from the
-    validated sketch with the engine's rule: the smallest value whose
-    cumulative weight reaches ceil(q·N). Only the compaction CHOICES
-    (which elements survive a halving) stay engine-side; ≤0.5 % rank
-    error and merge associativity remain pinned by
-    tests/test_sketch.py."""
-    from ..functions.sketch import approx_quantiles
-
-    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["value"])
-    levels_out: list = []
-    t = approx_quantiles(ds, "value", levels_out=levels_out)
-    _export_mrl_sketch(levels_out[0], "mrl_global.parquet")
-    return t
-
-
-_MRL_EXPORT_DIR = "/tmp/rsmetacheck_mrl_oracle"
-
-
-def _export_mrl_sketch(levels, fname: str, grouped: bool = False) -> None:
-    """(item, weight) rows of a merged MRL sketch — atomic tmp+rename
-    like the other oracle parameter exports. ``grouped``: levels is an
-    iterable of (key, level, values) instead of a per-level list."""
-    import pyarrow.parquet as _pq
-
-    os.makedirs(_MRL_EXPORT_DIR, exist_ok=True)
-    out = os.path.join(_MRL_EXPORT_DIR, fname)
-    tmp = out + f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-    items, weights, kcol = [], [], []
-    if not grouped:
-        for lvl, buf in enumerate(levels):
-            items.extend(float(x) for x in buf)
-            weights.extend([1 << lvl] * len(buf))
-        cols = {
-            "item": pa.array(items, pa.float64()),
-            "weight": pa.array(weights, pa.int64()),
-        }
-    else:
-        for key, lvl, buf in levels:
-            items.extend(float(x) for x in buf)
-            weights.extend([1 << lvl] * len(buf))
-            kcol.extend([key] * len(buf))
-        cols = {
-            "key": pa.array(kcol, pa.string()),
-            "item": pa.array(items, pa.float64()),
-            "weight": pa.array(weights, pa.int64()),
-        }
-    _pq.write_table(pa.table(cols), tmp)
-    os.replace(tmp, out)
-
-
-def _sql_approx_quantiles(by_type: bool) -> str:
-    """Sketch-validating oracle (see q_approx_quantiles). The CASE
-    gate nulls every estimate when the export is inconsistent with the
-    raw table, so a bogus sketch can never hash-match."""
-    from ..functions.sketch import MRL_QS, MRL_QS_BY_KEY
-
-    qs = MRL_QS_BY_KEY if by_type else MRL_QS
-    path = os.path.join(
-        _MRL_EXPORT_DIR,
-        "mrl_by_type.parquet" if by_type else "mrl_global.parquet",
-    )
-    qvals = ", ".join(f"({q})" for q in qs)
-    if not by_type:
-        return f"""
-WITH sk AS (SELECT item, weight FROM read_parquet('{path}')),
-raw AS (
-  SELECT CAST(COUNT(*) AS BIGINT) AS c FROM events
-  WHERE value IS NOT NULL AND NOT isnan(value)
-),
-tot AS (SELECT CAST(SUM(weight) AS BIGINT) AS n FROM sk),
-valid AS (
-  SELECT (SELECT n FROM tot) = (SELECT c FROM raw)
-    AND NOT EXISTS (
-      SELECT 1 FROM sk
-      WHERE item NOT IN (SELECT value FROM events WHERE value IS NOT NULL)
-    ) AS ok
-),
-g AS (SELECT item, CAST(SUM(weight) AS BIGINT) AS w FROM sk GROUP BY item),
-c AS (SELECT item, SUM(w) OVER (ORDER BY item) AS cw FROM g),
-qs(q) AS (VALUES {qvals})
-SELECT CAST(q AS DOUBLE) AS q,
-  CASE WHEN (SELECT ok FROM valid) THEN (
-    SELECT MIN(item) FROM c, tot
-    WHERE cw >= GREATEST(1, LEAST(CAST(ceil(q * tot.n) AS BIGINT), tot.n))
-  ) END AS estimate
-FROM qs
-"""
-    return f"""
-WITH sk AS (
-  SELECT key AS event_type, item, weight FROM read_parquet('{path}')
-),
-raw AS (
-  SELECT event_type, CAST(COUNT(*) AS BIGINT) AS c FROM events
-  WHERE value IS NOT NULL AND NOT isnan(value) GROUP BY event_type
-),
-tot AS (
-  SELECT event_type, CAST(SUM(weight) AS BIGINT) AS n
-  FROM sk GROUP BY event_type
-),
-valid AS (
-  SELECT t.event_type,
-    t.n = r.c AND NOT EXISTS (
-      SELECT 1 FROM sk s
-      WHERE s.event_type = t.event_type AND s.item NOT IN (
-        SELECT value FROM events e
-        WHERE e.event_type = t.event_type AND value IS NOT NULL
-      )
-    ) AS ok
-  FROM tot t JOIN raw r ON r.event_type = t.event_type
-),
-g AS (
-  SELECT event_type, item, CAST(SUM(weight) AS BIGINT) AS w
-  FROM sk GROUP BY event_type, item
-),
-c AS (
-  SELECT event_type, item,
-    SUM(w) OVER (PARTITION BY event_type ORDER BY item) AS cw
-  FROM g
-),
-qs(q) AS (VALUES {qvals})
-SELECT t.event_type, CAST(qs.q AS DOUBLE) AS q,
-  CASE WHEN v.ok THEN (
-    SELECT MIN(item) FROM c
-    WHERE c.event_type = t.event_type
-      AND cw >= GREATEST(1, LEAST(CAST(ceil(qs.q * t.n) AS BIGINT), t.n))
-  ) END AS estimate
-FROM tot t JOIN valid v ON v.event_type = t.event_type CROSS JOIN qs
-"""
-
-
-def q_approx_quantiles_sampled(sf_dir: str):
-    """PARTITION-INVARIANT approximate quantiles: exact quantiles of
-    the global bottom-k splitmix64(event_id) sample
-    (functions/sketch.sampled_quantiles). Unlike the MRL sketch the
-    result is bitwise identical at any block layout — the
-    reproducibility a resumed/retried 100 TB run needs — and the whole
-    operator is SQL-derivable, so it carries a FULL oracle (the MRL
-    pair stays as the bounded-memory streaming alternative)."""
-    from ..functions.sketch import sampled_quantiles
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id", "value"]
-    )
-    return sampled_quantiles(ds, "event_id", "value")
-
-
-def q_approx_quantiles_sampled_by_type(sf_dir: str):
-    """Per-event-type sampled quantiles — the grouped variant of
-    approx_quantiles_sampled (each group keeps its own bottom-k)."""
-    from ..functions.sketch import sampled_quantiles_by_key
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "event_id", "value"],
-    )
-    return sampled_quantiles_by_key(ds, "event_type", "event_id", "value")
-
-
-def _sql_sampled_quantiles(by_type: bool) -> str:
-    """Oracle: re-derive the bottom-k hash sample (splitmix64 is a u64
-    bijection, so distinct event_ids never tie) and the nearest-rank
-    lookup LEAST(n-1, n*pct//100) — mirrors sketch._sq_rank."""
-    from ..functions.sketch import SQ_K, SQ_PCTS
-
-    sm, cte, col = _sql_splitmix_ctes("sqm", "ids", "eid")
-    key_sel = "event_type, " if by_type else ""
-    key_part = "PARTITION BY event_type " if by_type else ""
-    pcts = ", ".join(str(p) for p in SQ_PCTS)
-    return f"""
-WITH ids AS (
-  SELECT {key_sel}CAST(event_id AS UBIGINT) AS eid, value FROM events
-),
-{sm.strip()},
-samp AS (
-  SELECT {key_sel}value FROM {cte}
-  QUALIFY row_number() OVER ({key_part}ORDER BY {col}) <= {SQ_K}
-),
-sorted_samp AS (
-  SELECT {key_sel}value,
-    row_number() OVER ({key_part}ORDER BY value) AS rn,
-    COUNT(*) OVER ({key_part.rstrip() if by_type else ''}) AS n
-  FROM samp
-),
-pcts AS (SELECT unnest([{pcts}]) AS pct)
-SELECT {'s.event_type, ' if by_type else ''}CAST(p.pct AS BIGINT) AS pct,
-  s.value AS est
-FROM pcts p JOIN sorted_samp s
-  ON s.rn - 1 = LEAST(s.n - 1, (s.n * p.pct) // 100)
-"""
-
-
-def _sql_session_duration_quantiles() -> str:
-    from ..functions.sketch import SQ_K, SQ_PCTS
-    from .relational import SESSION_GAP_S
-
-    sm, cte, col = _sql_splitmix_ctes("sdq", "ids", "eid")
-    return rel.SESSION_DURATION_QUANTILES_SQL_TEMPLATE.format(
-        gap_us=SESSION_GAP_S * 1_000_000,
-        sm=sm.strip(),
-        cte=cte,
-        col=col,
-        k=SQ_K,
-        pcts=", ".join(str(p) for p in SQ_PCTS),
-    )
-
-
-def _sql_customer_rfm_bins() -> str:
-    from ..functions.sketch import SQ_K
-
-    sm, cte, col = _sql_splitmix_ctes("rfm", "ids", "ck")
-    return rel._rfm_sql(sm.strip(), cte, col, SQ_K)
 
 
 def q_doc_chunk_fingerprints(sf_dir: str):
@@ -9806,82 +8920,6 @@ def _sorted_topk(ds: rd.Dataset, sort_keys, k: int) -> rd.Dataset:
     )
 
 
-_ZORDER_K = 100
-
-# Morton bit-spread: x -> bits of x interleaved with zeros, the
-# standard 5-step magic-mask sequence (public domain "Bit Twiddling
-# Hacks"); identical arithmetic on both sides so zkeys hash-match.
-_SPREAD_STEPS = [
-    (8, 0x00FF00FF),
-    (4, 0x0F0F0F0F),
-    (2, 0x33333333),
-    (1, 0x55555555),
-]
-
-
-def _spread16_np(x: np.ndarray) -> np.ndarray:
-    x = x & 0xFFFF
-    for s, m in _SPREAD_STEPS:
-        x = (x | (x << s)) & m
-    return x
-
-
-def _spread16_sql(col: str) -> str:
-    expr = f"({col} & 65535)"
-    for s, m in _SPREAD_STEPS:
-        expr = f"(({expr} | ({expr} << {s})) & {m})"
-    return expr
-
-
-def q_events_zorder(sf_dir: str, k: int = _ZORDER_K):
-    """The ``k`` events FIRST on the Z-ORDER (Morton) curve over
-    (user_id, value cents) — the space-filling-curve layout key
-    lakehouses cluster files by so multi-column range predicates prune
-    together. zkey interleaves the low 16 bits of both columns
-    (``spread(user) | spread(cents) << 1``); the ordering pass is the
-    shared per-block top-k prune (never a full sort), so computing a
-    Z-layout at 10¹² rows ships (#blocks × k) candidate rows."""
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "value"],
-    )
-
-    def stage(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        c = rel._cents(b.column("value")).to_numpy(zero_copy_only=False)
-        z = _spread16_np(u) | (_spread16_np(c) << 1)
-        return pa.table(
-            {
-                "event_id": b.column("event_id"),
-                "zkey": pa.array(z, pa.int64()),
-            }
-        )
-
-    return _sorted_topk(
-        ds.map_batches(stage, batch_format="pyarrow"),
-        [("zkey", "ascending"), ("event_id", "ascending")],
-        k,
-    )
-
-
-def _sql_events_zorder() -> str:
-    zu = _spread16_sql("user_id")
-    zc = _spread16_sql("cents")
-    return f"""
-WITH c AS (
-  SELECT event_id, user_id,
-         CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-  FROM events
-)
-SELECT event_id, ({zu} | ({zc} << 1)) AS zkey
-FROM c
-ORDER BY zkey, event_id
-LIMIT {_ZORDER_K}
-"""
-
-
 def q_importance_sample(sf_dir: str):
     """The DSIR resampling step: keep the top-k documents by
     importance weight (wfp DESC, doc_id ASC — fully deterministic
@@ -11244,10 +10282,9 @@ def q_length_outliers(sf_dir: str):
     """Docs longer than the exact p99 of n_chars — the compute-stat-
     then-filter shape (winsorization / outlier drop before training).
     Pass 1 builds the bounded-domain (value, count) histogram with
-    per-batch partial combine (the events_value_percentiles
-    discipline) and the driver walks the tiny CDF for the exact
-    quantile_disc threshold; pass 2 filters with that broadcast
-    scalar. No full-table shuffle in either pass."""
+    per-batch partial combine and the driver walks the tiny CDF for
+    the exact quantile_disc threshold; pass 2 filters with that
+    broadcast scalar. No full-table shuffle in either pass."""
     import math
 
     ds = _documents(sf_dir, ["doc_id", "n_chars"])
@@ -11649,109 +10686,7 @@ def registry() -> dict[str, tuple]:
 
     pages = pages_cte()
     return {
-        # relational core
-        "q1_pricing": (rel.q1_pricing, rel.Q1_SQL),
-        "top_orders": (rel.top_orders, rel.TOP_ORDERS_SQL),
-        "nation_order_stats": (rel.nation_order_stats, rel.NATION_ORDER_SQL),
-        "events_hourly": (rel.events_hourly, rel.EVENTS_HOURLY_SQL),
-        "revenue_by_priority": (rel.revenue_by_priority, rel.REVENUE_JOIN_SQL),
-        "events_asof_orders": (rel.events_asof_orders, rel.EVENTS_ASOF_SQL),
-        "event_attribution": (
-            ana.event_attribution, ana.EVENT_ATTRIBUTION_SQL,
-        ),
-        "purchase_next_touch": (
-            ana.purchase_next_touch, ana.PURCHASE_NEXT_TOUCH_SQL,
-        ),
-        "events_late_arrivals": (
-            ana.events_late_arrivals, ana.EVENTS_LATE_SQL,
-        ),
-        "events_value_near_pairs": (
-            ana.events_value_near_pairs, ana.EVENTS_NEAR_PAIRS_SQL,
-        ),
-        "orders_events_window": (
-            rel.orders_events_window, rel.ORDERS_EVENTS_WINDOW_SQL,
-        ),
-        "sessionize_users": (rel.sessionize_users, rel.SESSIONIZE_SQL),
-        "session_duration_quantiles": (
-            rel.session_duration_quantiles,
-            _sql_session_duration_quantiles(),
-        ),
-        "orders_sample": (rel.orders_systematic_sample, rel.ORDERS_SAMPLE_SQL),
-        "distinct_user_event_types": (
-            rel.distinct_user_event_types, rel.DISTINCT_SQL,
-        ),
-        "events_type_stats": (rel.events_type_stats, rel.EVENTS_TYPE_SQL),
-        "events_sliding_3h": (rel.events_sliding_3h, rel.EVENTS_SLIDING_SQL),
-        "events_value_percentiles": (
-            rel.events_value_percentiles, rel.EVENTS_PERCENTILES_SQL,
-        ),
-        "events_running_totals": (
-            rel.events_running_totals, rel.EVENTS_RUNNING_SQL,
-        ),
-        "events_value_ranks": (rel.events_value_ranks, rel.EVENTS_RANKS_SQL),
-        "events_value_corr": (rel.events_value_corr, rel.EVENTS_CORR_SQL),
-        "events_hour_moments": (
-            rel.events_hour_moments, rel.EVENTS_HOUR_MOMENTS_SQL,
-        ),
-        "events_hourly_autocorr": (
-            rel.events_hourly_autocorr, rel.EVENTS_AUTOCORR_SQL,
-        ),
-        "events_type_fano": (rel.events_type_fano, rel.EVENTS_FANO_SQL),
-        "events_changepoint": (
-            rel.events_changepoint, rel.EVENTS_CHANGEPOINT_SQL,
-        ),
-        "events_runs_test": (rel.events_runs_test, rel.EVENTS_RUNS_SQL),
-        "events_cusum": (rel.events_cusum, rel.EVENTS_CUSUM_SQL),
-        "events_latest_per_user": (
-            rel.events_latest_per_user, rel.EVENTS_LATEST_SQL,
-        ),
-        "user_event_sequences": (
-            rel.user_event_sequences, rel.USER_SEQUENCES_SQL,
-        ),
-        "customers_without_orders": (
-            rel.customers_without_orders, rel.CUSTOMERS_WITHOUT_ORDERS_SQL,
-        ),
-        "customer_order_counts": (
-            rel.customer_order_counts, rel.CUSTOMER_ORDER_COUNTS_SQL,
-        ),
-        "customer_rfm_bins": (
-            rel.customer_rfm_bins, _sql_customer_rfm_bins(),
-        ),
-        "event_users_intersect_customers": (
-            rel.event_users_intersect_customers,
-            rel.EVENT_USERS_INTERSECT_SQL,
-        ),
         "lang_source_hist": (cor.lang_source_hist, cor.LANG_SOURCE_SQL),
-        # windowed-frame / grouping-set / outer-join analytics batch
-        "user_customer_activity": (
-            ana.user_customer_activity, ana.USER_CUSTOMER_ACTIVITY_SQL,
-        ),
-        "orders_month_priority_pivot": (
-            ana.orders_month_priority_pivot, ana.ORDERS_PIVOT_SQL,
-        ),
-        "events_type_dow_cube": (
-            ana.events_type_dow_cube, ana.EVENTS_CUBE_SQL,
-        ),
-        "events_moving_avg": (ana.events_moving_avg, ana.EVENTS_MOVING_AVG_SQL),
-        "events_user_ntile": (ana.events_user_ntile, ana.EVENTS_NTILE_SQL),
-        "events_type_mode_median": (
-            ana.events_type_mode_median, ana.EVENTS_MODE_MEDIAN_SQL,
-        ),
-        "shipping_priority": (
-            ana.shipping_priority, ana.SHIPPING_PRIORITY_SQL,
-        ),
-        "events_value_quantile_cont": (
-            ana.events_value_quantile_cont, ana.EVENTS_QUANTILE_CONT_SQL,
-        ),
-        "events_value_histogram": (
-            ana.events_value_histogram, ana.EVENTS_HISTOGRAM_SQL,
-        ),
-        "customers_except_event_users": (
-            ana.customers_except_event_users, ana.CUSTOMERS_EXCEPT_SQL,
-        ),
-        "orders_priority_unpivot": (
-            ana.orders_priority_unpivot, ana.ORDERS_UNPIVOT_SQL,
-        ),
         "token_budget_sample": (cor.token_budget_sample, cor.TOKEN_BUDGET_SQL),
         "quality_zscores": (cor.quality_zscores, cor.QUALITY_ZSCORES_SQL),
         "dataset_diff": (cor.dataset_diff, cor.DATASET_DIFF_SQL),
@@ -11762,43 +10697,10 @@ def registry() -> dict[str, tuple]:
         "top_tokens_by_lang": (cor.top_tokens_by_lang, cor.TOP_TOKENS_BY_LANG_SQL),
         "lang_keyness": (cor.lang_keyness, cor.LANG_KEYNESS_SQL),
         "dq_checks": (cor.dq_checks, cor.DQ_CHECKS_SQL),
-        "price_quantiles": (q_price_quantiles, SQL_PRICE_QUANTILES),
-        "price_quantiles_weighted": (
-            q_price_quantiles_weighted, _sql_price_quantiles_weighted(),
-        ),
-        "part_soundex_blocks": (
-            q_part_soundex_blocks, _sql_part_soundex_blocks(),
-        ),
-        "part_golden_record": (
-            q_part_golden_record, _sql_part_golden_record(),
-        ),
-        "event_value_heavy_hitters": (
-            q_event_value_heavy_hitters, _sql_event_value_heavy_hitters(),
-        ),
         "source_score_calibration": (
             q_source_score_calibration, _sql_source_score_calibration(),
         ),
-        "price_quantiles_by_flag": (
-            q_price_quantiles_by_flag, SQL_PRICE_QUANTILES_BY_FLAG,
-        ),
         "collocations": (q_collocations, _sql_collocations()),
-        # exponential weights are order-sensitive: the oracle pins the
-        # fold order with list(contrib ORDER BY rn) + list_sum; the
-        # sequential-recurrence differential stays in tests
-        "events_ewma": (ana.events_ewma, ana.EVENTS_EWMA_SQL),
-        "events_zorder": (q_events_zorder, _sql_events_zorder()),
-        "user_type_islands": (
-            ana.user_type_islands, ana.USER_TYPE_ISLANDS_SQL,
-        ),
-        "user_type_entropy": (
-            ana.user_type_entropy, ana.USER_TYPE_ENTROPY_SQL,
-        ),
-        "decayed_type_counts": (
-            ana.decayed_type_counts, ana.DECAYED_TYPE_COUNTS_SQL,
-        ),
-        "events_value_share": (
-            ana.events_value_share, ana.EVENTS_VALUE_SHARE_SQL,
-        ),
         "doc_script_mix": (cor2.doc_script_mix, cor2.DOC_SCRIPT_MIX_SQL),
         "lang_ttr": (cor2.lang_ttr, cor2.LANG_TTR_SQL),
         "vocab_growth": (cor2.vocab_growth, cor2.VOCAB_GROWTH_SQL),
@@ -11807,11 +10709,6 @@ def registry() -> dict[str, tuple]:
         "lang_zipf": (cor2.lang_zipf, cor2.LANG_ZIPF_SQL),
         "lang_vocab_overlap": (
             cor2.lang_vocab_overlap, cor2.LANG_VOCAB_OVERLAP_SQL,
-        ),
-        "open_orders": (rel.open_orders, rel.OPEN_ORDERS_SQL),
-        "parts_by_brand": (rel.parts_by_brand, rel.PARTS_BY_BRAND_SQL),
-        "supplier_nation_balance": (
-            rel.supplier_nation_balance, rel.SUPPLIER_NATION_SQL,
         ),
         # text analysis
         "doc_stats": (q_doc_stats, SQL_DOC_STATS),
@@ -11964,27 +10861,6 @@ def registry() -> dict[str, tuple]:
             q_dedup_simhash_pairs, SQL_DEDUP_SIMHASH_PAIRS,
         ),
         "doc_chunk_fingerprints": (q_doc_chunk_fingerprints, None),  # non-SQL chunker
-        # KMV sketch: exact (and SQL-checkable) below k distinct users
-        # per type, approximate past it — see q_common_users_by_type
-        "common_users_by_type": (q_common_users_by_type, SQL_COMMON_USERS),
-        "approx_distinct_users": (
-            q_approx_distinct_users, _sql_approx_distinct_users(),
-        ),
-        "approx_distinct_users_by_type": (
-            q_approx_distinct_users_by_type,
-            _sql_approx_distinct_users_by_type(),
-        ),
-        "approx_quantiles": (
-            q_approx_quantiles, _sql_approx_quantiles(False)
-        ),  # sketch-validating oracle
-        "approx_quantiles_by_type": (
-            q_approx_quantiles_by_type, _sql_approx_quantiles(True)
-        ),  # sketch-validating oracle
-        # the partition-invariant sampled-quantile path (full oracle)
-        "approx_quantiles_sampled": (
-            q_approx_quantiles_sampled, _sql_sampled_quantiles(False)),
-        "approx_quantiles_sampled_by_type": (
-            q_approx_quantiles_sampled_by_type, _sql_sampled_quantiles(True)),
         "cms_heavy_hitters": (
             q_cms_heavy_hitters, _sql_cms_heavy_hitters(),
         ),

@@ -13,10 +13,9 @@ suite did not yet cover —
 
 The reference has no statistics engine at all (single-process JSON
 walk, ``src/detect_pitfalls_main.py:313-318``); these extend SURVEY
-§2.6's aggregation axis the way analytics.py does.
+§2.6's aggregation axis.
 
-Determinism discipline (house rules, same as ``corpus2.lang_zipf`` /
-``analytics.user_type_entropy``):
+Determinism discipline (house rules, same as ``corpus2.lang_zipf``):
 
 - every distributed sum is an EXACT integer — counts, integer rank
   products, or micro-log fixed point (``floor(ln·10⁶ + 0.5)``, the

@@ -1,544 +1,83 @@
-"""Edge-case tests for the windowed-frame / grouping-set / outer-join
-analytics batch (pipelines/analytics.py) — synthetic inputs pin the
-boundary semantics the sf-dir oracle tests can't isolate: outer-null
-sides, frame clipping at segment starts, ANSI NTILE remainders, mode
-tie-breaks, cube level consistency."""
+"""SQL set-operation shapes over the generic join API: FULL OUTER JOIN
+(both null sides) and EXCEPT (distinct, one-sided anti join), each on
+the broadcast and the co-partitioned plan."""
 
 from __future__ import annotations
 
-import os
-import sys
-
-import numpy as np
+import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
-import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+import ray.data as rd
 
-from rsmetacheck_ray.pipelines import analytics as ana
+from rsmetacheck_ray.pipelines.join import join
 
-
-def _write_events(d, rows):
-    """rows: list of (event_id, ts_us, user_id, value)."""
-    t = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[2] for r in rows], pa.int64()),
-            "event_type": pa.array(["click"] * len(rows), pa.string()),
-            "value": pa.array([r[3] for r in rows], pa.float64()),
-            "props": pa.array(["{}"] * len(rows), pa.string()),
-        }
-    )
-    pq.write_table(t, os.path.join(d, "events.parquet"))
+# (broadcast_max, num_partitions): the default broadcast probe, and the
+# hashed-key co-partition forced by a zero broadcast gate
+PLANS = ((None, None), (0, 3))
 
 
-def _write_customer(d, keys, bals):
-    t = pa.table(
-        {
-            "c_custkey": pa.array(keys, pa.int64()),
-            "c_name": pa.array([f"c{k}" for k in keys], pa.string()),
-            "c_nationkey": pa.array([0] * len(keys), pa.int32()),
-            "c_acctbal": pa.array(bals, pa.float64()),
-            "c_mktsegment": pa.array(["BUILDING"] * len(keys), pa.string()),
-        }
-    )
-    pq.write_table(t, os.path.join(d, "customer.parquet"))
+def _join(left, right, on, how, plan):
+    bmax, parts = plan
+    kw = {"num_partitions": parts}
+    if bmax is not None:
+        kw["broadcast_max"] = bmax
+    return join(rd.from_arrow(left), rd.from_arrow(right), on=on, how=how, **kw)
 
 
-def test_full_outer_emits_both_null_sides(ray_session, tmp_path):
-    d = str(tmp_path)
+def test_full_outer_emits_both_null_sides(ray_session):
     # user 1: events + customer; user 2: events only; customer 3: no events
-    _write_events(
-        d,
-        [(10, 1_000_000, 1, 1.00), (11, 2_000_000, 1, 2.00), (12, 3_000_000, 2, 5.00)],
+    activity = pa.table(
+        {
+            "id": pa.array([1, 2], pa.int64()),
+            "n_events": pa.array([2, 1], pa.int64()),
+            "value_cents": pa.array([300, 500], pa.int64()),
+        }
     )
-    _write_customer(d, [1, 3], [7.50, 9.25])
-    out = ana.user_customer_activity(d).to_pandas().set_index("id").sort_index()
-    assert list(out.index) == [1, 2, 3]
-    assert out.loc[1, "n_events"] == 2
-    assert out.loc[1, "value_cents"] == 300
-    assert out.loc[1, "acct_cents"] == 750
-    assert out.loc[2, "n_events"] == 1 and pd_isna(out.loc[2, "acct_cents"])
-    assert pd_isna(out.loc[3, "n_events"]) and pd_isna(out.loc[3, "value_cents"])
-    assert out.loc[3, "acct_cents"] == 925
-
-
-def pd_isna(x):
-    import pandas as pd
-
-    return pd.isna(x)
-
-
-def test_moving_avg_clips_frame_at_user_start(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_events(
-        d,
-        [
-            (1, 1_000_000, 7, 1.00),
-            (2, 2_000_000, 7, 2.00),
-            (3, 3_000_000, 7, 3.00),
-            (4, 4_000_000, 7, 4.00),
-            (5, 1_000_000, 8, 10.00),  # other user: frame must not leak
-        ],
+    cust = pa.table(
+        {
+            "c_custkey": pa.array([1, 3], pa.int64()),
+            "acct_cents": pa.array([750, 925], pa.int64()),
+        }
     )
-    out = (
-        ana.events_moving_avg(d, window=3)
-        .to_pandas()
-        .set_index("event_id")
-        .sort_index()
-    )
-    assert out.loc[1, "mov_cents"] == 100 and out.loc[1, "mov_n"] == 1
-    assert out.loc[2, "mov_cents"] == 300 and out.loc[2, "mov_n"] == 2
-    assert out.loc[3, "mov_cents"] == 600 and out.loc[3, "mov_n"] == 3
-    assert out.loc[4, "mov_cents"] == 900 and out.loc[4, "mov_n"] == 3
-    assert out.loc[5, "mov_cents"] == 1000 and out.loc[5, "mov_n"] == 1
-    assert out.loc[4, "mov_avg"] == 300.0
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9])
-def test_ntile_matches_duckdb_remainder_semantics(ray_session, tmp_path, n):
-    import duckdb
-
-    d = str(tmp_path)
-    _write_events(d, [(i, i * 1_000_000, 1, 1.0) for i in range(n)])
-    out = (
-        ana.events_user_ntile(d, k=4)
-        .to_pandas()
-        .set_index("event_id")["tile"]
-        .sort_index()
-    )
-    ref = duckdb.sql(
-        f"SELECT event_id, NTILE(4) OVER (PARTITION BY user_id "
-        f"ORDER BY ts, event_id) AS tile FROM '{d}/events.parquet' "
-        f"ORDER BY event_id"
-    ).fetchdf()
-    assert list(out.values) == list(ref["tile"].values)
-
-
-def test_mode_tie_breaks_to_smallest_value(ray_session, tmp_path):
-    d = str(tmp_path)
-    # 2.00 and 1.00 both appear twice → mode must be 100 cents
-    _write_events(
-        d,
-        [
-            (1, 1, 1, 2.00),
-            (2, 2, 1, 2.00),
-            (3, 3, 1, 1.00),
-            (4, 4, 1, 1.00),
-            (5, 5, 1, 3.00),
-        ],
-    )
-    out = ana.events_type_mode_median(d).to_pandas()
-    assert out.loc[0, "mode_cents"] == 100
-    # sorted cents: 100,100,200,200,300 → median 200
-    assert out.loc[0, "median_val"] == 200.0
-
-
-def test_median_interpolates_even_counts(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_events(d, [(i, i, 1, v) for i, v in enumerate([1.00, 2.00, 3.00, 10.00])])
-    out = ana.events_type_mode_median(d).to_pandas()
-    assert out.loc[0, "median_val"] == 250.0  # (200+300)/2
-
-
-def test_cube_levels_are_consistent(ray_session, tmp_path):
-    d = str(tmp_path)
-    rows = [(i, i * 86_400_000_000, i % 3, float(i % 5)) for i in range(50)]
-    _write_events(d, rows)
-    out = ana.events_type_dow_cube(d).to_pandas()
-    fine = out[(out.event_type != "(all)") & (out.dow != -1)]
-    total = out[(out.event_type == "(all)") & (out.dow == -1)]["n"].iloc[0]
-    assert fine["n"].sum() == total == 50
-    by_type = out[(out.event_type != "(all)") & (out.dow == -1)]
-    assert by_type["n"].sum() == total
-    by_dow = out[(out.event_type == "(all)") & (out.dow != -1)]
-    assert by_dow["n"].sum() == total
-
-
-def test_shipping_priority_empty_when_cutoff_excludes_all(ray_session):
-    ds = ana.shipping_priority("/root/testdata/sf0.001", cutoff="1990-01-01")
-    # no orders before 1990 → empty result with the stable 3-col
-    # schema on the Dataset (Ray's to_pandas drops columns for any
-    # 0-row dataset, so assert on the dataset schema)
-    assert ds.count() == 0
-    assert ds.schema().names == ["l_orderkey", "revenue_cents", "o_orderdate"]
-
-
-def test_shipping_priority_gate_fallbacks_identical(ray_session, monkeypatch):
-    """Forcing either broadcast gate to 0 routes through the
-    tagged-union shuffle plans (stage-A custkey shuffle, stage-B
-    orderkey shuffle) with identical output — both sides of each size
-    gate stay tested."""
-    sf = "/root/testdata/sf0.001"
-
-    def rows(ds):
-        return sorted(
-            (r["l_orderkey"], r["revenue_cents"], r["o_orderdate"])
-            for r in ds.take_all()
+    for plan in PLANS:
+        out = (
+            _join(activity, cust, ("id", "c_custkey"), "outer", plan)
+            .to_pandas()
+            .set_index("id")
+            .sort_index()
         )
-
-    want = rows(ana.shipping_priority(sf))
-    assert want  # non-degenerate fixture
-    monkeypatch.setattr(ana, "_Q3_OPEN_BROADCAST_MAX", 0)
-    assert rows(ana.shipping_priority(sf)) == want
-    monkeypatch.setattr(ana, "_Q3_CUST_BROADCAST_MAX", 0)
-    assert rows(ana.shipping_priority(sf)) == want
-
-
-def test_pivot_row_totals_match_column_sums(ray_session):
-    out = ana.orders_month_priority_pivot("/root/testdata/sf0.001").to_pandas()
-    cols = ["n_urgent", "n_high", "n_medium", "n_notspec", "n_low"]
-    assert (out[cols].sum(axis=1) == out["n_total"]).all()
-    assert out["ym"].is_monotonic_increasing
+        assert list(out.index) == [1, 2, 3]
+        assert out.loc[1, "n_events"] == 2
+        assert out.loc[1, "value_cents"] == 300
+        assert out.loc[1, "acct_cents"] == 750
+        assert out.loc[2, "n_events"] == 1 and pd.isna(out.loc[2, "acct_cents"])
+        assert pd.isna(out.loc[3, "n_events"]) and pd.isna(out.loc[3, "value_cents"])
+        assert out.loc[3, "acct_cents"] == 925
 
 
-def test_quantile_cont_matches_duckdb_interpolation(ray_session, tmp_path):
-    """The engine must use DuckDB's exact interpolation association
-    lo*(CRN-RN) + hi*(RN-FRN) — lo + frac*(hi-lo) differs in the last
-    ulp at q=0.9 on this 7-value set (empirically verified)."""
-    import duckdb
-
-    d = str(tmp_path)
-    vals = [0.03, 0.07, 0.08, 0.20, 0.41, 0.42, 0.99]
-    _write_events(
-        d, [(i, (i + 1) * 1_000_000, 1, v) for i, v in enumerate(vals)]
-    )
-    out = ana.events_value_quantile_cont(d).to_pandas()
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM '{d}/events.parquet'"
-    )
-    ref = con.execute(ana.EVENTS_QUANTILE_CONT_SQL).fetchdf()
-    for c in ("q25", "q50", "q75", "q90"):
-        assert out[c].iloc[0] == ref[c].iloc[0], c  # bit-exact
+def _keys(name, keys):
+    return pa.table({name: pa.array(keys, pa.int64())})
 
 
-def test_quantile_cont_single_value_is_exact(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_events(d, [(1, 1_000_000, 1, 0.42)])
-    out = ana.events_value_quantile_cont(d).to_pandas()
-    for c in ("q25", "q50", "q75", "q90"):
-        assert out[c].iloc[0] == 42.0
+def test_except_empty_when_all_customers_active(ray_session):
+    cust = _keys("c_custkey", [1, 2])
+    users = _keys("user_id", [1, 2])
+    for plan in PLANS:
+        out = _join(cust, users, ("c_custkey", "user_id"), "anti", plan)
+        assert out.count() == 0
 
 
-def test_histogram_buckets_partition_the_range(ray_session, tmp_path):
-    d = str(tmp_path)
-    rng = np.random.default_rng(7)
-    vals = rng.integers(0, 10_000, 500) / 100.0
-    _write_events(
-        d, [(i, (i + 1) * 1_000_000, 1, float(v)) for i, v in enumerate(vals)]
-    )
-    out = ana.events_value_histogram(d).to_pandas().sort_values("bucket")
-    assert out["n"].sum() == 500
-    # buckets are equi-width, non-overlapping, within [min, max]
-    w = (out["hi_cents"] - out["lo_cents"] + 1).unique()
-    assert len(w) == 1
-    assert (out["lo_cents"] == out["bucket"] * w[0] + out["lo_cents"].min()).all()
-    cents = np.floor(vals * 100 + 0.5).astype(np.int64)
-    assert out["lo_cents"].min() <= cents.min() <= out["hi_cents"].iloc[0]
-
-
-def test_histogram_constant_column_single_bucket(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_events(d, [(i, (i + 1) * 1_000_000, 1, 5.00) for i in range(9)])
-    out = ana.events_value_histogram(d).to_pandas()
-    assert len(out) == 1
-    assert out["bucket"].iloc[0] == 0 and out["n"].iloc[0] == 9
-
-
-def test_except_empty_when_all_customers_active(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_events(d, [(1, 1_000_000, 1, 1.0), (2, 2_000_000, 2, 1.0)])
-    _write_customer(d, [1, 2], [0.0, 0.0])
-    assert ana.customers_except_event_users(d).count() == 0
-
-
-def test_except_is_distinct_and_one_sided(ray_session, tmp_path):
-    d = str(tmp_path)
-    # duplicate event rows for user 1; customers 2,3 inactive
-    _write_events(d, [(1, 1_000_000, 1, 1.0), (2, 2_000_000, 1, 1.0)])
-    _write_customer(d, [1, 2, 3, 3], [0.0, 0.0, 0.0, 0.0])
-    out = sorted(ana.customers_except_event_users(d).to_pandas()["id"])
-    assert out == [2, 3]  # distinct, event-only users never appear
-
-
-def test_pivot_unknown_priority_counts_in_total(ray_session, tmp_path):
-    """A priority outside the fixed column list must not crash; it
-    still counts toward n_total (the oracle's COUNT(*) semantics)."""
-    import numpy as np
-
-    d = str(tmp_path)
-    ts = np.datetime64("1996-06-01", "us").item()
-    t = pa.table(
-        {
-            "o_orderkey": pa.array([1, 2], pa.int64()),
-            "o_custkey": pa.array([1, 1], pa.int64()),
-            "o_orderstatus": pa.array(["O", "O"], pa.string()),
-            "o_totalprice": pa.array([1.0, 1.0], pa.float64()),
-            "o_orderdate": pa.array([ts, ts], pa.timestamp("us")),
-            "o_orderpriority": pa.array(["1-URGENT", "RUSH"], pa.string()),
-        }
-    )
-    pq.write_table(t, os.path.join(d, "orders.parquet"))
-    out = ana.orders_month_priority_pivot(d).to_pandas()
-    assert out.iloc[0]["n_urgent"] == 1
-    assert out.iloc[0]["n_total"] == 2  # RUSH counted in the total only
-
-
-def test_ewma_matches_sequential_recurrence(ray_session, tmp_path):
-    """events_ewma's closed-form weighted sum equals the sequential
-    ewma_i = a*v_i + (1-a)*ewma_{i-1} recurrence (init = v_1), for
-    every user, at any partition count."""
-    rng = np.random.default_rng(5)
-    rows = []
-    eid = 0
-    base = np.datetime64("2023-01-01T00:00:00", "us").astype(np.int64)
-    expect = {}
-    for uid in range(1, 8):
-        n = int(rng.integers(1, 40))
-        vals = rng.integers(0, 10_000, size=n) / 100.0
-        for j, v in enumerate(vals):
-            rows.append((eid, int(base + j * 1_000_000), uid, float(v)))
-            eid += 1
-        cents = np.floor(np.asarray(vals) * 100 + 0.5).astype(np.int64)
-        e = float(cents[0])
-        for c in cents[1:]:
-            e = 0.25 * float(c) + 0.75 * e
-        expect[uid] = (n, e)
-    _write_events(str(tmp_path), rows)
-    for parts in (1, 4):
-        got = ana.events_ewma(str(tmp_path), num_partitions=parts).take_all()
-        assert [r["user_id"] for r in got] == sorted(expect)
-        for r in got:
-            n, e = expect[r["user_id"]]
-            assert r["n_events"] == n
-            assert np.isclose(r["ewma"], e, rtol=1e-9), (r, e)
-
-
-def test_ewma_single_event_is_identity(ray_session, tmp_path):
-    _write_events(str(tmp_path), [(0, 0, 7, 12.34)])
-    got = ana.events_ewma(str(tmp_path)).take_all()
-    assert got == [{"user_id": 7, "n_events": 1, "ewma": 1234.0}]
-
-
-def test_islands_runs_and_boundaries(ray_session, tmp_path):
-    """Gaps-and-islands: runs break on type change and on user change;
-    re-visits of an earlier type open a NEW run; partition-invariant."""
-    rows = [
-        # user 1: A A B A  -> runs (A,2) (B,1) (A,1)
-        (0, 0, 1, 1.0), (1, 1, 1, 1.0), (2, 2, 1, 1.0), (3, 3, 1, 1.0),
-        # user 2: A -> one run, even though user 1 ends with A
-        (4, 0, 2, 1.0),
-    ]
-    _write_events(str(tmp_path), rows)
-    import pyarrow.parquet as _pq
-
-    # overwrite event_type: _write_events sets all "click"
-    t = _pq.read_table(os.path.join(str(tmp_path), "events.parquet"))
-    types = pa.array(["A", "A", "B", "A", "A"], pa.string())
-    t = t.set_column(t.column_names.index("event_type"), "event_type", types)
-    _pq.write_table(t, os.path.join(str(tmp_path), "events.parquet"))
-    for parts in (1, 3):
-        got = ana.user_type_islands(
-            str(tmp_path), num_partitions=parts
-        ).take_all()
-        runs = [(r["user_id"], r["event_type"], r["run_len"]) for r in got]
-        assert runs == [(1, "A", 2), (1, "B", 1), (1, "A", 1), (2, "A", 1)], runs
-
-
-def test_value_share_matches_duckdb_on_zero_totals(ray_session, tmp_path):
-    """A user whose every value rounds to 0 cents: the share division
-    is 0/0 on both sides — pin the engine to DuckDB's result for this
-    boundary too."""
-    import duckdb
-
-    rows = [
-        (0, 0, 1, 0.0), (1, 1, 1, 0.001),  # user 1: all 0 cents
-        (2, 0, 2, 1.0), (3, 1, 2, 3.0),    # user 2: 100 + 300 cents
-    ]
-    _write_events(str(tmp_path), rows)
-    got = sorted(
-        ana.events_value_share(str(tmp_path)).take_all(),
-        key=lambda r: r["event_id"],
-    )
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/events.parquet')"
-    )
-    want = con.execute(
-        ana.EVENTS_VALUE_SHARE_SQL + " ORDER BY event_id"
-    ).fetchall()
-    for g, w in zip(got, want):
-        assert g["event_id"] == w[0] and g["cents"] == w[1]
-        assert g["user_total"] == w[2]
-        ws = w[3]
-        if ws is None or (isinstance(ws, float) and np.isnan(ws)):
-            assert np.isnan(g["share"]), (g, w)
-        else:
-            assert g["share"] == ws, (g, w)
-
-
-# --- last-touch conversion attribution --------------------------------------
-
-def _write_typed_events(d, rows):
-    """rows: (event_id, ts_us, user_id, event_type, value)."""
-    t = pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-            "user_id": pa.array([r[2] for r in rows], pa.int64()),
-            "event_type": pa.array([r[3] for r in rows], pa.string()),
-            "value": pa.array([r[4] for r in rows], pa.float64()),
-            "props": pa.array(["{}"] * len(rows), pa.string()),
-        }
-    )
-    pq.write_table(t, os.path.join(d, "events.parquet"))
-
-
-def test_event_attribution_last_touch_semantics(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_typed_events(d, [
-        # user 1: view then click then purchase -> credited to click
-        (1, 1_000, 1, "view", 0.0),
-        (2, 2_000, 1, "click", 0.0),
-        (3, 3_000, 1, "purchase", 10.00),
-        # user 1: second purchase later, no new touch -> still click
-        (4, 4_000, 1, "purchase", 2.50),
-        # user 2: purchase with NO prior touch -> 'none'
-        (5, 1_000, 2, "purchase", 7.00),
-        # user 2's later touch must not leak backwards
-        (6, 2_000, 2, "signup", 0.0),
-        # user 3: tie at the same ts -> highest event_id (signup) wins;
-        # touch at the SAME instant as the purchase counts
-        (7, 5_000, 3, "view", 0.0),
-        (8, 5_000, 3, "signup", 0.0),
-        (9, 5_000, 3, "purchase", 4.00),
-    ])
-    got = {r["event_type"]: (r["n_purchases"], r["value_cents"])
-           for r in ana.event_attribution(d).take_all()}
-    assert got == {
-        "click": (2, 1250),
-        "none": (1, 700),
-        "signup": (1, 400),
-    }
-
-
-def test_event_attribution_cross_user_isolation(ray_session, tmp_path):
-    d = str(tmp_path)
-    # user 5's touch is the globally latest row before user 6's
-    # purchase in (ts) order — but it belongs to another key
-    _write_typed_events(d, [
-        (1, 1_000, 5, "click", 0.0),
-        (2, 2_000, 6, "purchase", 1.00),
-    ])
-    got = ana.event_attribution(d).take_all()
-    assert got == [{"event_type": "none", "n_purchases": 1,
-                    "value_cents": 100}]
-
-
-def test_purchase_next_touch_forward_semantics(ray_session, tmp_path):
-    d = str(tmp_path)
-    _write_typed_events(d, [
-        # user 1: purchase, then two touches -> nearest (click)
-        (1, 1_000, 1, "purchase", 0.0),
-        (2, 3_000, 1, "click", 0.0),
-        (3, 5_000, 1, "view", 0.0),
-        # user 2: purchase is the last event -> nulls
-        (4, 9_000, 2, "purchase", 0.0),
-        # user 2's earlier touch must not match forward
-        (5, 1_000, 2, "signup", 0.0),
-        # user 3: tie at the same instant -> LOWEST event_id wins,
-        # same-instant touch counts
-        (8, 4_000, 3, "purchase", 0.0),
-        (6, 4_000, 3, "view", 0.0),
-        (7, 4_000, 3, "signup", 0.0),
-    ])
-    got = {r["event_id"]: r for r in ana.purchase_next_touch(d).take_all()}
-    assert got[1]["next_event_id"] == 2 and got[1]["next_type"] == "click"
-    assert got[1]["gap_us"] == 2_000
-    assert got[4]["next_event_id"] is None and got[4]["gap_us"] is None
-    assert got[8]["next_event_id"] == 6 and got[8]["gap_us"] == 0
-
-
-def test_join_api_asof_forward_direction(ray_session, tmp_path):
-    import ray.data as rd
-    from rsmetacheck_ray.pipelines.join import join
-
-    left = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 2], pa.int64()),
-        "t": pa.array([10, 25, 10], pa.int64()),
-    }))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 2], pa.int64()),
-        "t": pa.array([12, 30, 5], pa.int64()),
-        "v": pa.array(["a", "b", "c"], pa.string()),
-    }))
-    got = sorted(
-        join(left, right, how="asof", by="k", on="t",
-             direction="forward").take_all(),
-        key=lambda r: (r["k"], r["t"]),
-    )
-    # k=1,t=10 -> earliest r.t >= 10 is 12 ('a'); t=25 -> 30 ('b');
-    # k=2,t=10 -> no right row at/after 10 -> null
-    assert [(r["k"], r["t"], r["v"]) for r in got] == [
-        (1, 10, "a"), (1, 25, "b"), (2, 10, None),
-    ]
-
-
-def test_late_arrivals_watermark_semantics(ray_session, tmp_path):
-    d = str(tmp_path)
-    H = 3_600_000_000  # allowed lateness (1h)
-    # arrival order = event_id. Event 3 arrives after event 2 set the
-    # watermark far ahead -> late. Event 4 is exactly AT wm - H ->
-    # NOT late (strict <). Row order in the file is shuffled to prove
-    # arrival order comes from event_id, not storage order.
-    rows = [
-        (4, 9 * H, 1, "view", 0.0),       # wm=10H: 9H == 10H-H -> on time
-        (1, 5 * H, 1, "view", 0.0),       # wm=5H -> on time
-        (3, 2 * H, 1, "click", 0.0),      # wm=10H: 2H < 9H -> LATE
-        (2, 10 * H, 1, "view", 0.0),      # advances wm to 10H
-        (5, 12 * H, 1, "signup", 0.0),    # advances wm, on time
-    ]
-    _write_typed_events(d, rows)
-    got = {r["event_type"]: (r["n_events"], r["n_late"])
-           for r in ana.events_late_arrivals(d).take_all()}
-    assert got == {"view": (3, 0), "click": (1, 1), "signup": (1, 0)}
-
-
-def test_late_arrivals_carry_across_buckets(ray_session, tmp_path):
-    d = str(tmp_path)
-    H = 3_600_000_000
-    # bucket_size=2: the watermark set in bucket 0 (by event 1) must
-    # carry into bucket 1 where event 2's stale ts makes it late
-    rows = [
-        (0, 1 * H, 1, "view", 0.0),
-        (1, 50 * H, 1, "view", 0.0),   # sets wm high, ends bucket 0
-        (2, 2 * H, 1, "click", 0.0),   # bucket 1: 2H < 50H-1H -> LATE
-        (3, 49 * H, 1, "view", 0.0),   # 49H == wm-H -> on time
-    ]
-    _write_typed_events(d, rows)
-    got = {r["event_type"]: (r["n_events"], r["n_late"])
-           for r in ana.events_late_arrivals(d, bucket_size=2).take_all()}
-    assert got == {"view": (3, 0), "click": (1, 1)}
-
-
-def test_value_near_pairs_histogram_combinatorics(ray_session, tmp_path):
-    d = str(tmp_path)
-    # type A cents: [100, 100, 101, 103] -> same-bin C(2,2)=1,
-    # adjacent (100,101): 2*1=2, (101,103) gap 2 -> 0. total 3.
-    # type B: single event -> 0 pairs.
-    rows = [
-        (1, 1_000, 1, "A", 1.00),
-        (2, 2_000, 1, "A", 1.00),
-        (3, 3_000, 1, "A", 1.01),
-        (4, 4_000, 1, "A", 1.03),
-        (5, 5_000, 1, "B", 9.99),
-    ]
-    _write_typed_events(d, rows)
-    got = {r["event_type"]: r for r in
-           ana.events_value_near_pairs(d).to_pylist()}
-    assert got["A"]["n_events"] == 4 and got["A"]["n_near_pairs"] == 3
-    assert got["B"]["n_events"] == 1 and got["B"]["n_near_pairs"] == 0
+def test_except_is_distinct_and_one_sided(ray_session):
+    # duplicate event rows for user 1; customers 2,3 inactive (3 twice);
+    # user 4 has events but no customer row
+    cust = _keys("c_custkey", [1, 2, 3, 3])
+    users = _keys("user_id", [1, 1, 4])
+    distinct = _keys("c_custkey", sorted(set(cust.column(0).to_pylist())))
+    for plan in PLANS:
+        bag = _join(cust, users, ("c_custkey", "user_id"), "anti", plan)
+        # the anti join keeps each unmatched left row once: the right's
+        # duplicates never multiply it, event-only users never appear
+        assert sorted(bag.to_pandas()["c_custkey"]) == [2, 3, 3]
+        out = _join(distinct, users, ("c_custkey", "user_id"), "anti", plan)
+        assert list(out.to_pandas().columns) == ["c_custkey"]
+        assert sorted(out.to_pandas()["c_custkey"]) == [2, 3]

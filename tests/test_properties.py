@@ -109,12 +109,24 @@ def test_doc_chunks_cover_all_bytes(text):
 
 
 # --------------------------------------------------------------------------
-# differential properties: the block-vectorized temporal operators vs
-# straightforward per-key brute-force references on random data
+# differential properties: the block-vectorized operators vs
+# straightforward brute-force references on random data
 # --------------------------------------------------------------------------
 
-def _events_orders_tables(seed: int, n_ev: int, n_ord: int, n_keys: int):
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_asof_join_matches_bruteforce(ray_session, seed):
+    """join(how="asof") == per-event brute force (latest order of the
+    same customer at or before ts) on random key/time data with heavy
+    key collisions and equal timestamps, on several partition counts.
+    Ties on the ordering column may pick any of the tied right rows."""
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines.join import join
+
     rng = np.random.default_rng(seed)
+    n_ev, n_ord, n_keys = 300, 200, 12
     ev = pa.table(
         {
             "event_id": pa.array(np.arange(n_ev), pa.int64()),
@@ -133,79 +145,31 @@ def _events_orders_tables(seed: int, n_ev: int, n_ord: int, n_keys: int):
             ),
         }
     )
-    return ev, orders
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_asof_join_matches_bruteforce(ray_session, seed):
-    """events_asof_orders == per-event brute force (latest order at or
-    before ts; ties -> max orderkey) on random key/time data, including
-    heavy key collisions and equal timestamps."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.relational import events_asof_orders
-
-    ev, orders = _events_orders_tables(seed, n_ev=300, n_ord=200, n_keys=12)
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(ev, os.path.join(d, "events.parquet"))
-        pq.write_table(orders, os.path.join(d, "orders.parquet"))
-        got = (
-            events_asof_orders(d)
-            .to_pandas()
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-    # brute force
     e_uid = ev.column("user_id").to_numpy()
-    e_ts = ev.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
+    e_ts = ev.column("ts").cast(pa.int64()).to_numpy()
     o_key = orders.column("o_orderkey").to_numpy()
     o_cust = orders.column("o_custkey").to_numpy()
-    o_ts = orders.column("o_orderdate").to_numpy().astype("datetime64[us]").astype(np.int64)
-    expected = []
-    for i in range(len(e_uid)):
-        m = (o_cust == e_uid[i]) & (o_ts <= e_ts[i])
-        if not m.any():
-            expected.append(-1)  # null sentinel for the compare
-        else:
-            cand_ts = o_ts[m]
-            cand_key = o_key[m]
-            latest = cand_ts.max()
-            expected.append(int(cand_key[cand_ts == latest].max()))
-    assert got["o_orderkey"].fillna(-1).astype(np.int64).tolist() == expected
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_sessionize_matches_bruteforce(ray_session, seed):
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.relational import SESSION_GAP_S, sessionize_users
-
-    ev, orders = _events_orders_tables(seed, n_ev=400, n_ord=1, n_keys=9)
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(ev, os.path.join(d, "events.parquet"))
-        pq.write_table(orders, os.path.join(d, "orders.parquet"))
-        got = (
-            sessionize_users(d).to_pandas().sort_values("user_id").reset_index(drop=True)
-        )
-    uid = ev.column("user_id").to_numpy()
-    ts = ev.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
-    eid = ev.column("event_id").to_numpy()
-    for _, row in got.iterrows():
-        m = uid == row["user_id"]
-        order = np.lexsort((eid[m], ts[m]))
-        t = ts[m][order]
-        sessions = 1 + int((np.diff(t) > SESSION_GAP_S * 1_000_000).sum())
-        assert row["n_events"] == int(m.sum())
-        assert row["n_sessions"] == sessions
-    assert set(got["user_id"]) == set(np.unique(uid))
+    o_ts = orders.column("o_orderdate").cast(pa.int64()).to_numpy()
+    for parts in (1, 3):
+        got = join(
+            rd.from_arrow(ev),
+            rd.from_arrow(orders),
+            on=("ts", "o_orderdate"),
+            how="asof",
+            by=("user_id", "o_custkey"),
+            num_partitions=parts,
+        ).take_all()
+        assert sorted(r["event_id"] for r in got) == list(range(n_ev))
+        for r in got:
+            i = r["event_id"]
+            m = (o_cust == e_uid[i]) & (o_ts <= e_ts[i])
+            if not m.any():
+                assert r["o_orderkey"] is None and r["o_orderdate"] is None
+                continue
+            latest = o_ts[m].max()
+            assert r["o_orderkey"] in set(o_key[m & (o_ts == latest)].tolist())
+            got_ts = np.datetime64(r["o_orderdate"], "us").astype(np.int64)
+            assert got_ts == latest
 
 
 @settings(max_examples=8, deadline=None)
@@ -400,142 +364,6 @@ def test_bpe_incremental_equals_naive(seed):
     assert learn_merges(wc, 15) == _naive_learn(wc, 15)
 
 
-def _rand_events(seed: int, n: int, n_keys: int) -> pa.Table:
-    """events-shaped table with heavy key/ts collisions."""
-    rng = np.random.default_rng(seed)
-    return pa.table(
-        {
-            "event_id": pa.array(rng.permutation(n), pa.int64()),
-            "ts": pa.array(
-                rng.integers(0, 50, n) * 1_000_000, pa.timestamp("us")
-            ),
-            "user_id": pa.array(rng.integers(0, n_keys, n), pa.int64()),
-            "event_type": pa.array(
-                [f"t{int(x)}" for x in rng.integers(0, 3, n)], pa.string()
-            ),
-            "value": pa.array(rng.integers(0, 500, n) / 7.0, pa.float64()),
-        }
-    )
-
-
-def _events_dir(tbl: pa.Table, d: str) -> str:
-    import os
-
-    import pyarrow.parquet as pq
-
-    pq.write_table(tbl, os.path.join(d, "events.parquet"))
-    return d
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_running_totals_match_pandas(ray_session, seed):
-    """events_running_totals == pandas groupby cumsum under the same
-    (ts, event_id) order, including duplicate timestamps per user."""
-    import tempfile
-
-    from rsmetacheck_ray.pipelines.relational import events_running_totals
-
-    tbl = _rand_events(seed, n=250, n_keys=9)
-    with tempfile.TemporaryDirectory() as d:
-        got = (
-            events_running_totals(_events_dir(tbl, d))
-            .to_pandas()
-            .sort_values(["user_id", "ts_us", "event_id"])
-            .reset_index(drop=True)
-        )
-    df = tbl.to_pandas()
-    df["ts_us"] = df["ts"].astype("datetime64[us]").astype(np.int64)
-    df["cents"] = np.floor(df["value"] * 100 + 0.5).astype(np.int64)
-    df = df.sort_values(["user_id", "ts_us", "event_id"]).reset_index(drop=True)
-    df["running_cents"] = df.groupby("user_id")["cents"].cumsum()
-    gaps = df.groupby("user_id")["ts_us"].diff()
-    df["gap_us"] = gaps.fillna(-1).astype(np.int64)
-    assert got["running_cents"].tolist() == df["running_cents"].tolist()
-    assert got["gap_us"].tolist() == df["gap_us"].tolist()
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_latest_per_user_matches_bruteforce(ray_session, seed):
-    import tempfile
-
-    from rsmetacheck_ray.pipelines.relational import events_latest_per_user
-
-    tbl = _rand_events(seed, n=200, n_keys=7)
-    with tempfile.TemporaryDirectory() as d:
-        got = (
-            events_latest_per_user(_events_dir(tbl, d))
-            .to_pandas()
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-    df = tbl.to_pandas()
-    df["ts_us"] = df["ts"].astype("datetime64[us]").astype(np.int64)
-    exp = (
-        df.sort_values(["user_id", "ts_us", "event_id"])
-        .groupby("user_id")
-        .tail(1)
-        .sort_values("user_id")
-    )
-    assert got["event_id"].tolist() == exp["event_id"].tolist()
-    assert got["ts_us"].tolist() == exp["ts_us"].tolist()
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_user_sequences_match_bruteforce(ray_session, seed):
-    import tempfile
-
-    from rsmetacheck_ray.pipelines.relational import user_event_sequences
-
-    tbl = _rand_events(seed, n=180, n_keys=6)
-    with tempfile.TemporaryDirectory() as d:
-        got = (
-            user_event_sequences(_events_dir(tbl, d))
-            .to_pandas()
-            .sort_values("user_id")
-            .reset_index(drop=True)
-        )
-    df = tbl.to_pandas()
-    df["ts_us"] = df["ts"].astype("datetime64[us]").astype(np.int64)
-    exp = (
-        df.sort_values(["user_id", "ts_us", "event_id"])
-        .groupby("user_id")["event_type"]
-        .agg(",".join)
-    )
-    assert got.set_index("user_id")["sequence"].to_dict() == exp.to_dict()
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_value_ranks_match_bruteforce(ray_session, seed):
-    """RANK/DENSE_RANK from the histogram plan == scipy-free brute
-    force per (type, cents), on collision-heavy data."""
-    import tempfile
-
-    from rsmetacheck_ray.pipelines.relational import events_value_ranks
-
-    tbl = _rand_events(seed, n=220, n_keys=5)
-    with tempfile.TemporaryDirectory() as d:
-        got = (
-            events_value_ranks(_events_dir(tbl, d))
-            .to_pandas()
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-    df = tbl.to_pandas()
-    df["cents"] = np.floor(df["value"] * 100 + 0.5).astype(np.int64)
-    for _, grp in df.groupby("event_type"):
-        cents = grp["cents"].to_numpy()
-        for _, row in grp.iterrows():
-            rnk = int((cents > row["cents"]).sum()) + 1
-            drnk = len(np.unique(cents[cents > row["cents"]])) + 1
-            sel = got.loc[got["event_id"] == row["event_id"]]
-            assert int(sel["rnk"].iloc[0]) == rnk
-            assert int(sel["drnk"].iloc[0]) == drnk
-
-
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_token_budget_matches_prefix_walk(ray_session, seed):
@@ -582,63 +410,6 @@ def test_token_budget_matches_prefix_walk(ray_session, seed):
             if cum <= budget:
                 want.append(int(i + 1))
     assert got == sorted(want)
-
-
-@settings(max_examples=6, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_islands_match_bruteforce(ray_session, seed):
-    """user_type_islands == a per-user sequential run scan on random
-    streams with repeated ts values."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.pipelines.analytics import user_type_islands
-
-    rng = np.random.default_rng(seed)
-    n = 200
-    uid = rng.integers(1, 9, n)
-    ts = rng.integers(0, 40, n) * 1_000_000
-    types = np.array(["A", "B", "C"])[rng.integers(0, 3, n)]
-    ev = pa.table(
-        {
-            "event_id": pa.array(np.arange(n), pa.int64()),
-            "ts": pa.array(ts, pa.timestamp("us")),
-            "user_id": pa.array(uid, pa.int64()),
-            "event_type": pa.array(types, pa.string()),
-            "value": pa.array(np.zeros(n), pa.float64()),
-            "props": pa.array(["{}"] * n, pa.string()),
-        }
-    )
-    expected = []
-    for u in np.unique(uid):
-        sel = np.flatnonzero(uid == u)
-        order = np.lexsort((sel, ts[sel]))  # ts, then event_id(=sel)
-        seq = [(types[sel[i]], int(ts[sel[i]])) for i in order]
-        runs = []
-        for t, s in seq:
-            if runs and runs[-1][0] == t:
-                runs[-1][2] += 1
-            else:
-                runs.append([t, s, 1])
-        for t, s, ln in runs:
-            expected.append((int(u), t, s, ln))
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(ev, os.path.join(d, "events.parquet"))
-        got = user_type_islands(d, num_partitions=3).take_all()
-    got_t = [
-        (
-            r["user_id"],
-            r["event_type"],
-            int(r["run_start"].timestamp() * 1_000_000)
-            if hasattr(r["run_start"], "timestamp")
-            else int(r["run_start"]),
-            r["run_len"],
-        )
-        for r in got
-    ]
-    assert sorted(got_t) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

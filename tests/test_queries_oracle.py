@@ -44,21 +44,7 @@ def _registry():
 
 
 SQL_BACKED = [
-    "q1_pricing",
-    "top_orders",
-    "nation_order_stats",
-    "events_hourly",
-    "revenue_by_priority",
-    "events_asof_orders",
-    "orders_events_window",
-    "sessionize_users",
-    "orders_sample",
-    "distinct_user_event_types",
-    "events_type_stats",
     "lang_source_hist",
-    "open_orders",
-    "parts_by_brand",
-    "supplier_nation_balance",
     "doc_stats",
     "doc_quality_scores",
     "gate_url_flags",
@@ -73,9 +59,6 @@ SQL_BACKED = [
     # round 2 additions
     "gate_meta_flags",
     "gate_drop_vector",
-    "events_sliding_3h",
-    "customers_without_orders",
-    "events_value_percentiles",
     # round 3 additions
     "dedup_components",
     "dedup_survivors",
@@ -101,22 +84,10 @@ SQL_BACKED = [
     "mixture_sample",
     "normalize_text",
     "dedup_lines",
-    # round 3, fifth session — windowed-frame / grouping-set /
-    # outer-join analytics batch
-    "user_customer_activity",
-    "orders_month_priority_pivot",
-    "events_type_dow_cube",
-    "events_moving_avg",
-    "events_user_ntile",
-    "events_type_mode_median",
-    "shipping_priority",
-    "events_value_quantile_cont",
-    "events_value_histogram",
-    "customers_except_event_users",
+    # round 3, fifth session
     "vocab_coverage",
     "doc_char_entropy",
-    # round 3, sixth session — decision-support batch
-    "orders_priority_unpivot",
+    # round 3, sixth session
     "token_budget_sample",
     "quality_zscores",
     "dataset_diff",
@@ -200,18 +171,50 @@ def test_entry_contract(ray_session):
     assert set(e.oracle_sql()) <= set(e.queries())
 
 
-def test_nation_order_stats_distributed_path_matches_broadcast(ray_session, monkeypatch):
-    """The size-gated join must produce identical results on both
-    plans: broadcast searchsorted (small customer side) and the
-    distributed hash join (forced here by zeroing the threshold)."""
-    import rsmetacheck_ray.pipelines.relational as rel
+def test_nation_order_stats_distributed_path_matches_broadcast(ray_session, oracle_con):
+    """Order totals per nation over orders ⋈ customer ⋈ nation: the
+    size-gated join gives identical results on both plans, broadcast
+    probe (small right side) and distributed hash join (forced here by
+    a zero gate), and both equal the DuckDB oracle."""
+    import numpy as np
+    import ray.data as rd
 
-    bcast = rel.nation_order_stats(SF_DIR).to_pandas().sort_values("n_name").reset_index(drop=True)
-    monkeypatch.setattr(rel, "_BROADCAST_MAX_ROWS", 0)
-    dist = rel.nation_order_stats(SF_DIR).to_pandas().sort_values("n_name").reset_index(drop=True)
-    import pandas as pd
+    from rsmetacheck_ray.pipelines.join import join
 
+    def read(t, cols):
+        return rd.read_parquet(os.path.join(SF_DIR, f"{t}.parquet"), columns=cols)
+
+    def stats(**kw):
+        oc = join(
+            read("orders", ["o_custkey", "o_totalprice"]),
+            read("customer", ["c_custkey", "c_nationkey"]),
+            on=("o_custkey", "c_custkey"), **kw,
+        )
+        df = join(
+            oc, read("nation", ["n_nationkey", "n_name"]),
+            on=("c_nationkey", "n_nationkey"), **kw,
+        ).to_pandas()
+        df["cents"] = np.floor(df["o_totalprice"] * 100 + 0.5).astype(np.int64)
+        g = df.groupby("n_name").agg(
+            total_cents=("cents", "sum"), n_orders=("cents", "size")
+        )
+        return g.reset_index().sort_values("n_name").reset_index(drop=True)
+
+    bcast = stats()
+    dist = stats(broadcast_max=0, num_partitions=3)
     pd.testing.assert_frame_equal(bcast, dist)
+    want = oracle_con.execute("""
+        SELECT n.n_name,
+          CAST(SUM(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT)
+            AS total_cents,
+          COUNT(*) AS n_orders
+        FROM orders o
+        JOIN customer c ON o.o_custkey = c.c_custkey
+        JOIN nation n ON c.c_nationkey = n.n_nationkey
+        GROUP BY n.n_name
+    """).fetchdf()
+    assert len(bcast) > 1  # non-degenerate fixture
+    pd.testing.assert_frame_equal(_canon(bcast), _canon(want), check_dtype=False)
 
 
 def test_top_tokens_tiebreak_and_prune(ray_session, tmp_path):

@@ -5,6 +5,7 @@ is the switch-over map a reference user navigates by. Regenerate with
 from __future__ import annotations
 
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -27,4 +28,40 @@ def test_registry_index_in_sync():
     assert not missing and not stale, (
         f"REGISTRY.md out of sync (missing={missing}, stale={stale}); "
         "run tools/gen_registry_index.py"
+    )
+
+
+# The TPC-H/event tables. No gate user reads them; the entries whose
+# oracle still does are listed here so the set can only shrink.
+_TPCH_TABLE_RE = re.compile(
+    r"\b(region|nation|customer|supplier|part|orders|lineitem|events)\b"
+)
+_TPCH_ENTRIES = {
+    "event_entropy_rate",
+    "events_mutual_info",
+    "events_spectrum",
+    "events_temporal_gini",
+    "user_theil_index",
+    "part_name_top_terms",
+    "events_hourly_decomposition",
+}
+
+
+def test_tpch_event_entries_do_not_grow():
+    """Pin the registry entries whose oracle SQL reads a TPC-H/event
+    table. Case-sensitive whole words, so ``PARTITION BY`` or a column
+    such as ``n_events`` does not count."""
+    from rsmetacheck_ray.pipelines.queries import registry
+
+    reading = set()
+    for name, (_fn, sql) in registry().items():
+        if sql is None:
+            continue
+        if callable(sql):
+            sql = sql()
+        if _TPCH_TABLE_RE.search(sql):
+            reading.add(name)
+    assert reading == _TPCH_ENTRIES, (
+        f"added={sorted(reading - _TPCH_ENTRIES)}, "
+        f"retired={sorted(_TPCH_ENTRIES - reading)}"
     )

@@ -93,11 +93,11 @@ def test_worker_loss_mid_shuffle_identical_output(ray_session):
 
 
 def test_worker_loss_during_groupby_shuffle(ray_session):
-    """Same check on a groupby-shuffle query (sessionization: one
+    """Same check on a groupby-shuffle query (dataset diff: one
     hashed-partition all-to-all with per-group merges)."""
     from rsmetacheck_ray.pipelines.queries import registry
 
-    fn = registry()["sessionize_users"][0]
+    fn = registry()["dataset_diff"][0]
     want = _rows(fn(SF))
     assert len(want) > 0
     killed = _run_with_kill(fn, want, n_kill=1)
