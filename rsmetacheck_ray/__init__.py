@@ -10,8 +10,9 @@ sequential file loop, ``detect_pitfalls_main.py:313``):
 
     work items (parquet row-group runs / fragments, planned on the
     driver) → [read → extract → langid → perplexity → rule catalog +
-    scrub → write_parquet], one fused task operator per partition
-    → lineage + metrics manifest
+    scrub → write parquet], one fused Ray task per work item (a Ray
+    Data read → gate → write stream where the footers do not bound
+    the items) → lineage + metrics manifest
 
 Nothing in this package calls ``ray.init()``/``ray.shutdown()`` — the
 driver, ``bench.py`` and the pytest session fixture own the session.

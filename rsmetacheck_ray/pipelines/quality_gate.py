@@ -3,22 +3,23 @@
 see SURVEY §3 "New-engine lifecycle"):
 
     work items → [read → extract → langid → perplexity → rule
-    catalog + scrub → write, FUSED into one task operator] →
+    catalog + scrub → write, FUSED into one Ray task per item] →
     partitioned parquet + lineage + metrics manifest.
 
 Each partition is planned on the driver as a list of work items: runs
 of parquet row groups grouped from the footers, or whole fragments of
 the other formats. When the footers show every work item is at most
-about two gate batches, the partition is a small Dataset of work items
-and one task-pool operator reads an item's fragments, gates them and
-writes one parquet file: Ray schedules, retries and writes, and the
-pages never enter the object store. A row group larger than a batch,
-or a format without free row counts, would make one work item hold a
-large fragment, so those partitions read their items in a Ray read
-operator of their own and the gate bundles its output into
-batch-sized tasks (``_partition_dataset``). An ActorPoolStrategy
-layout of the gate stage is selected with
-``build_gate(compute="actors")`` for heavy models.
+about two gate batches, each item is one plain Ray task
+(``_gate_work_item``) that reads the item's fragments, gates them and
+writes one parquet file: Ray schedules and retries the tasks, no Ray
+Data executor starts, and the pages never enter the object store. A
+row group larger than a batch, or a format without free row counts,
+would make one work item hold a large fragment, so those partitions
+read their items in a Ray Data read operator of their own and the
+gate bundles its output into batch-sized tasks
+(``_partition_dataset``). An ActorPoolStrategy layout of the gate
+stage is selected with ``build_gate(compute="actors")`` for heavy
+models.
 
 Scale design:
  - zero-copy Arrow batches end-to-end (``batch_format="pyarrow"``);
@@ -26,15 +27,16 @@ Scale design:
    (and, on the fused plan, never leaves the gate task);
  - scorer state (LM tables, compiled patterns) loaded once per
    worker/actor;
- - NO full materialization anywhere: each partition streams from read
-   to write with backpressure;
+ - NO full materialization anywhere: a fused task holds one work item
+   (under two batches); a streamed partition flows from read to write
+   with backpressure;
  - resume-by-partition: the input fragment list is split into K
    partitions, each written atomically to its own directory and
    recorded in a JSONL manifest (``state/manifest.py``); a re-run
-   skips completed partitions on the driver, before any Dataset exists;
- - ONE streaming pass per partition: every row (kept and dropped) is
-   written with its tiny decision columns; dropped rows carry NULL
-   text so the write volume is dominated by kept text. The kept
+   skips completed partitions on the driver, before any task starts;
+ - ONE pass per partition: every row (kept and dropped) is written
+   with its tiny decision columns; dropped rows carry NULL text so the
+   write volume is dominated by kept text. The kept
    dataset is the predicate view ``keep == true``; lineage/metrics
    aggregate the pruned decision columns (never the text).
 """
@@ -48,6 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
@@ -175,23 +178,14 @@ def build_gate(
     ds: rd.Dataset, cfg: GateConfig = DEFAULT_CONFIG, write_dropped_text: bool = False,
     expose_flags: bool = False, compute: str = "tasks",
 ) -> rd.Dataset:
-    """Assemble the lazy gate pipeline over a pages Dataset, or over a
-    Dataset of ``run_gate``'s work items (its single ``work_item``
-    column, see ``_work_items``).
+    """Assemble the lazy gate pipeline over a pages Dataset.
 
     Returns a Dataset of ALL rows with decision columns + scrubbed
     text (null for dropped rows unless ``write_dropped_text``).
 
     ``compute="tasks"`` (default): the whole scoring chain as ONE
-    task-pool ``map_batches``; task workers cache the scorer state per
-    process. A pages Dataset is bundled into ``cfg.batch_size``-row
-    batches. Work items are read inside the gate task instead: one
-    task per item, whole blocks (``batch_size=None``) cut into
-    ``cfg.batch_size`` kernel batches in ``_gate_task_fn``, and Ray
-    fuses read → gate → ``Write`` into one operator, so the pages
-    never enter the object store. (A row-count ``batch_size`` there
-    would make Ray bundle the work items themselves up to that many
-    rows: one task for a whole partition.)
+    task-pool ``map_batches`` over ``cfg.batch_size``-row bundles;
+    task workers cache the scorer state per process.
     ``compute="actors"``: the same fused stage as a pre-sized actor
     pool (the ActorPoolStrategy layout — right when per-actor state is
     heavy enough to need placement control, e.g. real fastText/KenLM
@@ -199,14 +193,6 @@ def build_gate(
     """
     import functools
 
-    import ray
-
-    batch_size = cfg.batch_size
-    schema = ds.schema(fetch_if_missing=False)  # known without executing
-    if schema is not None and schema.names == ["work_item"]:
-        ds = ds.map_batches(_read_task, batch_format="pyarrow", batch_size=1,
-                            zero_copy_batch=True)
-        batch_size = None
     if compute == "tasks":
         return ds.map_batches(
             functools.partial(
@@ -214,7 +200,7 @@ def build_gate(
                 write_dropped_text=write_dropped_text, expose_flags=expose_flags,
             ),
             batch_format="pyarrow",
-            batch_size=batch_size,
+            batch_size=cfg.batch_size,
             zero_copy_batch=True,
         )
     # Pre-sized pool (ncpu-2 actors, 2 CPUs left for read/write
@@ -226,7 +212,7 @@ def build_gate(
         GateStage,
         fn_constructor_args=(cfg, write_dropped_text, expose_flags),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=cfg.batch_size,
         concurrency=(pool, pool),
         zero_copy_batch=True,
     )
@@ -494,8 +480,6 @@ def _sized_cfg(cfg: GateConfig, rows: int) -> GateConfig:
     show (measured sweep in config.py)."""
     if rows == 0:
         return cfg
-    import ray
-
     ncpu = (
         int(ray.cluster_resources().get("CPU", 8))
         if ray.is_initialized()
@@ -524,7 +508,7 @@ def _work_items(
     applies. A row group is never split across tasks (that would read
     it twice), so a work item is as large as its largest row group; a
     fragment without counts is a work item of its own
-    (``_partition_dataset`` picks the plan that keeps such items from
+    (``_items_are_bounded`` picks the plan that keeps such items from
     starving the cluster). A task never mixes formats."""
     tasks: list[list] = []
     cur: list = []
@@ -572,9 +556,37 @@ def _read_pieces(item: str) -> Iterator[pa.Table]:
             yield t.select(_PAGES_COLUMNS) if input_format == "auto" else t
 
 
-def _read_task(batch: pa.Table) -> Iterator[pa.Table]:
-    """The read inside the gate task: ``batch`` is one work-item row."""
-    yield from _read_pieces(batch.column("work_item")[0].as_py())
+@ray.remote(num_cpus=1, max_retries=-1,
+            retry_exceptions=[ray.exceptions.RaySystemError])
+def _gate_work_item(item: str, k: int, out: str, cfg: GateConfig) -> int:
+    """Read, gate and write work item ``k`` of a fused partition and
+    return the rows written: one ``part-{k:05d}.parquet`` in ``out``,
+    none for an item of no rows. The file is written under a hidden
+    name and renamed into place, so a retried task (a killed worker)
+    never leaves a torn file next to its output.
+
+    The item's tables are gated as one block cut into
+    ``cfg.batch_size`` kernel batches, and written as Ray's
+    ``ParquetDatasink`` writes a block (``write_dataset``, a row group
+    per record batch). Retries follow Ray Data's map tasks: a lost worker is
+    retried without limit, an error raised by the read or the gate is
+    not retried."""
+    import pyarrow.dataset as pds
+
+    read = [t for t in _read_pieces(item) if len(t)]
+    if not read:
+        return 0
+    gated = pa.concat_tables(
+        _gate_task_fn(pa.concat_tables(read, promote_options="default"),
+                      cfg, False, False),
+        promote_options="default")
+    name = f"part-{k:05d}.parquet"
+    pds.write_dataset(gated, out, format="parquet",
+                      basename_template=f".{name}.{{i}}",
+                      existing_data_behavior="overwrite_or_ignore",
+                      use_threads=False)
+    os.replace(os.path.join(out, f".{name}.0"), os.path.join(out, name))
+    return len(gated)
 
 
 class _WorkItemDatasource(Datasource):
@@ -609,29 +621,27 @@ class _WorkItemDatasource(Datasource):
         ]
 
 
-def _partition_dataset(
-    units: list[tuple[str, str, list[int] | None]], input_format: str,
-    batch_size: int,
-) -> rd.Dataset | None:
-    """A partition's input to ``build_gate``, planned from its read
-    units' row counts (None for a partition without work items).
+def _items_are_bounded(units: list[tuple[str, str, list[int] | None]],
+                       batch_size: int) -> bool:
+    """The plan rule: a partition runs fused (``_gate_work_item``, one
+    task per work item) when every read unit has a known count of at
+    most ``batch_size`` rows. Then every work item holds fewer than
+    2 × ``batch_size`` rows, the granularity Ray's own bundling would
+    give. Otherwise (a row group larger than a batch, or a format
+    without free counts) one work item could hold a whole large
+    fragment and starve the cluster, and the partition is streamed
+    (``_partition_dataset``)."""
+    return all(c is not None and max(c, default=0) <= batch_size
+               for _, _, c in units)
 
-    When every read unit has a known count of at most ``batch_size``
-    rows, every work item holds fewer than 2 × ``batch_size`` rows, the
-    granularity Ray's own bundling would give: the partition is a
-    Dataset of work items, read inside the gate task. Otherwise (a row
-    group larger than a batch, or a format without free counts) one
-    work item could hold a whole large fragment and starve the
-    cluster, so the items are read by ``_WorkItemDatasource`` and the
-    gate bundles its output."""
-    items = [json.dumps([input_format, batch_size, t])
-             for t in _work_items(units, batch_size)]
-    if not items:
-        return None
-    if all(c is not None and max(c, default=0) <= batch_size
-           for _, _, c in units):
-        return rd.from_items([{"work_item": i} for i in items],
-                             override_num_blocks=len(items))
+
+def _partition_dataset(
+    items: list[str], units: list[tuple[str, str, list[int] | None]],
+    batch_size: int,
+) -> rd.Dataset:
+    """A streamed partition's pages: its work items read by
+    ``_WorkItemDatasource``, for ``build_gate`` to bundle into
+    batch-sized gate tasks."""
     # Ray coalesces each read task's tables into one block and splits
     # it again into as many blocks as it plans for the read: with the
     # rows known, plan one block per batch, so that each block is one
@@ -675,14 +685,13 @@ def _shim_fsspec_http() -> None:
 def auto_partitions(fragments: list[str], target_bytes: int = 1 << 30) -> int:
     """Resume-partition count sized by input bytes, not fragment count:
     each partition must be big enough to amortize the per-execution
-    fixed cost: the driver's footer reads and work-item plan, executor
-    start, stream fill/drain and the driver-side lineage tally (about
-    0.1 s together on one core at 4k docs, gatebench's
-    ``framework.fixed_s_per_partition``). At 100 TB this yields ~100k
-    resume units of 1 GiB — on a real multi-node cluster those units
-    are dispatched concurrently (one driver per unit group), not in
-    this sequential in-sandbox loop; on a 5 MB bench input it yields
-    1."""
+    fixed cost: the driver's footer reads and work-item plan, task
+    dispatch and fill/drain, and the driver-side lineage tally (a
+    Dataset execution's start too, on the streamed plan). At 100 TB
+    this yields ~100k resume units of 1 GiB — on a real multi-node
+    cluster those units are dispatched concurrently (one driver per
+    unit group), not in this sequential in-sandbox loop; on a 5 MB
+    bench input it yields 1."""
     total = sum(os.path.getsize(f) for f in fragments if os.path.exists(f))
     return max(1, min(len(fragments), total // target_bytes + (1 if total % target_bytes else 0)))
 
@@ -703,10 +712,11 @@ def run_gate(
         out_dir/manifest.jsonl               (completed partitions)
         out_dir/metrics.json                 (global summary)
 
-    Resume units execute CONCURRENTLY (driver threads, each owning one
-    streaming Dataset execution; Ray shares the cluster between them) —
-    the multi-node shape where unit N+1's read overlaps unit N's write
-    drain, instead of paying stream fill/drain edges serially. Default
+    Resume units execute CONCURRENTLY (driver threads, each submitting
+    its partition's gate tasks, or one Dataset execution on the
+    streamed plan; Ray shares the cluster between them) — unit N+1's
+    tasks fill the CPUs that unit N's last tasks leave idle, instead of
+    paying each partition's fill/drain edges serially. Default
     concurrency 2; partitions stay independent so outputs are identical
     for any value. Manifest appends are lock-serialized.
 
@@ -804,10 +814,23 @@ def run_gate(
             name = _format_name(f, input_format)
             count = FORMATS[name].count_rows
             units.append((f, name, count(f) if count else None))
-        run_cfg = _sized_cfg(cfg, sum(sum(c) for _, _, c in units if c))
-        ds = _partition_dataset(units, input_format, run_cfg.batch_size)
-        if ds is not None:
-            build_gate(ds, run_cfg).write_parquet(out)
+        rows = sum(sum(c) for _, _, c in units if c)
+        run_cfg = _sized_cfg(cfg, rows)
+        bs = run_cfg.batch_size
+        items = [json.dumps([input_format, bs, t]) for t in _work_items(units, bs)]
+        if items and _items_are_bounded(units, bs):
+            refs = [_gate_work_item.remote(item, k, out, run_cfg)
+                    for k, item in enumerate(items)]
+            # wait for every task, failed or not, so that no task of a
+            # failed attempt still writes into its directory
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+            written = sum(ray.get(refs))
+            if written != rows:
+                raise RuntimeError(
+                    f"gate tasks wrote {written} rows of {frag_group}, whose "
+                    f"footers count {rows}")
+        elif items:
+            build_gate(_partition_dataset(items, units, bs), run_cfg).write_parquet(out)
         os.makedirs(out, exist_ok=True)  # a partition of no rows writes no file
 
     def run_partition(pid: int, frag_group: list[str]) -> None:

@@ -243,8 +243,9 @@ class LangIdScorer:
         # when detection is "und"/zh, fall back to the DECLARED language
         # (null ⇒ the stopword rule skips — the reference's "missing key
         # ⇒ rule does not fire" convention, p001.py:10-11).
-        declared = batch.column("lang").to_numpy(zero_copy_only=False)
-        declared = np.array(["" if d is None else str(d) for d in declared])
+        # (an all-null lang column may arrive typed null)
+        declared = pc.fill_null(batch.column("lang").cast(pa.string()), "")
+        declared = declared.to_numpy(zero_copy_only=False).astype(str)
         stop_lang = np.where(
             np.isin(detected, langs),
             detected,
@@ -258,8 +259,7 @@ class LangIdScorer:
                 # the float density (3/7*7 != 3 in fp)
                 stop_hits[m] = hits_matrix[k][m]
         out = out.append_column(
-            "stopword_lang",
-            pa.array([s if s else None for s in stop_lang], pa.string()),
+            "stopword_lang", pa.array(stop_lang, pa.string(), mask=stop_lang == "")
         )
         out = out.append_column("stopword_hits", pa.array(stop_hits, pa.int64()))
         # prefix token count — the denominator for the stopword-density

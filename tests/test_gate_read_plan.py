@@ -2,11 +2,12 @@
 
 A partition is planned as work items (runs of parquet row groups, or
 whole fragments of the other formats). When every item is bounded by
-the footers, one task-pool operator reads each item, gates it and
-writes its file; otherwise the items are read by a Ray read operator
-and the gate bundles its output. These tests pin both plans, their
-parallelism, the registry queries' bundled layout and that every
-format's per-fragment reader gives back the pages written to it."""
+the footers, one plain Ray task per item reads it, gates it and writes
+its file, with no Ray Data execution; otherwise the items are read by
+a Ray Data read operator and the gate bundles its output. These tests
+pin both plans, their parallelism, the row-count check of the fused
+plan, the registry queries' bundled layout and that every format's
+per-fragment reader gives back the pages written to it."""
 
 from __future__ import annotations
 
@@ -37,16 +38,32 @@ def _capture_gate(monkeypatch):
 
 def test_partition_is_one_fused_operator(ray_session, small_corpus, tmp_path,
                                          monkeypatch):
-    from rsmetacheck_ray.pipelines.quality_gate import run_gate
+    """A bounded partition builds no gate Dataset and executes no Ray
+    Data write: its work items run as plain tasks, one file each."""
+    import ray.data as rd
 
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        _sized_cfg, _work_items, run_gate,
+    )
+
+    def no_dataset_write(*a, **kw):
+        raise AssertionError("a bounded partition executed a Dataset")
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", no_dataset_write)
     pages_dir, _ = small_corpus
     built = _capture_gate(monkeypatch)
-    run_gate(pages_dir, str(tmp_path / "out"), n_partitions=1)
-    assert len(built) == 1
-    stats = built[0].stats()
-    assert "MapBatches(_read_task)->MapBatches(_gate_task_fn)->Write" in stats
-    assert "ReadParquet" not in stats
-    assert "SplitBlocks" not in stats
+    out = tmp_path / "out"
+    m = run_gate(pages_dir, str(out), n_partitions=1)
+    assert built == []
+    frags = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    counts = [pq.ParquetFile(f).metadata.num_rows for f in frags]
+    assert m["total_documents"] == sum(counts)
+    sized = _sized_cfg(DEFAULT_CONFIG, sum(counts)).batch_size
+    plan = _work_items([(f, "parquet", [n]) for f, n in zip(frags, counts)],
+                       sized)
+    files = sorted(os.listdir(out / "docs" / "partition=0"))
+    assert files == [f"part-{k:05d}.parquet" for k in range(len(plan))]
 
 
 def test_work_items_group_row_groups_greedily():
@@ -77,10 +94,10 @@ def test_work_items_group_row_groups_greedily():
 def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
                                           monkeypatch):
     """One 8-row-group fragment runs fused, as several tasks, one
-    greedy work item each. The same rows in ONE row group are too large
-    for a work item: the partition streams them through its own read
-    operator and the gate still runs in several tasks. Both write the
-    same rows."""
+    greedy work item and one file each. The same rows in ONE row group
+    are too large for a work item: the partition streams them through
+    its own read operator and the gate still runs in several tasks.
+    Both write the same rows."""
     import dataclasses
 
     from rsmetacheck_ray.config import DEFAULT_CONFIG
@@ -113,11 +130,10 @@ def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
     assert len(files) == len(plan)
     assert sorted(pq.ParquetFile(f).metadata.num_rows for f in files) == sorted(
         sum(1000 * len(rgs) for _, rgs in task) for task in plan)
-    assert f"{len(plan)} tasks executed" in built[0].stats()
 
     whole = tmp_path / "whole"
     run_gate(str(single.parent), str(whole), cfg, n_partitions=1)
-    stats = built[1].stats()
+    stats = built[0].stats()
     assert "MapBatches(_read_task)" not in stats
     # one read block per batch, each its own gate task
     read_op = next(line for line in stats.splitlines() if "ReadWorkItems" in line)
@@ -132,26 +148,49 @@ def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
         b.sort_values(keys).reset_index(drop=True))
 
 
-def test_partition_plan_follows_the_footers(ray_session, tmp_path):
+def test_partition_plan_follows_the_footers():
     """Work items are read inside the gate task only when every read
     unit has a known count of at most one batch."""
-    from rsmetacheck_ray.pipelines.quality_gate import _partition_dataset
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        _items_are_bounded, _work_items,
+    )
 
-    def fused(units):
-        units = [(str(tmp_path / p), f, c) for p, f, c in units]
-        for p, _, _ in units:
-            open(p, "w").close()
-        ds = _partition_dataset(units, "auto", 2048)
-        schema = ds.schema(fetch_if_missing=False)
-        return schema is not None and schema.names == ["work_item"]
+    assert _items_are_bounded([("a.parquet", "parquet", [2048, 100]),
+                               ("b.orc", "orc", [5])], 2048)
+    assert _items_are_bounded([("a.parquet", "parquet", [0])], 2048)
+    assert not _items_are_bounded([("a.parquet", "parquet", [2049])], 2048)
+    assert not _items_are_bounded([("a.parquet", "parquet", [10]),
+                                   ("b.jsonl", "jsonl", None)], 2048)
+    # a fragment without row groups is in no work item
+    assert _work_items([("a.parquet", "parquet", [])], 2048) == []
 
-    assert fused([("a.parquet", "parquet", [2048, 100]),
-                  ("b.orc", "orc", [5])])
-    assert not fused([("a.parquet", "parquet", [2049])])
-    assert not fused([("a.parquet", "parquet", [10]),
-                      ("b.jsonl", "jsonl", None)])
-    assert _partition_dataset([("a.parquet", "parquet", [])], "auto",
-                              2048) is None
+
+def test_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
+                                monkeypatch):
+    """A fused partition whose tasks write fewer rows than its footers
+    count fails the run instead of being recorded as a smaller
+    partition."""
+    import ray
+
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    orig = qg._read_pieces
+
+    def short_reader(item):
+        tables = list(orig(item))
+        yield tables[0].slice(1)
+        yield from tables[1:]
+
+    # the task pickles the module globals it reads when it is first
+    # submitted: a new remote function of the same body carries the
+    # patched reader to the workers
+    monkeypatch.setattr(qg, "_read_pieces", short_reader)
+    monkeypatch.setattr(qg, "_gate_work_item",
+                        ray.remote(num_cpus=1)(qg._gate_work_item._function))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="footers count"):
+        qg.run_gate(small_corpus[0], str(out), n_partitions=1)
+    assert not qg.Manifest(str(out / "manifest.jsonl")).completed()
 
 
 def test_pages_dataset_keeps_row_bundling(ray_session, small_corpus):

@@ -212,22 +212,23 @@ def test_interrupted_epoch_recovers(ray_session, small_corpus, tmp_path):
         shutil.copy(f, lake)
     out = tmp_path / "inc"
 
-    # kill the first epoch after one partition completes
+    # kill the first epoch after one partition completes (every
+    # partition plans its batch size on the driver first)
     calls = {"n": 0}
-    orig = qg.build_gate
+    orig = qg._sized_cfg
 
-    def exploding(ds, cfg, write_dropped_text=False, **kw):
+    def exploding(cfg, rows):
         if calls["n"] >= 1:
             raise RuntimeError("simulated mid-epoch kill")
         calls["n"] += 1
-        return orig(ds, cfg, write_dropped_text, **kw)
+        return orig(cfg, rows)
 
-    qg.build_gate = exploding
+    qg._sized_cfg = exploding
     try:
         with pytest.raises(RuntimeError):
             qg.run_gate_incremental(str(lake), str(out), n_partitions=3)
     finally:
-        qg.build_gate = orig
+        qg._sized_cfg = orig
 
     ep0_man = out / "epochs" / "epoch-0000" / "manifest.jsonl"
     assert ep0_man.exists()

@@ -138,21 +138,22 @@ def test_resume_skips_completed_and_is_identical(ray_session, small_corpus, tmp_
     resumed_dir = str(tmp_path_factory.mktemp("resumed"))
 
     # interrupted run: fail the job after the first partition completes
+    # (every partition plans its batch size on the driver first)
     calls = {"n": 0}
-    orig = qg.build_gate
+    orig = qg._sized_cfg
 
-    def exploding_build(ds, cfg, write_dropped_text=False):
+    def exploding_plan(cfg, rows):
         if calls["n"] >= 1:
             raise RuntimeError("simulated mid-run kill")
         calls["n"] += 1
-        return orig(ds, cfg, write_dropped_text)
+        return orig(cfg, rows)
 
-    qg.build_gate = exploding_build
+    qg._sized_cfg = exploding_plan
     try:
         with pytest.raises(RuntimeError):
             qg.run_gate(pages_dir, resumed_dir, n_partitions=3)
     finally:
-        qg.build_gate = orig
+        qg._sized_cfg = orig
 
     manifest = os.path.join(resumed_dir, "manifest.jsonl")
     assert os.path.exists(manifest)

@@ -17,9 +17,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SF = "/root/testdata/sf0.01"
 
 
-def _active_worker_pids() -> list[int]:
+def _active_worker_pids(task: str | None = None) -> list[int]:
     """PIDs of ray workers EXECUTING a task right now (cmdline
-    'ray::<task>', not 'ray::IDLE'), never the current process."""
+    'ray::<task>', not 'ray::IDLE'), never the current process; only
+    those running ``task`` when it is given."""
     me = os.getpid()
     out = []
     for pid_s in os.listdir("/proc"):
@@ -30,24 +31,28 @@ def _active_worker_pids() -> list[int]:
                 cmd = f.read().split(b"\0")[0].decode(errors="replace")
         except OSError:
             continue
+        if task is not None and cmd != f"ray::{task}":
+            continue
         if cmd.startswith("ray::") and not cmd.startswith("ray::IDLE"):
             out.append(int(pid_s))
     return out
 
 
 class _Killer(threading.Thread):
-    """Poll for ACTIVE ray workers and SIGKILL up to ``n`` of them —
-    a kill only counts when it lands on a worker mid-task."""
+    """Poll for ACTIVE ray workers (those running ``task``, if given)
+    and SIGKILL up to ``n`` of them — a kill only counts when it lands
+    on a worker mid-task."""
 
-    def __init__(self, n: int = 1):
+    def __init__(self, n: int = 1, task: str | None = None):
         super().__init__(daemon=True)
         self.n = n
+        self.task = task
         self.killed: list[int] = []
         self.stop = threading.Event()
 
     def run(self):
         while len(self.killed) < self.n and not self.stop.is_set():
-            for pid in _active_worker_pids():
+            for pid in _active_worker_pids(self.task):
                 if pid in self.killed:
                     continue
                 try:
@@ -222,3 +227,67 @@ def test_worker_loss_during_knn_block_pair_tasks(ray_session):
     assert len(want) > 0
     killed = _run_with_kill(fn, want, n_kill=1)
     assert killed, "no kill ever landed on an executing worker"
+
+
+def test_worker_loss_on_fused_gate_tasks(ray_session, small_corpus, tmp_path):
+    """SIGKILL a fused gate task (``_gate_work_item``) mid-run: Ray
+    retries it, and metrics.json and the docs output equal a clean run,
+    with one file per work item and no temporary file left behind. A
+    fragment of no rows writes no file."""
+    import glob
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        _items_are_bounded, _sized_cfg, _work_items, run_gate,
+    )
+
+    pages = pq.read_table(small_corpus[0]).select(
+        ["url", "warc_ts", "html", "text", "lang"])
+    lake = tmp_path / "lake"
+    os.makedirs(lake)
+    for i in range(2):  # 2000 rows each, in bounded row groups of 250
+        pq.write_table(pages, lake / f"p{i}.parquet", row_group_size=250)
+    pq.write_table(pages.slice(0, 0), lake / "z-empty.parquet")
+    units = {}
+    for f in sorted(glob.glob(str(lake / "*.parquet"))):
+        md = pq.ParquetFile(f).metadata
+        units[f] = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
+    plans = []
+    for f, counts in units.items():  # n_partitions=3: one fragment each
+        bs = _sized_cfg(DEFAULT_CONFIG, sum(counts)).batch_size
+        assert _items_are_bounded([(f, "parquet", counts)], bs)
+        plans.append(_work_items([(f, "parquet", counts)], bs))
+    assert [len(p) for p in plans] == [2, 2, 1]
+
+    def docs(out):
+        return (pq.read_table(str(out / "docs")).to_pandas()
+                .sort_values(["url", "content_hash"]).reset_index(drop=True))
+
+    clean_dir = tmp_path / "clean"
+    clean = run_gate(str(lake), str(clean_dir), n_partitions=3)
+    assert clean["total_documents"] == 4000
+    for attempt in range(8):
+        out = tmp_path / f"kill{attempt}"
+        killer = _Killer(n=1, task="_gate_work_item")
+        killer.start()
+        try:
+            got = run_gate(str(lake), str(out), n_partitions=3)
+        finally:
+            killer.stop.set()
+            killer.join(timeout=12)
+        assert got == clean
+        assert (out / "metrics.json").read_bytes() == (
+            clean_dir / "metrics.json").read_bytes()
+        pd.testing.assert_frame_equal(docs(out), docs(clean_dir))
+        for pid, want in enumerate([2, 2, 0]):  # the empty fragment: none
+            part = out / "docs" / f"partition={pid}"
+            assert sorted(os.listdir(part)) == [
+                f"part-{k:05d}.parquet" for k in range(want)]
+        assert not [d for d in os.listdir(out / "docs")
+                    if not d.startswith("partition=")]
+        if killer.killed:
+            return
+    raise AssertionError("no kill ever landed on a gate task")
