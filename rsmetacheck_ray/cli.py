@@ -48,6 +48,19 @@ def _docs_path(out_dir: str):
     return os.path.join(out_dir, "docs")
 
 
+def _write_view(ds, dest: str) -> int:
+    """Write a view Dataset to ``dest`` as the gate writes its files
+    and return the rows written, from the footers of the files this
+    write added (counting the Dataset would run the view again)."""
+    import os
+
+    from .pipelines.quality_gate import PARQUET_WRITE_OPTIONS, parquet_rows
+
+    before = os.listdir(dest) if os.path.isdir(dest) else []
+    ds.write_parquet(dest, **PARQUET_WRITE_OPTIONS)
+    return parquet_rows(dest, exclude=before)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .pipelines.quality_gate import INPUT_FORMATS
 
@@ -199,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
 
         ev = evidence_view(_docs_path(args.out))
         if args.dest:
-            ev.write_parquet(args.dest)
-            print(json.dumps({"rows": ev.count(), "dest": args.dest}))
+            print(json.dumps({"rows": _write_view(ev, args.dest),
+                              "dest": args.dest}))
         else:
             for row in ev.take(20):
                 print(json.dumps(row, sort_keys=True))
@@ -210,8 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         from .pipelines.quality_gate import kept_view
 
         kv = kept_view(_docs_path(args.out))
-        kv.write_parquet(args.dest)
-        print(json.dumps({"rows": kv.count(), "dest": args.dest}))
+        print(json.dumps({"rows": _write_view(kv, args.dest),
+                          "dest": args.dest}))
     elif args.cmd == "export":
         import os
 

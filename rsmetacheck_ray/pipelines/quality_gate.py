@@ -36,7 +36,9 @@ Scale design:
    skips completed partitions on the driver, before any task starts;
  - ONE pass per partition: every row (kept and dropped) is written
    with its tiny decision columns; dropped rows carry NULL text so the
-   write volume is dominated by kept text. The kept
+   write volume is dominated by kept text. Every file is written with
+   zstd at level 3 (``PARQUET_WRITE_OPTIONS``), and a fused task's file
+   is one row group. The kept
    dataset is the predicate view ``keep == true``; lineage/metrics
    aggregate the pruned decision columns (never the text).
 """
@@ -67,6 +69,13 @@ from ..state.manifest import Manifest
 _DECISION_COLS = ["url", "warc_ts", "lang", "detected_lang", "langid_conf",
                   "bits_per_char", "n_tokens", "n_chars", "keep",
                   "rule_errors", "evidence_json"]
+
+# Parquet write options of every file the gate writes (both plans) and
+# of the CLI's kept/evidence exports. scrubbed_text is most of the
+# written bytes. On the gatebench html_gate inputs (seed 6, one file
+# per 1000 gated rows) Arrow's default snappy writes 396 B/doc, zstd at
+# Arrow's default level 1 299, and zstd at level 3 270.
+PARQUET_WRITE_OPTIONS = {"compression": "zstd", "compression_level": 3}
 
 
 class _RuleStage:
@@ -566,11 +575,11 @@ def _gate_work_item(item: str, k: int, out: str, cfg: GateConfig) -> int:
     never leaves a torn file next to its output.
 
     The item's tables are gated as one block cut into
-    ``cfg.batch_size`` kernel batches, and written as Ray's
-    ``ParquetDatasink`` writes a block (``write_dataset``, a row group
-    per record batch). Retries follow Ray Data's map tasks: a lost worker is
-    retried without limit, an error raised by the read or the gate is
-    not retried."""
+    ``cfg.batch_size`` kernel batches, and written with
+    ``write_dataset`` as one row group (the item is under two batches)
+    with ``PARQUET_WRITE_OPTIONS``. Retries follow Ray Data's map
+    tasks: a lost worker is retried without limit, an error raised by
+    the read or the gate is not retried."""
     import pyarrow.dataset as pds
 
     read = [t for t in _read_pieces(item) if len(t)]
@@ -579,12 +588,13 @@ def _gate_work_item(item: str, k: int, out: str, cfg: GateConfig) -> int:
     gated = pa.concat_tables(
         _gate_task_fn(pa.concat_tables(read, promote_options="default"),
                       cfg, False, False),
-        promote_options="default")
+        promote_options="default").combine_chunks()
     name = f"part-{k:05d}.parquet"
-    pds.write_dataset(gated, out, format="parquet",
-                      basename_template=f".{name}.{{i}}",
-                      existing_data_behavior="overwrite_or_ignore",
-                      use_threads=False)
+    pds.write_dataset(
+        gated, out, format="parquet", basename_template=f".{name}.{{i}}",
+        existing_data_behavior="overwrite_or_ignore", use_threads=False,
+        file_options=pds.ParquetFileFormat().make_write_options(
+            **PARQUET_WRITE_OPTIONS))
     os.replace(os.path.join(out, f".{name}.0"), os.path.join(out, name))
     return len(gated)
 
@@ -818,6 +828,7 @@ def run_gate(
         run_cfg = _sized_cfg(cfg, rows)
         bs = run_cfg.batch_size
         items = [json.dumps([input_format, bs, t]) for t in _work_items(units, bs)]
+        written = rows  # unchecked where a fragment has no footer count
         if items and _items_are_bounded(units, bs):
             refs = [_gate_work_item.remote(item, k, out, run_cfg)
                     for k, item in enumerate(items)]
@@ -825,13 +836,16 @@ def run_gate(
             # failed attempt still writes into its directory
             ray.wait(refs, num_returns=len(refs), fetch_local=False)
             written = sum(ray.get(refs))
-            if written != rows:
-                raise RuntimeError(
-                    f"gate tasks wrote {written} rows of {frag_group}, whose "
-                    f"footers count {rows}")
         elif items:
-            build_gate(_partition_dataset(items, units, bs), run_cfg).write_parquet(out)
+            build_gate(_partition_dataset(items, units, bs), run_cfg).write_parquet(
+                out, **PARQUET_WRITE_OPTIONS)
+            if all(c is not None for _, _, c in units):
+                written = parquet_rows(out)
         os.makedirs(out, exist_ok=True)  # a partition of no rows writes no file
+        if written != rows:
+            raise RuntimeError(
+                f"the gate wrote {written} rows of {frag_group}, whose "
+                f"footers count {rows}")
 
     def run_partition(pid: int, frag_group: list[str]) -> None:
         final_dir = os.path.join(docs_root, f"partition={pid}")
@@ -895,6 +909,20 @@ def run_gate(
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
     return metrics
+
+
+def parquet_rows(directory: str, exclude: Iterable[str] = ()) -> int:
+    """Rows in the parquet files of ``directory`` (those not named in
+    ``exclude``), summed from their footers without a data read: the
+    row count of a write, checked or reported without running its
+    Dataset again."""
+    import pyarrow.parquet as pq
+
+    skip = set(exclude)
+    return sum(pq.ParquetFile(os.path.join(directory, f)).metadata.num_rows
+               for f in os.listdir(directory)
+               if f.endswith(".parquet") and not f.startswith(".")
+               and f not in skip)
 
 
 def partition_lineage(partition_dir: str) -> dict:

@@ -7,7 +7,8 @@ pure, stateless, byte-deterministic transform — the invariant pinned by
 across runs and parallelism levels).
 
 Fully vectorized: every pass is a pyarrow.compute (RE2) kernel over the
-whole Arrow column — zero Python-per-row work, zero-copy batches.
+Arrow column (the entity and whitespace passes over only the rows their
+guards select) — zero Python-per-row work, zero-copy batches.
 
 Spec (frozen):
   1. utf-8 decode of the ``html`` binary column
@@ -24,6 +25,8 @@ pre-extracted text); rows with neither become empty strings.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -50,6 +53,49 @@ _ENTITIES = [
     ("&copy;", "(c)"),
     ("&amp;", "&"),  # must come last
 ]
+# Whitespace normalize, in order: collapse horizontal runs, trim line
+# edges, collapse newline runs. The first pattern matches only runs
+# that actually change (≥2 chars, or a lone \t/\r): a plain
+# `[ \t\r]+` also matches every single space, making RE2 rewrite the
+# whole column even when output == input.
+#
+# Each pass, and the entity replaces, runs only on the rows where one
+# of its guards matches (``_only_where``). A guard is an RE2 pattern
+# that holds on every row its pass can change, so skipping the other
+# rows is exact; the guards are literals (RE2 finds them with memchr)
+# or anchored at one edge. Mostly clean rows pay one cheap scan per
+# pass instead of a rewrite of every byte.
+_WS_PASSES = [
+    # a run of two, or a tab or CR
+    (r"[ \t\r]{2,}|[\t\r]", " ", ("\t", "\r", "  ")),
+    # a space next to a line end or a document edge
+    (r"(?m)^ +| +$", "", ("\n ", " \n", "^ ", " $")),
+    (r"\n{2,}", "\n", ("\n\n",)),
+]
+_ENTITY_GUARDS = ("&",)
+
+
+def _only_where(s: pa.Array, guards: tuple[str, ...], fn) -> pa.Array:
+    """``fn(s)``, with ``fn`` run only on the rows where one of the RE2
+    ``guards`` matches and the other rows passed through (take,
+    ``fn``, ``replace_with_mask``). Equal to ``fn(s)`` whenever ``fn``
+    leaves every row without a guard match as it is."""
+    hit = pc.match_substring_regex(s, guards[0])
+    for g in guards[1:]:
+        hit = pc.or_(hit, pc.match_substring_regex(s, g))
+    hit = pc.fill_null(hit, False)
+    n = pc.sum(hit).as_py() or 0
+    if n == 0:
+        return s
+    if n == len(s):
+        return fn(s)
+    return pc.replace_with_mask(s, hit, fn(s.filter(hit)))
+
+
+def _unescape(s: pa.Array) -> pa.Array:
+    for ent, repl in _ENTITIES:
+        s = pc.replace_substring(s, pattern=ent, replacement=repl)
+    return s
 
 
 def extract_text_array(html: pa.Array) -> pa.Array:
@@ -59,19 +105,14 @@ def extract_text_array(html: pa.Array) -> pa.Array:
         s = pc.replace_substring_regex(s, pattern=pat, replacement="")
     s = pc.replace_substring_regex(s, pattern=_NEWLINE_TAGS, replacement="\n")
     s = pc.replace_substring_regex(s, pattern=_ANY_TAG, replacement="")
-    for ent, repl in _ENTITIES:
-        s = pc.replace_substring(s, pattern=ent, replacement=repl)
-    # whitespace normalize: collapse horizontal runs, trim line edges,
-    # collapse newline runs, trim document edges
-    # match only runs that actually change (≥2 chars, or a lone \t/\r):
-    # a plain `[ \t\r]+` also matches every single space, making RE2
-    # rewrite the whole column even when output == input (measured as
-    # the single most expensive extraction pass)
-    s = pc.replace_substring_regex(s, pattern=r"[ \t\r]{2,}|[\t\r]", replacement=" ")
-    s = pc.replace_substring_regex(s, pattern=r"(?m)^ +| +$", replacement="")
-    s = pc.replace_substring_regex(s, pattern=r"\n{2,}", replacement="\n")
-    s = pc.replace_substring_regex(s, pattern=r"^\n|\n$", replacement="")
-    return s
+    s = _only_where(s, _ENTITY_GUARDS, _unescape)
+    for pat, repl, guards in _WS_PASSES:
+        s = _only_where(s, guards, functools.partial(
+            pc.replace_substring_regex, pattern=pat, replacement=repl))
+    # the spec's last pass replaces `^\n|\n$` with "": no `\n\n`
+    # survives the pass above, so a document starts and ends with at
+    # most one newline, and trimming every edge newline is the same
+    return pc.utf8_trim(s, "\n")
 
 
 def extract_stage(batch: pa.Table) -> pa.Table:

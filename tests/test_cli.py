@@ -177,3 +177,44 @@ def test_kept_view_cli_incremental_layout(ray_session, small_corpus, tmp_path, c
     assert main(["kept", "--out", str(out), "--dest", str(dest)]) == 0
     res = _json.loads(capsys.readouterr().out)
     assert res["rows"] == m2["kept"] > m1["kept"]
+
+
+def test_kept_and_evidence_exports(ray_session, small_corpus, tmp_path,
+                                   capsys, monkeypatch):
+    """`kept` and `evidence --dest` write zstd parquet and print the
+    rows their views hold, counted from the written footers (a file
+    already in the destination is not counted), without running the
+    view a second time."""
+    import os
+
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        evidence_view, kept_view, run_gate,
+    )
+
+    out = tmp_path / "run"
+    m = run_gate(small_corpus[0], str(out), n_partitions=2)
+    docs = str(out / "docs")
+    want = {"kept": kept_view(docs).count(),
+            "evidence": evidence_view(docs).count()}
+    assert want["kept"] == m["kept"]
+
+    def no_count(self):
+        raise AssertionError("the export ran its view again")
+
+    monkeypatch.setattr(rd.Dataset, "count", no_count)
+    for cmd in ("kept", "evidence"):
+        dest = tmp_path / cmd
+        os.makedirs(dest)
+        pq.write_table(pq.read_table(docs).slice(0, 7), dest / "earlier.parquet")
+        assert main([cmd, "--out", str(out), "--dest", str(dest)]) == 0
+        info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert info == {"rows": want[cmd], "dest": str(dest)}
+        files = [f for f in os.listdir(dest) if f != "earlier.parquet"]
+        assert files
+        for f in files:
+            md = pq.read_metadata(dest / f)
+            assert {md.row_group(g).column(c).compression
+                    for g in range(md.num_row_groups)
+                    for c in range(md.num_columns)} == {"ZSTD"}

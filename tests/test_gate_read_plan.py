@@ -193,6 +193,88 @@ def test_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
     assert not qg.Manifest(str(out / "manifest.jsonl")).completed()
 
 
+def _one_row_group(small_corpus, tmp_path):
+    """The first corpus fragment rewritten as one row group larger than
+    a batch, which the partition plan streams."""
+    pages = pq.read_table(small_corpus[0]).select(
+        ["url", "warc_ts", "html", "text", "lang"])
+    lake = tmp_path / "lake"
+    os.makedirs(lake)
+    pq.write_table(pages, lake / "pages.parquet")
+    assert pq.ParquetFile(lake / "pages.parquet").metadata.num_row_groups == 1
+    return lake
+
+
+def test_streamed_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
+                                         monkeypatch):
+    """A streamed partition (one row group larger than ``batch_size``)
+    whose written files hold fewer rows than its footers count fails
+    the run instead of being recorded as a smaller partition."""
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    lake = _one_row_group(small_corpus, tmp_path)
+    rows = pq.ParquetFile(lake / "pages.parquet").metadata.num_rows
+    assert rows > qg._sized_cfg(DEFAULT_CONFIG, rows).batch_size
+    orig = qg._read_pieces
+
+    def short_reader(item):
+        tables = list(orig(item))
+        yield tables[0].slice(1)
+        yield from tables[1:]
+
+    monkeypatch.setattr(qg, "_read_pieces", short_reader)
+    built = _capture_gate(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="footers count"):
+        qg.run_gate(str(lake), str(out), n_partitions=1)
+    assert len(built) == 1  # the streamed plan ran
+    assert not qg.Manifest(str(out / "manifest.jsonl")).completed()
+
+
+def _codecs(path) -> set[str]:
+    md = pq.ParquetFile(path).metadata
+    return {md.row_group(g).column(c).compression
+            for g in range(md.num_row_groups) for c in range(md.num_columns)}
+
+
+def test_gate_files_are_zstd(ray_session, small_corpus, tmp_path, monkeypatch):
+    """Both plans write zstd column chunks, and a fused file is one row
+    group. The metrics recomputed from the files equal metrics.json,
+    and the kept and evidence views count the same rows as over the
+    same table written with Arrow's default options."""
+    from rsmetacheck_ray.pipelines.quality_gate import (
+        compute_metrics, evidence_view, kept_view, run_gate,
+    )
+
+    fused = tmp_path / "fused"
+    m = run_gate(small_corpus[0], str(fused), n_partitions=1)
+    files = glob.glob(str(fused / "docs" / "partition=0" / "*.parquet"))
+    assert files
+    for f in files:
+        assert _codecs(f) == {"ZSTD"}
+        assert pq.ParquetFile(f).metadata.num_row_groups == 1
+
+    built = _capture_gate(monkeypatch)
+    streamed = tmp_path / "streamed"
+    assert run_gate(str(_one_row_group(small_corpus, tmp_path)), str(streamed),
+                    n_partitions=1) == m
+    assert len(built) == 1
+    files = glob.glob(str(streamed / "docs" / "partition=0" / "*.parquet"))
+    assert files and all(_codecs(f) == {"ZSTD"} for f in files)
+
+    for run in (fused, streamed):
+        docs = str(run / "docs")
+        assert compute_metrics(docs) == json.loads((run / "metrics.json").read_text())
+        plain = tmp_path / f"{run.name}-snappy"
+        os.makedirs(plain)
+        pq.write_table(pq.read_table(docs), plain / "part.parquet")
+        assert _codecs(plain / "part.parquet") == {"SNAPPY"}
+        assert kept_view(docs).count() == kept_view(str(plain)).count() == m["kept"]
+        assert evidence_view(docs).count() == evidence_view(str(plain)).count() == sum(
+            r["count"] for r in m["rules"].values())
+
+
 def test_pages_dataset_keeps_row_bundling(ray_session, small_corpus):
     """A pages Dataset (the registry queries' input) is still gated in
     ``cfg.batch_size``-row bundles: four small blocks make one task."""

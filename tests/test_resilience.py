@@ -17,10 +17,16 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SF = "/root/testdata/sf0.01"
 
 
+# Ray Data's long-lived session actors: their workers are never idle,
+# and killing one kills no task of the run under test
+_SESSION_ACTORS = ("ray::_StatsActor", "ray::AutoscalingRequester",
+                   "ray::ActorLocationTracker")
+
+
 def _active_worker_pids(task: str | None = None) -> list[int]:
     """PIDs of ray workers EXECUTING a task right now (cmdline
-    'ray::<task>', not 'ray::IDLE'), never the current process; only
-    those running ``task`` when it is given."""
+    'ray::<task>', not 'ray::IDLE' or a session actor), never the
+    current process; only those running ``task`` when it is given."""
     me = os.getpid()
     out = []
     for pid_s in os.listdir("/proc"):
@@ -33,7 +39,8 @@ def _active_worker_pids(task: str | None = None) -> list[int]:
             continue
         if task is not None and cmd != f"ray::{task}":
             continue
-        if cmd.startswith("ray::") and not cmd.startswith("ray::IDLE"):
+        if cmd.startswith("ray::") and not cmd.startswith(
+                ("ray::IDLE", *_SESSION_ACTORS)):
             out.append(int(pid_s))
     return out
 
