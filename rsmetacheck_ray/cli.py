@@ -61,6 +61,22 @@ def _write_view(ds, dest: str) -> int:
     return parquet_rows(dest, exclude=before)
 
 
+def _write_json_view(ds, dest: str) -> tuple[int, int]:
+    """Write a view Dataset to ``dest`` as JSON lines and return (rows,
+    files) of the files this write added: one row per line, so the
+    rows are counted from the lines, not by running the view again."""
+    import os
+
+    before = set(os.listdir(dest)) if os.path.isdir(dest) else set()
+    ds.write_json(dest)
+    added = [f for f in os.listdir(dest) if f.endswith(".json") and f not in before]
+    rows = 0
+    for f in added:
+        with open(os.path.join(dest, f), "rb") as fh:
+            rows += sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    return rows, len(added)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .pipelines.quality_gate import INPUT_FORMATS
 
@@ -226,8 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"rows": _write_view(kv, args.dest),
                           "dest": args.dest}))
     elif args.cmd == "export":
-        import os
-
         import ray.data as rd
 
         from .pipelines.quality_gate import evidence_view, kept_view
@@ -241,16 +255,10 @@ def main(argv: list[str] | None = None) -> int:
             ds = rd.read_parquet(docs_dir)
         # streaming partitioned JSONL write: one file per block, no
         # driver materialization — a failed export can re-run per file
-        ds.write_json(args.dest)
-        n_files = len(
-            [f for f in os.listdir(args.dest) if f.endswith(".json")]
-        )
-        print(json.dumps({"rows": ds.count(), "files": n_files,
+        rows, n_files = _write_json_view(ds, args.dest)
+        print(json.dumps({"rows": rows, "files": n_files,
                           "dest": args.dest, "view": args.view}))
     elif args.cmd == "dedup":
-        import os
-
-        import pyarrow as pa
         import ray.data as rd
         from ray.data.aggregate import Count, Min
 
@@ -265,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             Min("url", alias_name="url"), Count(alias_name="dup_count")
         )
         agg = agg.select_columns(["url", "dup_count"])
-        agg.write_parquet(args.dest)
-        print(json.dumps({"rows": agg.count(), "dest": args.dest}))
+        print(json.dumps({"rows": _write_view(agg, args.dest),
+                          "dest": args.dest}))
     elif args.cmd == "query":
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -275,16 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         is_dataset = hasattr(res, "write_parquet")
         if args.dest:
             if is_dataset:
+                from .pipelines.quality_gate import parquet_rows
+
                 res.write_parquet(args.dest)
                 # row count from the written footers — a Dataset is
                 # lazy, so res.count() would re-run the whole pipeline
-                import os
-
-                n = sum(
-                    pq.read_metadata(os.path.join(args.dest, f)).num_rows
-                    for f in os.listdir(args.dest)
-                    if f.endswith(".parquet")
-                )
+                n = parquet_rows(args.dest)
             else:  # pandas / pyarrow result
                 t = res if isinstance(res, pa.Table) else pa.Table.from_pandas(res)
                 pq.write_table(t, args.dest)

@@ -6,11 +6,11 @@ regex lists, ``p002.py:37-51``). Implemented as marker-word density
 scoring over each document's first ``langid_scan_chars`` codepoints:
 
 - for each known language, whole-word hits of that language's
-  (disjoint) marker set, with ONE RE2 pass per language
-  (`pyarrow.compute.count_substring_regex`) over a zero-copy window
-  view. The view reuses the text's data buffer with interleaved
-  ``(start, window_end)`` offsets, and its gap slots (the documents'
-  tails) are null, so RE2 never reads past a window;
+  (disjoint) marker set, counted for every language in ONE polars
+  query (Rust regex, one ``count_matches`` per language) over a
+  zero-copy window view. The view reuses the text's data buffer with
+  interleaved ``(start, window_end)`` offsets, and its gap slots (the
+  documents' tails) are null, so no scan reads past a window;
 - a CJK character-ratio detector for zh. U+4E00–U+9FFF characters are
   counted by a byte test on well-formed 3-byte UTF-8 sequences inside
   the window, with no regex.
@@ -23,8 +23,9 @@ stage reads, come from ONE byte-level tokenization of the batch
 (:func:`~rsmetacheck_ray.functions.tokenize.ws_token_stats`): the stage
 appends ``n_tokens``, ``n_tokens_scan``, ``top_bigram_frac``,
 ``n_lines`` and ``dup_line_frac``, and nothing downstream tokenizes
-again. Marker hits stay RE2 ``\\b`` matches, which count ``"the,"``
-where a whitespace-token lookup would not.
+again. Marker hits stay ASCII ``\\b`` matches (RE2's ``\\b``, spelled
+``(?-u:\\b)`` for Rust), which count ``"the,"`` where a whitespace-token
+lookup would not.
 
 State (the per-language compiled patterns, an optional lid model) is
 built once per actor in ``__init__`` — the ActorPoolStrategy contract.
@@ -34,13 +35,12 @@ Scoring is deterministic and seed-free.
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
-from ..functions.arrowbuf import (
-    prefix_bytes, span_values, span_view, value_spans,
-)
+from ..functions.arrowbuf import prefix_bytes, span_view, value_spans
 from ..functions.tokenize import ws_token_stats
 from ..functions.vocab import MARKERS
 
@@ -49,8 +49,16 @@ from ..functions.vocab import MARKERS
 _TOKEN_MEMO_MAX = 1 << 17
 
 
-def marker_pattern(lang: str) -> str:
-    return r"\b(?:" + "|".join(MARKERS[lang]) + r")\b"
+def marker_pattern(lang: str, boundary: str = r"\b") -> str:
+    """``lang``'s whole-word marker alternation between two
+    ``boundary`` assertions: RE2's ASCII ``\\b`` by default. The gate
+    counts it with Rust's regex engine, whose ``\\b`` is Unicode-aware,
+    so it passes ``RUST_ASCII_BOUNDARY``, the same boundary in Rust."""
+    return boundary + "(?:" + "|".join(MARKERS[lang]) + ")" + boundary
+
+
+# RE2's (ASCII) word boundary in Rust regex syntax
+RUST_ASCII_BOUNDARY = r"(?-u:\b)"
 
 
 def cjk_counts(data: np.ndarray, starts: np.ndarray,
@@ -81,8 +89,14 @@ class LangIdScorer:
         model_path: str | None = None,
     ):
         self.cfg = cfg
-        # one compiled alternation per language, built once per actor
+        # one alternation per language: RE2 spelling (the reference the
+        # oracles read) and the polars query that counts them all
         self.patterns = {lang: marker_pattern(lang) for lang in MARKERS}
+        self._marker_counts = [
+            pl.col("v").str.count_matches(marker_pattern(lang, RUST_ASCII_BOUNDARY))
+            .gather_every(2).alias(lang)
+            for lang in MARKERS
+        ]
         # each actor is a 1-CPU worker: without this, every pyarrow
         # kernel spins a machine-wide thread pool and N actors × N
         # threads contend (measured 20-30x UDF inflation at 32 CPUs)
@@ -117,20 +131,21 @@ class LangIdScorer:
     def _marker_hits(self, text: pa.Array, starts: np.ndarray,
                      ends: np.ndarray) -> np.ndarray:
         """(n_langs, n) exact marker counts in each document's bytes
-        ``[starts, ends)`` of the text buffer — one RE2 pass per language
-        over a zero-copy window view, whose null gap slots (the
-        documents' tails) RE2 skips. (A single-scan union + per-word
-        attribution was tried and is SLOWER on marker-dense text: ~1
-        match per 3 words makes the explode/groupby attribution cost
-        exceed three extra scans.)"""
-        hits = np.zeros((len(self.patterns), len(text)), dtype=np.int64)
+        ``[starts, ends)`` of the text buffer: one polars query over a
+        zero-copy window view, one ``count_matches`` per language, each
+        read at the view's even (window) slots; the null gap slots (the
+        documents' tails) are skipped. ``select_seq`` runs the counts in
+        turn on the calling thread, since a gate task is scheduled as
+        one CPU (``select`` would spread them over polars' thread pool).
+        (A single-scan union + per-word attribution was tried and is
+        SLOWER on marker-dense text: ~1 match per 3 words makes the
+        explode/groupby attribution cost exceed three extra scans.)"""
         if len(text) == 0 or text.buffers()[2] is None:
-            return hits
+            return np.zeros((len(self.patterns), len(text)), dtype=np.int64)
         view = span_view(text.buffers()[2], starts, ends,
                          pa.types.is_large_string(text.type))
-        for k, lang in enumerate(self.patterns):
-            hits[k] = span_values(pc.count_substring_regex(view, self.patterns[lang]))
-        return hits
+        counts = pl.DataFrame({"v": pl.from_arrow(view)}).select_seq(self._marker_counts)
+        return counts.to_numpy().T.astype(np.int64)
 
     def _model_detect(
         self, scan: pa.Array

@@ -81,10 +81,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
+from ..functions.arrowbuf import value_spans
 from ..functions.vocab import TOXICITY_WORDS
 from ..schema import RULE_HITS_TYPE
 
@@ -213,9 +215,9 @@ _IDENTIFIER = ("Identifier: ",)
 # pattern -> RE2 literals; every string the pattern matches contains a
 # match of at least one of them. A (?i) literal guards a (?i) part of its
 # pattern and runs under the same flag, so RE2's case folding (ſ -> s,
-# U+212A -> k) is the same on both sides. Text patterns left out get a
-# full pass: IP_RE (its only literal, '.', is in most rows) and
-# _SYMBOL_RE (a count over every row).
+# U+212A -> k) is the same on both sides. The two text scans left out
+# read every row, in one polars (Rust regex) query in ``build_context``:
+# IP_RE (its only literal, '.', is in most rows) and the symbol count.
 PREFILTERS: dict[str, tuple[str, ...]] = {
     EMAIL_RE: ("@",),
     PHONE_RE: ("-",),                 # both alternatives end in -\d{4}
@@ -262,7 +264,9 @@ def _candidates(ctx: dict, literals: tuple[str, ...]) -> tuple[np.ndarray, pa.Ar
 def _text_hits(ctx: dict, pattern: str) -> np.ndarray:
     """Bool per row: ``pattern`` matches the text. RE2 runs only on the
     rows its ``PREFILTERS`` literals admit; memoized per batch, so a
-    pattern read by several rules is scanned once."""
+    pattern read by several rules is scanned once; a pattern without
+    literals is scanned in full. ``build_context`` seeds the memo with
+    ``IP_RE``, whose full pass runs in its polars query."""
     memo = ctx["_text_hits"]
     if pattern not in memo:
         literals = PREFILTERS.get(pattern)
@@ -596,12 +600,44 @@ DROP_CODES = [r.code for r in CATALOG if r.severity == "drop"]
 # --------------------------------------------------------------------------
 
 # RE2's \w is ASCII-only — use Unicode letter/number classes so CJK
-# text isn't counted as symbols.
+# text isn't counted as symbols. This RE2 class defines the count (the
+# oracles in queries.py spell the same class, and
+# tests/test_regex_engines.py checks the gate against it); the gate
+# counts it as the sum of two exact parts, since RE2's \s is ASCII:
+# the ASCII symbols (not a letter, digit or RE2 \s), a class both
+# engines read alike, counted over every row in the polars query; and
+# the non-ASCII ones by RE2 on the rows holding a byte >= 0x80 only.
+# The Unicode classes stay on RE2: Rust's regex tables (Unicode 16)
+# class 5,004 codepoints differently from RE2's.
 _SYMBOL_RE = r"[^\p{L}\p{N}\s]"
+_SYMBOL_ASCII_RUST = r"[\x00-\x08\x0B\x0E-\x1F!-/:-@\[-`{-\x7F]"
+_SYMBOL_NON_ASCII = r"[^\x00-\x7F\p{L}\p{N}]"
+# IP_RE in Rust syntax: RE2's \b and \d are ASCII
+_IP_RUST = r"(?-u:\b)(?:[0-9]{1,3}\.){3}[0-9]{1,3}(?-u:\b)"
+_FULL_PASSES = (
+    pl.col("t").str.count_matches(_SYMBOL_ASCII_RUST).fill_null(0).alias("symbols"),
+    pl.col("t").str.contains(_IP_RUST).fill_null(False).alias("ip"),
+)
 
 
 def _np_int(arr) -> np.ndarray:
     return arr.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def full_pass_scans(text: pa.Array, n_chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol count, ``IP_RE`` hit) per row of ``text``, whose codepoint
+    counts are ``n_chars`` (0 for a null): the ``_SYMBOL_RE`` count and
+    the ``IP_RE`` match. The two scans that read every row run as one
+    polars query, in turn on the calling thread (``select_seq``: a gate
+    task is scheduled as one CPU); RE2 counts the non-ASCII symbols on
+    the rows that hold any."""
+    full = pl.DataFrame({"t": pl.from_arrow(text)}).select_seq(_FULL_PASSES)
+    symbols = full["symbols"].to_numpy().astype(np.int64)
+    wide = np.flatnonzero(value_spans(text)[1] != n_chars)
+    if len(wide):
+        symbols[wide] += _np_int(
+            pc.count_substring_regex(text.take(pa.array(wide)), _SYMBOL_NON_ASCII))
+    return symbols, full["ip"].to_numpy()
 
 
 def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
@@ -629,8 +665,7 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
 
     n_tokens = _np_int(batch.column("n_tokens"))
     n_chars = _np_int(batch.column("n_chars"))
-    # a null text counts 0 (a null would cast NaN to int64)
-    symbol_chars = _np_int(pc.fill_null(pc.count_substring_regex(text, _SYMBOL_RE), 0))
+    symbol_chars, ip_hit = full_pass_scans(text, n_chars)
 
     declared = (
         pc.fill_null(declared_raw, "")
@@ -676,7 +711,7 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         "bits_per_char": batch.column("bits_per_char").to_numpy(zero_copy_only=False),
         "stale_days": stale_days,
         "_candidates": {},  # per-batch caches of _candidates / _text_hits
-        "_text_hits": {},
+        "_text_hits": {IP_RE: ip_hit},
     }
     ctx["scrub_hits"] = {code: _text_hits(ctx, pat) for code, pat, _ in SCRUBS}
     return ctx

@@ -218,3 +218,57 @@ def test_kept_and_evidence_exports(ray_session, small_corpus, tmp_path,
             assert {md.row_group(g).column(c).compression
                     for g in range(md.num_row_groups)
                     for c in range(md.num_columns)} == {"ZSTD"}
+
+
+def test_view_commands_run_their_plan_once(ray_session, small_corpus, tmp_path,
+                                           capsys, monkeypatch):
+    """Every view command maps each input batch once: `dedup` and
+    `export` count from what they wrote (footers, JSON lines), not by
+    running their plan again. Each read gets a map that records one
+    file per batch, named by a digest of the batch's urls."""
+    import glob
+    import os
+
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines.quality_gate import run_gate
+
+    out = tmp_path / "run"
+    m = run_gate(small_corpus[0], str(out), n_partitions=2)
+    seen = tmp_path / "seen"
+    read = rd.read_parquet
+
+    def recorded_read(*args, **kwargs):
+        where = str(seen)
+
+        def record(batch):
+            import hashlib
+            import uuid
+
+            key = hashlib.sha1(repr(batch.column("url").to_pylist()).encode()).hexdigest()
+            open(os.path.join(where, f"{key}.{uuid.uuid4().hex}"), "w").close()
+            return batch
+
+        raw = read(*args, **kwargs)
+        ds = raw.map_batches(record, batch_format="pyarrow")
+        # the record map keeps the schema: answer from the read's
+        # footers, as the bare read would, instead of running the map
+        ds.schema = raw.schema
+        return ds
+
+    monkeypatch.setattr(rd, "read_parquet", recorded_read)
+    commands = [["dedup"], ["kept"], ["evidence"],
+                ["export", "--view", "kept"], ["export", "--view", "evidence"],
+                ["export", "--view", "docs"]]
+    for k, cmd in enumerate(commands):
+        os.makedirs(seen)
+        dest = tmp_path / f"dest{k}"
+        assert main(cmd[:1] + ["--out", str(out), "--dest", str(dest)] + cmd[1:]) == 0
+        info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        keys = [os.path.basename(f).split(".")[0] for f in glob.glob(str(seen / "*"))]
+        assert keys and len(keys) == len(set(keys)), (cmd, len(keys), len(set(keys)))
+        if cmd == ["dedup"]:
+            assert 0 < info["rows"] <= m["kept"]
+        elif cmd[-1] in ("kept", "docs"):
+            assert info["rows"] == m["kept" if cmd[-1] == "kept" else "total_documents"]
+        os.rename(seen, tmp_path / f"seen{k}")

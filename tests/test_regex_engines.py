@@ -1,0 +1,214 @@
+"""The gate's full-pass scans run on polars' Rust regex engine, spelled
+beside their RE2 originals (extract's tag passes, langid's marker
+counts, the rule context's symbol count and ``IP_RE`` hit). These tests
+check that each Rust spelling finds exactly what its RE2 original finds:
+exhaustively over every non-surrogate codepoint in the positions where
+the engines' classes and boundaries could differ, and by Hypothesis on
+arbitrary text mixed with tags, markers and addresses.
+
+The ``*_is_necessary`` tests pin the spelling rules: with Rust's own
+(Unicode) meaning of ``\\b``, ``\\s``, ``\\d`` or ``\\p{..}``, or with
+``\\x7F`` dropped from the ASCII symbol class, the same inputs differ.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import polars as pl
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsmetacheck_ray.functions.arrowbuf import prefix_bytes, value_spans
+from rsmetacheck_ray.stages import extract as E
+from rsmetacheck_ray.stages import rules as R
+from rsmetacheck_ray.stages.langid import LangIdScorer, marker_pattern
+
+# every Unicode scalar value: 0..0x10FFFF without the surrogates
+_CODEPOINTS = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+
+
+def test_codepoint_count():
+    assert len(_CODEPOINTS) == 1_112_064
+
+
+def _around(template: str) -> pa.Array:
+    """``template`` with every codepoint put in for each ``{c}``."""
+    return pa.array([template.format(c=c) for c in _CODEPOINTS], pa.string())
+
+
+def _re2_tags(s: pa.Array) -> pa.Array:
+    """The RE2 originals of the three tag passes, in the spec's order."""
+    for pat in E._BLOCK_REMOVALS:
+        s = pc.replace_substring_regex(s, pattern=pat, replacement="")
+    s = pc.replace_substring_regex(s, pattern=E._NEWLINE_TAGS, replacement="\n")
+    return pc.replace_substring_regex(s, pattern=E._ANY_TAG, replacement="")
+
+
+def _re2_symbols(s: pa.Array) -> np.ndarray:
+    return pc.fill_null(pc.count_substring_regex(s, R._SYMBOL_RE), 0).to_numpy(
+        zero_copy_only=False)
+
+
+def _re2_ip(s: pa.Array) -> np.ndarray:
+    return pc.fill_null(pc.match_substring_regex(s, R.IP_RE), False).to_numpy(
+        zero_copy_only=False)
+
+
+def _n_chars(s: pa.Array) -> np.ndarray:
+    """The langid stage's ``n_chars``: codepoints, 0 for a null."""
+    return pc.fill_null(pc.utf8_length(s), 0).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
+def _re2_markers(s: pa.Array, scorer: LangIdScorer) -> np.ndarray:
+    return np.stack([
+        pc.fill_null(pc.count_substring_regex(s, pat), 0).to_numpy(zero_copy_only=False)
+        for pat in scorer.patterns.values()
+    ])
+
+
+def _rust_markers(s: pa.Array, scorer: LangIdScorer) -> np.ndarray:
+    """The scorer's marker counts over each whole value."""
+    starts, lens = value_spans(s)
+    return scorer._marker_hits(s, starts, starts + lens)
+
+
+def _differs(a: np.ndarray, b: np.ndarray) -> str:
+    """Empty when the per-codepoint results agree, else a summary."""
+    bad = np.flatnonzero(a != b)
+    return "" if not len(bad) else (
+        f"{len(bad)} codepoints differ, first {[hex(ord(_CODEPOINTS[i])) for i in bad[:5]]}")
+
+
+# --- exhaustive: every codepoint ------------------------------------------
+
+def test_symbol_count_matches_re2_on_every_codepoint():
+    """The ASCII class (polars) plus the non-ASCII class (RE2) counts
+    what ``_SYMBOL_RE`` counts, for every codepoint alone and between
+    a letter and a space."""
+    for template in ("{c}", "a{c} "):
+        s = _around(template)
+        symbols, _ = R.full_pass_scans(s, _n_chars(s))
+        assert not _differs(symbols, _re2_symbols(s)), template
+
+
+def test_marker_counts_match_re2_on_every_codepoint():
+    """Each language's marker count agrees next to every codepoint: the
+    ASCII ``\\b`` on both sides of one marker of every language."""
+    scorer = LangIdScorer()
+    s = _around("{c}the{c}les{c}los{c}der{c}")
+    rust, re2 = _rust_markers(s, scorer), _re2_markers(s, scorer)
+    for k, lang in enumerate(scorer.patterns):
+        assert not _differs(rust[k], re2[k]), lang
+
+
+@pytest.mark.parametrize("template", ["{c}1.2.3.4{c}", "1.2.{c}.4"])
+def test_ip_hit_matches_re2_on_every_codepoint(template):
+    """The ``IP_RE`` hit agrees next to (``\\b``) and in place of
+    (``\\d``) a digit, for every codepoint."""
+    s = _around(template)
+    _, ip = R.full_pass_scans(s, _n_chars(s))
+    assert not _differs(ip, _re2_ip(s))
+
+
+@pytest.mark.parametrize("template", [
+    "<br{c}>x",                  # \s inside <br ... >
+    "<head{c}>a</head>b",        # \b after a block tag name
+    "<{c}cript>a</script>b",     # (?i) on a block tag name (s: ſ)
+    "</t{c}tle>x",               # (?i) on a newline tag name (i: İ, ı)
+    "<p>{c}</p><{c}>x",          # `.` and [^>]
+])
+def test_tag_passes_match_re2_on_every_codepoint(template):
+    s = _around(template)
+    rust = E.strip_tags(s).to_pylist()
+    re2 = _re2_tags(s).to_pylist()
+    bad = [hex(ord(c)) for c, a, b in zip(_CODEPOINTS, rust, re2) if a != b]
+    assert not bad, (len(bad), bad[:5])
+
+
+# --- the spelling rules are necessary --------------------------------------
+
+def _polars_count(s: pa.Array, pattern: str) -> np.ndarray:
+    return pl.from_arrow(s).str.count_matches(pattern).fill_null(0).to_numpy()
+
+
+@pytest.mark.parametrize("name", [
+    "plain_boundary_markers", "plain_boundary_ip", "unicode_digit_ip",
+    "unicode_space_br", "ascii_class_without_del", "unicode_classes"])
+def test_rust_spelling_is_necessary(name):
+    """Each spelling rule matters: Rust's own reading of the RE2
+    original differs from RE2 on the inputs the exhaustive tests use."""
+    if name == "plain_boundary_markers":
+        s = _around("{c}the{c}")
+        assert _differs(_polars_count(s, marker_pattern("en", r"\b")),
+                        _re2_markers(s, LangIdScorer())[0])
+    elif name in ("plain_boundary_ip", "unicode_digit_ip"):
+        s = _around("{c}1.2.3.4{c}" if name == "plain_boundary_ip" else "1.2.{c}.4")
+        pat = R._IP_RUST.replace(r"(?-u:\b)", r"\b") if name == "plain_boundary_ip" \
+            else R._IP_RUST.replace("[0-9]", r"\d")
+        assert _differs(pl.from_arrow(s).str.contains(pat).to_numpy(), _re2_ip(s))
+    elif name == "unicode_space_br":
+        s = _around("<br{c}>x")
+        chain = (pl.col("s").str.replace_all(E._BLOCK_REMOVAL_RUST, "")
+                 .str.replace_all(E._NEWLINE_TAGS, "\n").str.replace_all(E._ANY_TAG, ""))
+        rust = pl.DataFrame({"s": pl.from_arrow(s)}).select(chain).to_series().to_list()
+        assert rust != _re2_tags(s).to_pylist()
+    elif name == "ascii_class_without_del":
+        s = _around("{c}")
+        ascii_part = _polars_count(s, R._SYMBOL_ASCII_RUST.replace(r"{-\x7F", "{-~"))
+        wide = pc.count_substring_regex(s, R._SYMBOL_NON_ASCII).to_numpy(zero_copy_only=False)
+        assert _differs(ascii_part + wide, _re2_symbols(s))
+    else:
+        # Rust's Unicode tables place codepoints in \p{L}/\p{N} that
+        # RE2's do not (and Rust's \s is Unicode): the symbol class stays
+        # on RE2 outside ASCII
+        s = _around("{c}")
+        assert _differs(_polars_count(s, r"[^\p{L}\p{N}\t\n\f\r ]"), _re2_symbols(s))
+
+
+# --- Hypothesis: arbitrary text with tags, markers and addresses -----------
+
+_FRAGMENTS = [
+    "<head>", "</head>", "<HEAD lang=x>", "<header>", "</HEADER>", "<script>",
+    "</script>", "<SCRİPT>", "<ſcript>", "<style>", "</style>", "<nav>", "</nav>",
+    "<footer>", "</footer>", "<headé>", "<br>", "<br/>", "<BR \t/>", "<br\v>",
+    "<br\u00a0/>", "</p>", "</P>", "</h3>", "</H7>", "</li>", "</div>", "</tr>",
+    "</title>", "</tıtle>", "</tİtle>", "<b>", "<", ">", "<>", "<a href='>'>",
+    "the", "THE", "the,", "_the", "théa", "and", "was", "les", "dans", "los",
+    "entre", "der", "nicht", "ſ", "K", "\u212a", "İ", "ı", "é", "٣", "\v",
+    "\u00a0", "\x00", "\x7f", "\x1f", "!", "_", "1.2.3.4", "10.0.0.255",
+    "1.2.3.4.5", "1234.5.6.7", "9.9.9", "1.2.3.٣", " ", "\n", "\t", "日本",
+    "😀", "\u2028",
+]
+_DOC = st.one_of(
+    st.none(),
+    st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=4)),
+             max_size=16).map("".join),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(_DOC, min_size=1, max_size=12),
+       large=st.booleans(), cut=st.integers(0, 3), scan=st.integers(1, 40))
+def test_rust_passes_match_re2(docs, large, cut, scan):
+    """Every moved pass equals its RE2 original on any documents, as
+    ``string`` or ``large_string`` and as a sliced array; marker counts
+    also over a bounded prefix window, as langid reads them."""
+    s = pa.array(docs, pa.large_string() if large else pa.string())
+    s = s.slice(min(cut, len(s) - 1))
+    assert E.strip_tags(s).to_pylist() == _re2_tags(s).to_pylist()
+    assert E.strip_tags(s).type == s.type
+
+    symbols, ip = R.full_pass_scans(s, _n_chars(s))
+    assert symbols.tolist() == _re2_symbols(s).tolist()
+    assert ip.tolist() == _re2_ip(s).tolist()
+
+    scorer = LangIdScorer()
+    starts, lens = value_spans(s)
+    window = scorer._marker_hits(s, starts, starts + prefix_bytes(s, lens, scan))
+    expect = _re2_markers(pc.utf8_slice_codeunits(s, 0, scan), scorer)
+    assert window.tolist() == expect.tolist()

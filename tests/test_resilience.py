@@ -23,10 +23,12 @@ _SESSION_ACTORS = ("ray::_StatsActor", "ray::AutoscalingRequester",
                    "ray::ActorLocationTracker")
 
 
-def _active_worker_pids(task: str | None = None) -> list[int]:
+def _active_worker_pids(task: str | tuple[str, ...] | None = None) -> list[int]:
     """PIDs of ray workers EXECUTING a task right now (cmdline
     'ray::<task>', not 'ray::IDLE' or a session actor), never the
-    current process; only those running ``task`` when it is given."""
+    current process; only those running ``task`` (a name, or a tuple
+    of names) when it is given."""
+    names = (task,) if isinstance(task, str) else task
     me = os.getpid()
     out = []
     for pid_s in os.listdir("/proc"):
@@ -37,7 +39,7 @@ def _active_worker_pids(task: str | None = None) -> list[int]:
                 cmd = f.read().split(b"\0")[0].decode(errors="replace")
         except OSError:
             continue
-        if task is not None and cmd != f"ray::{task}":
+        if names is not None and cmd not in {f"ray::{t}" for t in names}:
             continue
         if cmd.startswith("ray::") and not cmd.startswith(
                 ("ray::IDLE", *_SESSION_ACTORS)):
@@ -50,10 +52,12 @@ class _Killer(threading.Thread):
     and SIGKILL up to ``n`` of them — a kill only counts when it lands
     on a worker mid-task."""
 
-    def __init__(self, n: int = 1, task: str | None = None):
+    def __init__(self, n: int = 1, task: str | tuple[str, ...] | None = None,
+                 poll_s: float = 0.02):
         super().__init__(daemon=True)
         self.n = n
         self.task = task
+        self.poll_s = poll_s
         self.killed: list[int] = []
         self.stop = threading.Event()
 
@@ -69,19 +73,20 @@ class _Killer(threading.Thread):
                     continue
                 if len(self.killed) >= self.n:
                     break
-            time.sleep(0.02)
+            time.sleep(self.poll_s)
 
 
 def _rows(ds):
     return sorted(tuple(sorted(r.items())) for r in ds.take_all())
 
 
-def _run_with_kill(fn, want, n_kill: int):
-    """Run ``fn`` repeatedly with a concurrent active-worker killer
-    until a kill lands mid-execution (a warm run can finish before any
-    task is observable); every attempt's output must equal ``want``."""
+def _run_with_kill(fn, want, n_kill: int, task: str | tuple[str, ...] | None = None):
+    """Run ``fn`` repeatedly with a concurrent active-worker killer (of
+    ``task`` workers only, when given) until a kill lands mid-execution
+    (a warm run can finish before any task is observable); every
+    attempt's output must equal ``want``."""
     for _ in range(8):
-        killer = _Killer(n=n_kill)
+        killer = _Killer(n=n_kill, task=task)
         killer.start()
         try:
             got = _rows(fn(SF))
@@ -191,8 +196,9 @@ def test_actor_pool_member_loss(ray_session):
 
 
 def test_worker_loss_during_bsp_bfs(ray_session):
-    """SIGKILL a worker during the raw-Ray BSP min-plus BFS
-    (dedup_graph_bfs): task retry + lineage reconstruction of the
+    """SIGKILL a BFS shard task (``_bfs_scatter`` / ``_bfs_gather``)
+    during the raw-Ray BSP min-plus BFS (dedup_graph_bfs): task retry +
+    lineage reconstruction of the
     per-shard distance objects must reproduce the identical hop map —
     the bare-task counterpart of the Dataset-shuffle kill tests."""
     from rsmetacheck_ray.pipelines.queries import q_dedup_graph_bfs
@@ -210,7 +216,8 @@ def test_worker_loss_during_bsp_bfs(ray_session):
     want = fn(SF)
     assert len(want) > 0
     for _ in range(8):
-        killer = _Killer(n=1)
+        # the shard tasks live a few ms each: poll fast enough to see one
+        killer = _Killer(n=1, task=("_bfs_scatter", "_bfs_gather"), poll_s=0.002)
         killer.start()
         try:
             got = fn(SF)
@@ -225,14 +232,15 @@ def test_worker_loss_during_bsp_bfs(ray_session):
 
 def test_worker_loss_during_knn_block_pair_tasks(ray_session):
     """Same check on the kNN JOIN's raw block-pair task stage (the
-    from_arrow_refs escape hatch) — a killed block-pair task must be
+    from_arrow_refs escape hatch), killing a ``block_pair`` worker — a
+    killed block-pair task must be
     retried by lineage, not silently dropped from the union."""
     from rsmetacheck_ray.pipelines.queries import registry
 
     fn = registry()["crosslingual_knn"][0]
     want = _rows(fn(SF))
     assert len(want) > 0
-    killed = _run_with_kill(fn, want, n_kill=1)
+    killed = _run_with_kill(fn, want, n_kill=1, task="block_pair")
     assert killed, "no kill ever landed on an executing worker"
 
 

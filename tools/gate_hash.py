@@ -22,7 +22,9 @@ task layout, write) can be diffed the same way:
 
 Column hashes are taken over each value's exact Python repr (floats
 round-trip bit for bit), so two runs hash equal only if every value is
-identical.
+identical. The first line names the pyarrow (RE2) and polars (Rust
+regex) versions the gate's scans ran on: two hash files from different
+engine versions are not expected to diff clean.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ def main(argv=None) -> None:
         from ray.data import DataContext
 
         DataContext.get_current().enable_progress_bars = False
+    import polars
+    import pyarrow
+
+    print(f"# engines: pyarrow {pyarrow.__version__}, polars {polars.__version__}")
     w = inputs.WORKLOADS[args.workload]
     for seed in args.seeds:
         ins = inputs.prepare(w, seed, os.path.join(ROOT, ".gatebench", "cache"))
