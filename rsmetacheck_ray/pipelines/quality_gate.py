@@ -1,35 +1,35 @@
-"""The flagship pipeline — the Ray-Data recast of the reference's
+"""The flagship pipeline — the Ray recast of the reference's
 ``detect_all_pitfalls`` lifecycle (``detect_pitfalls_main.py:313-409``,
 see SURVEY §3 "New-engine lifecycle"):
 
     work items → [read → extract → langid → perplexity → rule
-    catalog + scrub → write, FUSED into one Ray task per item] →
-    partitioned parquet + lineage + metrics manifest.
+    catalog + scrub → write, FUSED into one Ray task per item or
+    batch] → partitioned parquet + lineage + metrics manifest.
 
-Each partition is planned on the driver as a list of work items: runs
-of parquet row groups grouped from the footers, or whole fragments of
-the other formats. When the footers show every work item is at most
-about two gate batches, each item is one plain Ray task
+``run_gate`` is one graph of plain Ray tasks driven by one ``ray.wait``
+loop; it starts no Ray Data execution. Each partition is planned on the
+driver as a list of work items: runs of parquet row groups grouped from
+the footers, or whole fragments of the other formats. A work item whose
+read units all have a known count of at most one batch is one task
 (``_gate_work_item``) that reads the item's fragments, gates them and
-writes one parquet file: Ray schedules and retries the tasks, no Ray
-Data executor starts, and the pages never enter the object store. A
-row group larger than a batch, or a format without free row counts,
-would make one work item hold a large fragment, so those partitions
-read their items in a Ray Data read operator of their own and the
-gate bundles its output into batch-sized tasks
-(``_partition_dataset``). An ActorPoolStrategy layout of the gate
-stage is selected with ``build_gate(compute="actors")`` for heavy
-models.
+writes one parquet file, so its pages never enter the object store. Any
+other item (a row group larger than a batch, or a format without free
+row counts) is read by a streaming-generator task
+(``_read_work_item``) that yields the pages in batch-sized tables, and
+each table is gated and written by a ``_gate_work_item`` task of its
+own. An ActorPoolStrategy layout of the gate stage over a pages Dataset
+is selected with ``build_gate(compute="actors")`` for heavy models.
 
 Scale design:
  - zero-copy Arrow batches end-to-end (``batch_format="pyarrow"``);
  - the binary ``html`` payload never travels past the extract step
-   (and, on the fused plan, never leaves the gate task);
+   (and, for a bounded work item, never leaves its gate task);
  - scorer state (LM tables, compiled patterns) loaded once per
    worker/actor;
  - NO full materialization anywhere: a fused task holds one work item
-   (under two batches); a streamed partition flows from read to write
-   with backpressure;
+   (under two batches) and a gate task of the reader path one batch;
+   one reader runs at a time, and only while fewer than two gate tasks
+   per cluster CPU are pending;
  - resume-by-partition: the input fragment list is split into K
    partitions, each written atomically to its own directory and
    recorded in a JSONL manifest (``state/manifest.py``); a re-run
@@ -37,9 +37,8 @@ Scale design:
  - ONE pass per partition: every row (kept and dropped) is written
    with its tiny decision columns; dropped rows carry NULL text so the
    write volume is dominated by kept text. Every file is written with
-   zstd at level 3 (``PARQUET_WRITE_OPTIONS``), and a fused task's file
-   is one row group. The kept
-   dataset is the predicate view ``keep == true``; lineage/metrics
+   zstd at level 3 (``PARQUET_WRITE_OPTIONS``) as one row group. The
+   kept dataset is the predicate view ``keep == true``; lineage/metrics
    aggregate the pruned decision columns (never the text).
 """
 
@@ -54,8 +53,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.block import BlockMetadata
-from ray.data.datasource import Datasource, ReadTask
 
 from ..config import DEFAULT_CONFIG, GateConfig
 from ..stages.extract import extract_stage
@@ -70,7 +67,7 @@ _DECISION_COLS = ["url", "warc_ts", "lang", "detected_lang", "langid_conf",
                   "bits_per_char", "n_tokens", "n_chars", "keep",
                   "rule_errors", "evidence_json"]
 
-# Parquet write options of every file the gate writes (both plans) and
+# Parquet write options of every file the gate writes and
 # of the CLI's kept/evidence exports. scrubbed_text is most of the
 # written bytes. On the gatebench html_gate inputs (seed 6, one file
 # per 1000 gated rows) Arrow's default snappy writes 396 B/doc, zstd at
@@ -215,8 +212,7 @@ def build_gate(
     # Pre-sized pool (ncpu-2 actors, 2 CPUs left for read/write
     # tasks): the autoscaling (1..N) policy ramps up too slowly —
     # measured 26 s vs 21 s on a 4M-doc run.
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    pool = max(2, ncpu - 2)
+    pool = max(2, _cluster_cpus() - 2)
     return ds.map_batches(
         GateStage,
         fn_constructor_args=(cfg, write_dropped_text, expose_flags),
@@ -378,8 +374,8 @@ def _probe_parquet(path: str) -> None:
 
     # stream batch-by-batch (discarding each) so mid-file corruption is
     # still detected without ever materializing the fragment in driver
-    # memory (a full read_table of a ~1 GiB resume partition ×
-    # concurrent partition threads could OOM the driver)
+    # memory (a full read_table of a ~1 GiB fragment could OOM the
+    # driver)
     for _batch in pq.ParquetFile(path).iter_batches():
         pass
 
@@ -477,24 +473,24 @@ def _format_of(path: str, input_format: str) -> _Format:
     return FORMATS[_format_name(path, input_format)]
 
 
+def _cluster_cpus() -> int:
+    """CPUs of the Ray cluster (8 when Ray is not started)."""
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 def _sized_cfg(cfg: GateConfig, rows: int) -> GateConfig:
     """cfg with batch_size shrunk for small partitions.
 
-    batch_size is also the gate stage's task granularity (work items
-    and bundles both hold about batch_size rows), so a partition needs
-    rows/batch_size ≥ ~2×CPUs tasks to fill the cluster. ``rows``
-    counts only fragments with free footer row counts; a partition of
-    only the other formats counts 0 and keeps the configured size.
-    Floor 1024: below that, per-batch kernel launch overhead starts to
-    show (measured sweep in config.py)."""
+    batch_size is also the gate's task granularity (a bounded work item
+    and a reader's table both hold about batch_size rows), so a
+    partition needs rows/batch_size ≥ ~2×CPUs tasks to fill the
+    cluster. ``rows`` counts only fragments with free footer row
+    counts; a partition of only the other formats counts 0 and keeps
+    the configured size. Floor 1024: below that, per-batch kernel
+    launch overhead starts to show (measured sweep in config.py)."""
     if rows == 0:
         return cfg
-    ncpu = (
-        int(ray.cluster_resources().get("CPU", 8))
-        if ray.is_initialized()
-        else 8
-    )
-    eff = max(1024, -(-rows // (2 * ncpu)))
+    eff = max(1024, -(-rows // (2 * _cluster_cpus())))
     if eff >= cfg.batch_size:
         return cfg
     import dataclasses
@@ -505,20 +501,20 @@ def _sized_cfg(cfg: GateConfig, rows: int) -> GateConfig:
 def _work_items(
     units: list[tuple[str, str, list[int] | None]], batch_size: int
 ) -> list[list[tuple[str, list[int] | None]]]:
-    """Group a partition's read units into tasks of ≥ ``batch_size``
-    rows.
+    """Group a partition's read units into work items of ≥
+    ``batch_size`` rows.
 
     ``units`` holds each fragment with its format and the row counts
     of its read units (``_Format.count_rows``: parquet row groups, a
-    whole file elsewhere), or None where no count is free. A task is a
-    list of ``(fragment, row groups)`` pieces, row groups None for a
-    whole fragment. Consecutive units are taken greedily until the task
-    holds ≥ batch_size rows, the rule Ray's own block bundling
-    applies. A row group is never split across tasks (that would read
-    it twice), so a work item is as large as its largest row group; a
-    fragment without counts is a work item of its own
-    (``_items_are_bounded`` picks the plan that keeps such items from
-    starving the cluster). A task never mixes formats."""
+    whole file elsewhere), or None where no count is free. A work item
+    is a list of ``(fragment, row groups)`` pieces, row groups None for
+    a whole fragment. Consecutive units are taken greedily until the
+    item holds ≥ batch_size rows, the rule Ray's own block bundling
+    applies. A row group is never split across items (that would read
+    it twice), so an item is as large as its largest row group; a
+    fragment without counts is an item of its own. ``_items_are_bounded``
+    decides whether an item is read inside its gate task or by a
+    reader. An item never mixes formats."""
     tasks: list[list] = []
     cur: list = []
     rows = 0
@@ -567,143 +563,99 @@ def _read_pieces(item: str) -> Iterator[pa.Table]:
 
 @ray.remote(num_cpus=1, max_retries=-1,
             retry_exceptions=[ray.exceptions.RaySystemError])
-def _gate_work_item(item: str, k: int, out: str, cfg: GateConfig) -> int:
-    """Read, gate and write work item ``k`` of a fused partition and
-    return the rows written: one ``part-{k:05d}.parquet`` in ``out``,
-    none for an item of no rows. The file is written under a hidden
+def _gate_work_item(item: str | pa.Table, name: str, out: str,
+                    cfg: GateConfig) -> tuple[int, int]:
+    """Gate one work item and write it as ``name`` in ``out``; return
+    the rows read and the rows written. ``item`` is a bounded work item,
+    read here, or a pages table that ``_read_work_item`` yielded. An
+    item of no rows writes no file. The file is written under a hidden
     name and renamed into place, so a retried task (a killed worker)
     never leaves a torn file next to its output.
 
-    The item's tables are gated as one block cut into
-    ``cfg.batch_size`` kernel batches, and written with
-    ``write_dataset`` as one row group (the item is under two batches)
-    with ``PARQUET_WRITE_OPTIONS``. Retries follow Ray Data's map
-    tasks: a lost worker is retried without limit, an error raised by
-    the read or the gate is not retried."""
+    The pages are gated as one block cut into ``cfg.batch_size`` kernel
+    batches, and written with ``write_dataset`` as one row group (the
+    item is under two batches) with ``PARQUET_WRITE_OPTIONS``. Retries
+    follow Ray Data's map tasks: a lost worker is retried without
+    limit, an error raised by the read or the gate is not retried."""
     import pyarrow.dataset as pds
 
-    read = [t for t in _read_pieces(item) if len(t)]
-    if not read:
-        return 0
-    gated = pa.concat_tables(
-        _gate_task_fn(pa.concat_tables(read, promote_options="default"),
-                      cfg, False, False),
-        promote_options="default").combine_chunks()
-    name = f"part-{k:05d}.parquet"
+    if isinstance(item, str):
+        read = [t for t in _read_pieces(item) if len(t)]
+        if not read:
+            return 0, 0
+        item = pa.concat_tables(read, promote_options="default")
+    gated = pa.concat_tables(_gate_task_fn(item, cfg, False, False),
+                             promote_options="default").combine_chunks()
     pds.write_dataset(
         gated, out, format="parquet", basename_template=f".{name}.{{i}}",
         existing_data_behavior="overwrite_or_ignore", use_threads=False,
         file_options=pds.ParquetFileFormat().make_write_options(
             **PARQUET_WRITE_OPTIONS))
     os.replace(os.path.join(out, f".{name}.0"), os.path.join(out, name))
-    return len(gated)
+    return len(item), len(gated)
 
 
-class _WorkItemDatasource(Datasource):
-    """Work items read as a Ray read operator of their own (one read
-    task each), for partitions whose read units are too large or of
-    unknown size to be a gate task each: the read's tables cross the
-    object store and the gate stage bundles them into
-    ``cfg.batch_size``-row tasks."""
-
-    def __init__(self, items: list[str]):
-        self._items = items
-
-    def get_name(self) -> str:
-        return "WorkItems"
-
-    def estimate_inmemory_data_size(self) -> int | None:
-        # file bytes, as Ray's file-based readers estimate; Ray splits
-        # the read's output into blocks by it
-        return sum(os.path.getsize(p) for item in self._items
-                   for p, _ in json.loads(item)[2])
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        import functools
-
-        return [
-            ReadTask(
-                functools.partial(_read_pieces, item),
-                BlockMetadata(num_rows=None, size_bytes=None, exec_stats=None,
-                              input_files=[p for p, _ in json.loads(item)[2]]),
-            )
-            for item in self._items
-        ]
+@ray.remote(num_cpus=1, num_returns="streaming", max_retries=-1,
+            retry_exceptions=[ray.exceptions.RaySystemError])
+def _read_work_item(item: str) -> Iterator[pa.Table]:
+    """Yield work item ``item``'s pages in tables of its ``batch_size``
+    rows (the last one shorter), each for a gate task of its own: the
+    reader of an item too large, or of unknown size, for one gate task.
+    Retried as ``_gate_work_item`` is: Ray re-runs a lost generator and
+    hands on only the tables it had not yet yielded."""
+    batch_size = json.loads(item)[1]
+    held: list[pa.Table] = []
+    rows = 0
+    for t in _read_pieces(item):
+        held.append(t)
+        rows += len(t)
+        while rows >= batch_size:
+            t = pa.concat_tables(held, promote_options="default")
+            yield t.slice(0, batch_size)
+            held, rows = [t.slice(batch_size)], rows - batch_size
+    if rows:
+        yield pa.concat_tables(held, promote_options="default")
 
 
 def _items_are_bounded(units: list[tuple[str, str, list[int] | None]],
                        batch_size: int) -> bool:
-    """The plan rule: a partition runs fused (``_gate_work_item``, one
-    task per work item) when every read unit has a known count of at
-    most ``batch_size`` rows. Then every work item holds fewer than
-    2 × ``batch_size`` rows, the granularity Ray's own bundling would
-    give. Otherwise (a row group larger than a batch, or a format
-    without free counts) one work item could hold a whole large
-    fragment and starve the cluster, and the partition is streamed
-    (``_partition_dataset``)."""
+    """The read rule: a work item is read inside its gate task
+    (``_gate_work_item``) when every read unit of its fragments has a
+    known count of at most ``batch_size`` rows. Then the item holds
+    fewer than 2 × ``batch_size`` rows, the granularity Ray's own
+    bundling would give. Otherwise (a row group larger than a batch, or
+    a format without free counts) the item could hold a whole large
+    fragment and starve the cluster, and ``_read_work_item`` reads it in
+    batch-sized tables."""
     return all(c is not None and max(c, default=0) <= batch_size
                for _, _, c in units)
 
 
-def _partition_dataset(
-    items: list[str], units: list[tuple[str, str, list[int] | None]],
-    batch_size: int,
-) -> rd.Dataset:
-    """A streamed partition's pages: its work items read by
-    ``_WorkItemDatasource``, for ``build_gate`` to bundle into
-    batch-sized gate tasks."""
-    # Ray coalesces each read task's tables into one block and splits
-    # it again into as many blocks as it plans for the read: with the
-    # rows known, plan one block per batch, so that each block is one
-    # gate task (Ray's default of 200 blocks streams tiny blocks out of
-    # the read slower than the gate drains them)
-    if all(c is not None for _, _, c in units):
-        rows = sum(sum(c) for _, _, c in units)
-        return rd.read_datasource(
-            _WorkItemDatasource(items),
-            override_num_blocks=max(len(items), rows // batch_size))
-    return rd.read_datasource(_WorkItemDatasource(items))
-
-
-def _shim_fsspec_http() -> None:
-    """Make ``fsspec.implementations.http`` importable exactly once.
-
-    In this environment the module always fails to import (no aiohttp),
-    which Ray's ``_is_http_filesystem`` handles on one thread — but a
-    FAILED import is never cached, so two driver threads resolving
-    write paths concurrently can race the half-initialized module into
-    a plain ``ImportError`` Ray does NOT catch. Registering a stub
-    module (whose ``HTTPFileSystem`` matches nothing) caches the import
-    and removes the race; behavior is identical since no http
-    filesystem exists here anyway."""
-    import sys
-
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-    except ImportError:
-        import types
-
-        stub = types.ModuleType("fsspec.implementations.http")
-
-        class _NoHTTPFileSystem:  # nothing is ever an instance of this
-            pass
-
-        stub.HTTPFileSystem = _NoHTTPFileSystem
-        sys.modules["fsspec.implementations.http"] = stub
-
-
 def auto_partitions(fragments: list[str], target_bytes: int = 1 << 30) -> int:
     """Resume-partition count sized by input bytes, not fragment count:
-    each partition must be big enough to amortize the per-execution
-    fixed cost: the driver's footer reads and work-item plan, task
-    dispatch and fill/drain, and the driver-side lineage tally (a
-    Dataset execution's start too, on the streamed plan). At 100 TB
-    this yields ~100k resume units of 1 GiB — on a real multi-node
-    cluster those units are dispatched concurrently (one driver per
-    unit group), not in this sequential in-sandbox loop; on a 5 MB
-    bench input it yields 1."""
+    each partition must be big enough to amortize its fixed cost: the
+    driver's footer reads and work-item plan, the fill and drain of its
+    tasks, and the driver-side lineage tally. At 100 TB this yields
+    ~100k resume units of 1 GiB — on a real multi-node cluster those
+    units are dispatched concurrently (one driver per unit group), not
+    by one driver's loop as here; on a 5 MB bench input it yields 1."""
     total = sum(os.path.getsize(f) for f in fragments if os.path.exists(f))
     return max(1, min(len(fragments), total // target_bytes + (1 if total % target_bytes else 0)))
+
+
+class _Attempt:
+    """One attempt at writing partition ``pid``: the fragments it reads
+    (``group``, without the ``skipped`` ones), its directory, and the
+    tallies of its gate tasks."""
+
+    def __init__(self, pid: int, group: list[str], out: str,
+                 skipped: list[str]):
+        self.pid, self.group, self.out, self.skipped = pid, group, out, skipped
+        self.cfg: GateConfig | None = None  # sized to the partition's rows
+        self.rows: int | None = None  # the footers' count, if they have one
+        self.read = self.written = 0
+        self.running = 0  # gate tasks and readers, started or queued
+        self.error: Exception | None = None
 
 
 def run_gate(
@@ -711,7 +663,6 @@ def run_gate(
     out_dir: str,
     cfg: GateConfig = DEFAULT_CONFIG,
     n_partitions: int | None = None,
-    max_concurrent_partitions: int | None = None,
     input_format: str = "parquet",
 ) -> dict:
     """Execute the gate over all input fragments with resume.
@@ -722,13 +673,23 @@ def run_gate(
         out_dir/manifest.jsonl               (completed partitions)
         out_dir/metrics.json                 (global summary)
 
-    Resume units execute CONCURRENTLY (driver threads, each submitting
-    its partition's gate tasks, or one Dataset execution on the
-    streamed plan; Ray shares the cluster between them) — unit N+1's
-    tasks fill the CPUs that unit N's last tasks leave idle, instead of
-    paying each partition's fill/drain edges serially. Default
-    concurrency 2; partitions stay independent so outputs are identical
-    for any value. Manifest appends are lock-serialized.
+    One driver loop runs every pending partition: it plans a partition
+    from its footers, submits a gate task per bounded work item and
+    queues a reader per other item, and ``ray.wait``s on every pending
+    gate task and reader. A reader's tables are handed to gate tasks as
+    they arrive. A partition or reader starts only while fewer than
+    2 × cluster-CPU gate tasks are pending, and one reader runs at a
+    time, so partition N+1's tasks fill the CPUs that partition N's
+    last tasks leave idle while the object store holds a bounded
+    number of pages. When a
+    partition's last task is done, the driver checks its rows
+    (Σ written == Σ read, and == the footers' count where they count
+    the rows), renames its directory into place and appends its
+    manifest record. A failed attempt waits for all of its tasks before
+    its fragments are probed and it is retried without the unreadable
+    ones; any other failure starts nothing more and is raised once
+    every started task is done. Partitions stay independent, so outputs
+    do not depend on the order they finish in.
 
     Returns the metrics dict (the analog of the reference's global
     summary JSON, ``detect_pitfalls_main.py:396-409``).
@@ -795,11 +756,13 @@ def run_gate(
             )
 
     import shutil
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    import sys
+    from collections import deque
 
-    _shim_fsspec_http()
-    manifest_lock = threading.Lock()
+    def attempt_dir(pid: int, i: int) -> str:
+        # one directory per attempt: the retry of a partition never
+        # writes where its failed attempt did
+        return os.path.join(docs_root, f".tmp-partition={pid}.{i}")
 
     def _probe_bad_fragments(frag_group: list[str]) -> list[str]:
         """Fragments that cannot be FULLY read — the engine's analog of
@@ -816,92 +779,146 @@ def run_gate(
                 bad.append(f)
         return bad
 
-    def gate_into(frag_group: list[str], out: str) -> None:
-        """Plan the partition from its footers, then read, gate and
-        write it."""
-        units = []
-        for f in frag_group:
-            name = _format_name(f, input_format)
-            count = FORMATS[name].count_rows
-            units.append((f, name, count(f) if count else None))
-        rows = sum(sum(c) for _, _, c in units if c)
-        run_cfg = _sized_cfg(cfg, rows)
-        bs = run_cfg.batch_size
-        items = [json.dumps([input_format, bs, t]) for t in _work_items(units, bs)]
-        written = rows  # unchecked where a fragment has no footer count
-        if items and _items_are_bounded(units, bs):
-            refs = [_gate_work_item.remote(item, k, out, run_cfg)
-                    for k, item in enumerate(items)]
-            # wait for every task, failed or not, so that no task of a
-            # failed attempt still writes into its directory
-            ray.wait(refs, num_returns=len(refs), fetch_local=False)
-            written = sum(ray.get(refs))
-        elif items:
-            build_gate(_partition_dataset(items, units, bs), run_cfg).write_parquet(
-                out, **PARQUET_WRITE_OPTIONS)
-            if all(c is not None for _, _, c in units):
-                written = parquet_rows(out)
+    cap = 2 * _cluster_cpus()
+    tasks: dict = {}  # gate task ref → attempt
+    readers: dict = {}  # reader → [attempt, item index k, tables yielded]
+    to_read: deque = deque()  # readers not yet started: (attempt, k, item)
+    todo = deque((pid, fg) for pid, fg in enumerate(parts) if pid not in done)
+    failure: list[Exception] = []
+
+    def start(pid: int, group: list[str], out: str, skipped: list[str]) -> None:
+        """Plan an attempt at partition ``pid`` from its footers: submit
+        a gate task per bounded work item, queue a reader per other
+        item."""
+        a = _Attempt(pid, group, out, skipped)
         os.makedirs(out, exist_ok=True)  # a partition of no rows writes no file
-        if written != rows:
-            raise RuntimeError(
-                f"the gate wrote {written} rows of {frag_group}, whose "
-                f"footers count {rows}")
-
-    def run_partition(pid: int, frag_group: list[str]) -> None:
-        final_dir = os.path.join(docs_root, f"partition={pid}")
-        # one directory per attempt: when a task fails, tasks of the same
-        # execution that are still running can finish writing their files
-        # after the failure surfaces here, so the retry must not write
-        # where they do
-        first, retry = (
-            os.path.join(docs_root, f".tmp-partition={pid}.{i}") for i in (0, 1)
-        )
-        # torn previous attempts; a completed write with a torn manifest append
-        for d in (first, retry, final_dir):
-            if os.path.exists(d):
-                shutil.rmtree(d)
-        use_group, skipped, out = frag_group, [], first
         try:
-            gate_into(use_group, first)
-        except Exception:
-            shutil.rmtree(first, ignore_errors=True)
-            skipped = _probe_bad_fragments(frag_group)
-            if not skipped:  # not an input-corruption failure
-                raise
-            use_group = [f for f in frag_group if f not in set(skipped)]
-            import sys as _sys
+            units = []
+            for f in group:
+                name = _format_name(f, input_format)
+                count = FORMATS[name].count_rows
+                units.append((f, name, count(f) if count else None))
+            rows = sum(sum(c) for _, _, c in units if c)
+            a.rows = rows if all(c is not None for _, _, c in units) else None
+            a.cfg = _sized_cfg(cfg, rows)
+            bs = a.cfg.batch_size
+            unit_of = {u[0]: u for u in units}
+            items = [(k, json.dumps([input_format, bs, pieces]),
+                      [unit_of[p] for p, _ in pieces])
+                     for k, pieces in enumerate(_work_items(units, bs))]
+        except Exception as e:
+            a.error, items = e, []
+        for k, item, item_units in items:
+            a.running += 1
+            if _items_are_bounded(item_units, bs):
+                tasks[_gate_work_item.remote(
+                    item, f"part-{k:05d}.parquet", out, a.cfg)] = a
+            else:
+                to_read.append((a, k, item))
+        if not a.running:
+            finish(a)
 
-            print(
-                f"[run_gate] partition {pid}: skipping {len(skipped)} "
-                f"unreadable fragment(s): {skipped}",
-                file=_sys.stderr,  # stdout stays machine-readable JSON
-            )
-            out = retry
-            gate_into(use_group, out)  # every fragment bad ⇒ an empty partition
-            # a late file of the failed run; a task still running can
-            # recreate the directory after this, so run_gate sweeps the
-            # attempt directories again once every partition is done
-            shutil.rmtree(first, ignore_errors=True)
-        os.rename(out, final_dir)
-        lineage = partition_lineage(final_dir) if use_group else {
-            "rows": 0, "kept": 0, "dropped": 0, "rule_lang": {},
-        }
-        if skipped:
-            lineage = dict(lineage, skipped_fragments=sorted(skipped))
-        lineage = dict(lineage, hash_fp=hash_fp)
-        with manifest_lock:
-            manifest.mark_done(pid, frag_group, lineage)
+    def finish(a: _Attempt) -> None:
+        """Commit an attempt whose last task is done, or retry its
+        partition without the fragments it could not read, or fail the
+        run."""
+        if a.error is None and a.rows not in (None, a.read):
+            a.error = RuntimeError(
+                f"the gate read {a.read} rows of {a.group}, whose footers "
+                f"count {a.rows}")
+        if a.error is None and a.written != a.read:
+            a.error = RuntimeError(
+                f"the gate wrote {a.written} rows of the {a.read} it read "
+                f"from {a.group}")
+        if a.error is None:
+            final_dir = os.path.join(docs_root, f"partition={a.pid}")
+            os.rename(a.out, final_dir)
+            lineage = partition_lineage(final_dir) if a.group else {
+                "rows": 0, "kept": 0, "dropped": 0, "rule_lang": {},
+            }
+            if a.skipped:
+                lineage = dict(lineage, skipped_fragments=sorted(a.skipped))
+            lineage = dict(lineage, hash_fp=hash_fp)
+            manifest.mark_done(a.pid, parts[a.pid], lineage)
+            return
+        shutil.rmtree(a.out, ignore_errors=True)
+        # a retry, or an attempt of a failed run, is not probed again
+        skipped = [] if failure or a.skipped else _probe_bad_fragments(a.group)
+        if not skipped:  # not an input-corruption failure
+            failure.append(a.error)
+            return
+        print(
+            f"[run_gate] partition {a.pid}: skipping {len(skipped)} "
+            f"unreadable fragment(s): {skipped}",
+            file=sys.stderr,  # stdout stays machine-readable JSON
+        )
+        # every fragment bad ⇒ an empty partition
+        start(a.pid, [f for f in a.group if f not in set(skipped)],
+              attempt_dir(a.pid, 1), skipped)
 
-    pending = [(pid, fg) for pid, fg in enumerate(parts) if pid not in done]
-    mc = max_concurrent_partitions or min(2, max(1, len(pending)))
-    if pending:
-        with ThreadPoolExecutor(max_workers=mc) as ex:
-            futures = [ex.submit(run_partition, pid, fg) for pid, fg in pending]
-            for f in futures:
-                f.result()  # propagate the first failure; resume recovers
-    for d in os.listdir(docs_root):
-        if d.startswith(".tmp-partition="):
-            shutil.rmtree(os.path.join(docs_root, d), ignore_errors=True)
+    def admit() -> None:
+        """Start the next queued reader, or else the next pending
+        partition, while fewer than ``cap`` gate tasks are pending; none
+        once the run has failed. One reader runs at a time, so the
+        object store holds at most one work item's pages beyond the
+        tables of the pending gate tasks. A failed attempt's queued
+        readers never start."""
+        while to_read or todo:
+            if to_read and to_read[0][0].error is not None:
+                a = to_read.popleft()[0]
+                a.running -= 1
+                if not a.running:
+                    finish(a)
+            elif failure or len(tasks) >= cap or (to_read and readers):
+                return
+            elif to_read:
+                a, k, item = to_read.popleft()
+                readers[_read_work_item.remote(item)] = [a, k, 0]
+            else:
+                pid, fg = todo.popleft()
+                # torn previous attempts; a completed write with a torn
+                # manifest append
+                for d in (attempt_dir(pid, 0), attempt_dir(pid, 1),
+                          os.path.join(docs_root, f"partition={pid}")):
+                    shutil.rmtree(d, ignore_errors=True)
+                start(pid, fg, attempt_dir(pid, 0), [])
+
+    admit()
+    while tasks or readers:
+        [w], _ = ray.wait([*tasks, *readers], fetch_local=False)
+        if isinstance(w, ray.ObjectRefGenerator):
+            state = readers[w]
+            a, k, j = state
+            try:
+                pages = next(w)
+            except StopIteration:
+                del readers[w]
+                a.running -= 1
+            else:
+                state[2] += 1
+                if a.error is None:  # a failed attempt's tables are dropped
+                    a.running += 1
+                    tasks[_gate_work_item.remote(
+                        pages, f"part-{k:05d}-{j:05d}.parquet", a.out,
+                        a.cfg)] = a
+        else:
+            a = tasks.pop(w)
+            a.running -= 1
+            try:
+                read, written = ray.get(w)
+            except Exception as e:
+                a.error = a.error or e
+            else:
+                a.read += read
+                a.written += written
+        if not a.running:
+            finish(a)
+        admit()
+    # the attempts a failed run left with readers it never started
+    for q in to_read:
+        shutil.rmtree(q[0].out, ignore_errors=True)
+    if failure:
+        raise failure[0]
 
     # global metrics = merge of the per-partition lineage records —
     # no second pass over the written data

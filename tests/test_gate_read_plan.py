@@ -1,13 +1,15 @@
-"""run_gate's read plan: work items read inside the fused gate task.
+"""run_gate's read plan: work items read inside the fused gate task, or
+by a streaming reader task.
 
 A partition is planned as work items (runs of parquet row groups, or
-whole fragments of the other formats). When every item is bounded by
-the footers, one plain Ray task per item reads it, gates it and writes
-its file, with no Ray Data execution; otherwise the items are read by
-a Ray Data read operator and the gate bundles its output. These tests
-pin both plans, their parallelism, the row-count check of the fused
-plan, the registry queries' bundled layout and that every format's
-per-fragment reader gives back the pages written to it."""
+whole fragments of the other formats). A work item bounded by the
+footers is one plain Ray task that reads it, gates it and writes its
+file; any other item is read by a streaming-generator task whose
+batch-sized tables are each gated and written by a task of their own.
+No Ray Data execution starts for any format. These tests pin both
+paths, their parallelism, the row checks, the registry queries'
+bundled layout and that every format's per-fragment reader gives back
+the pages written to it."""
 
 from __future__ import annotations
 
@@ -18,22 +20,6 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-
-
-def _capture_gate(monkeypatch):
-    """Patch build_gate to keep the Dataset each partition builds."""
-    from rsmetacheck_ray.pipelines import quality_gate as qg
-
-    built = []
-    orig = qg.build_gate
-
-    def capture(ds, cfg, *a, **kw):
-        out = orig(ds, cfg, *a, **kw)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(qg, "build_gate", capture)
-    return built
 
 
 def test_partition_is_one_fused_operator(ray_session, small_corpus, tmp_path,
@@ -52,10 +38,8 @@ def test_partition_is_one_fused_operator(ray_session, small_corpus, tmp_path,
 
     monkeypatch.setattr(rd.Dataset, "write_parquet", no_dataset_write)
     pages_dir, _ = small_corpus
-    built = _capture_gate(monkeypatch)
     out = tmp_path / "out"
     m = run_gate(pages_dir, str(out), n_partitions=1)
-    assert built == []
     frags = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     counts = [pq.ParquetFile(f).metadata.num_rows for f in frags]
     assert m["total_documents"] == sum(counts)
@@ -91,13 +75,12 @@ def test_work_items_group_row_groups_greedily():
     ]
 
 
-def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
-                                          monkeypatch):
+def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path):
     """One 8-row-group fragment runs fused, as several tasks, one
     greedy work item and one file each. The same rows in ONE row group
-    are too large for a work item: the partition streams them through
-    its own read operator and the gate still runs in several tasks.
-    Both write the same rows."""
+    are too large for a work item: a reader yields them in batch-sized
+    tables and each is gated and written by a task of its own, one
+    zstd row group per file. Both write the same rows."""
     import dataclasses
 
     from rsmetacheck_ray.config import DEFAULT_CONFIG
@@ -122,7 +105,6 @@ def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
     plan = _work_items([(str(frag), "parquet", [1000] * 8)], sized)
     assert len(plan) > 1
 
-    built = _capture_gate(monkeypatch)
     out = tmp_path / "out"
     m = run_gate(str(frag.parent), str(out), cfg, n_partitions=1)
     assert m["total_documents"] == 8000
@@ -133,14 +115,16 @@ def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
 
     whole = tmp_path / "whole"
     run_gate(str(single.parent), str(whole), cfg, n_partitions=1)
-    stats = built[0].stats()
-    assert "MapBatches(_read_task)" not in stats
-    # one read block per batch, each its own gate task
-    read_op = next(line for line in stats.splitlines() if "ReadWorkItems" in line)
-    assert f"{8000 // sized} blocks produced" in read_op
-    gate_op = next(line for line in stats.splitlines()
-                   if "MapBatches(_gate_task_fn)->Write:" in line)
-    assert int(gate_op.split(": ")[1].split()[0]) >= 8000 // sized
+    # one file per batch the reader yields: the last one holds the rest
+    part = whole / "docs" / "partition=0"
+    n = -(-8000 // sized)
+    assert sorted(os.listdir(part)) == [
+        f"part-00000-{j:05d}.parquet" for j in range(n)]
+    for j in range(n):
+        f = part / f"part-00000-{j:05d}.parquet"
+        assert _codecs(f) == {"ZSTD"}
+        assert pq.ParquetFile(f).metadata.num_row_groups == 1
+        assert pq.ParquetFile(f).metadata.num_rows == min(sized, 8000 - j * sized)
     a = pq.read_table(str(out / "docs")).to_pandas()
     b = pq.read_table(str(whole / "docs")).to_pandas()
     keys = ["url", "content_hash", "warc_ts"]
@@ -149,7 +133,7 @@ def test_row_groups_run_as_parallel_tasks(ray_session, small_corpus, tmp_path,
 
 
 def test_partition_plan_follows_the_footers():
-    """Work items are read inside the gate task only when every read
+    """A work item is read inside its gate task only when every read
     unit has a known count of at most one batch."""
     from rsmetacheck_ray.pipelines.quality_gate import (
         _items_are_bounded, _work_items,
@@ -194,8 +178,8 @@ def test_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
 
 
 def _one_row_group(small_corpus, tmp_path):
-    """The first corpus fragment rewritten as one row group larger than
-    a batch, which the partition plan streams."""
+    """The corpus rewritten as one row group larger than a batch, which
+    a reader reads."""
     pages = pq.read_table(small_corpus[0]).select(
         ["url", "warc_ts", "html", "text", "lang"])
     lake = tmp_path / "lake"
@@ -207,9 +191,12 @@ def _one_row_group(small_corpus, tmp_path):
 
 def test_streamed_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
                                          monkeypatch):
-    """A streamed partition (one row group larger than ``batch_size``)
-    whose written files hold fewer rows than its footers count fails
-    the run instead of being recorded as a smaller partition."""
+    """A partition read by a reader (one row group larger than
+    ``batch_size``) whose reader yields fewer rows than its footers
+    count fails the run instead of being recorded as a smaller
+    partition."""
+    import ray
+
     from rsmetacheck_ray.config import DEFAULT_CONFIG
     from rsmetacheck_ray.pipelines import quality_gate as qg
 
@@ -224,12 +211,51 @@ def test_streamed_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
         yield from tables[1:]
 
     monkeypatch.setattr(qg, "_read_pieces", short_reader)
-    built = _capture_gate(monkeypatch)
+    reader = ray.remote(num_cpus=1, num_returns="streaming")(
+        qg._read_work_item._function)
+    started = []
+
+    class RecordingReader:
+        def remote(self, item):
+            started.append(item)
+            return reader.remote(item)
+
+    monkeypatch.setattr(qg, "_read_work_item", RecordingReader())
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="footers count"):
         qg.run_gate(str(lake), str(out), n_partitions=1)
-    assert len(built) == 1  # the streamed plan ran
+    assert len(started) == 1  # the reader path ran
     assert not qg.Manifest(str(out / "manifest.jsonl")).completed()
+
+
+def test_gate_lost_rows_fail_the_run(ray_session, small_corpus, tmp_path,
+                                     monkeypatch):
+    """On a format whose footers count nothing (jsonl), a gate that
+    writes one row fewer than it read fails the run and records no
+    partition."""
+    import ray
+
+    from tests.test_jsonl_source import _to_jsonl
+
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    _to_jsonl(small_corpus[0], str(tmp_path / "lake"))
+    orig = qg._gate_task_fn
+
+    def dropping_gate(batch, *args):
+        tables = list(orig(batch, *args))
+        yield tables[0].slice(1)
+        yield from tables[1:]
+
+    monkeypatch.setattr(qg, "_gate_task_fn", dropping_gate)
+    monkeypatch.setattr(qg, "_gate_work_item",
+                        ray.remote(num_cpus=1)(qg._gate_work_item._function))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="the gate wrote"):
+        qg.run_gate(str(tmp_path / "lake"), str(out), n_partitions=1,
+                    input_format="jsonl")
+    assert not qg.Manifest(str(out / "manifest.jsonl")).completed()
+    assert os.listdir(out / "docs") == []
 
 
 def _codecs(path) -> set[str]:
@@ -238,9 +264,9 @@ def _codecs(path) -> set[str]:
             for g in range(md.num_row_groups) for c in range(md.num_columns)}
 
 
-def test_gate_files_are_zstd(ray_session, small_corpus, tmp_path, monkeypatch):
-    """Both plans write zstd column chunks, and a fused file is one row
-    group. The metrics recomputed from the files equal metrics.json,
+def test_gate_files_are_zstd(ray_session, small_corpus, tmp_path):
+    """Both read paths write zstd column chunks, one row group per
+    file. The metrics recomputed from the files equal metrics.json,
     and the kept and evidence views count the same rows as over the
     same table written with Arrow's default options."""
     from rsmetacheck_ray.pipelines.quality_gate import (
@@ -255,13 +281,15 @@ def test_gate_files_are_zstd(ray_session, small_corpus, tmp_path, monkeypatch):
         assert _codecs(f) == {"ZSTD"}
         assert pq.ParquetFile(f).metadata.num_row_groups == 1
 
-    built = _capture_gate(monkeypatch)
     streamed = tmp_path / "streamed"
     assert run_gate(str(_one_row_group(small_corpus, tmp_path)), str(streamed),
                     n_partitions=1) == m
-    assert len(built) == 1
     files = glob.glob(str(streamed / "docs" / "partition=0" / "*.parquet"))
-    assert files and all(_codecs(f) == {"ZSTD"} for f in files)
+    assert len(files) > 1  # one file per table the reader yields
+    for f in files:
+        assert os.path.basename(f).startswith("part-00000-")
+        assert _codecs(f) == {"ZSTD"}
+        assert pq.ParquetFile(f).metadata.num_row_groups == 1
 
     for run in (fused, streamed):
         docs = str(run / "docs")
@@ -428,3 +456,26 @@ def test_parquet_read_takes_row_group_runs(tmp_path):
     # streamed in tables of at most batch_size rows
     sizes = [len(b) for b in FORMATS["parquet"].read(path, None, 4)]
     assert max(sizes) <= 4 and sum(sizes) == 10
+
+
+@pytest.mark.parametrize(
+    "fmt", ["parquet", "jsonl", "csv", "warc", "orc", "ipc", "tar", "avro", "auto"])
+def test_run_gate_starts_no_ray_data(format_lake, fmt, tmp_path, monkeypatch):
+    """run_gate gates every format, and a mixed lake under ``auto``,
+    with Ray Data's read and write entry points patched to fail."""
+    import ray.data as rd
+
+    from rsmetacheck_ray.pipelines.quality_gate import run_gate
+
+    def no_ray_data(*a, **kw):
+        raise AssertionError("run_gate started a Ray Data execution")
+
+    monkeypatch.setattr(rd, "read_datasource", no_ray_data)
+    monkeypatch.setattr(rd, "read_parquet", no_ray_data)
+    monkeypatch.setattr(rd.Dataset, "write_parquet", no_ray_data)
+    lakes = format_lake.values() if fmt == "auto" else [format_lake[fmt]]
+    paths = [p for ps, _ in lakes for p in ps]
+    m = run_gate(paths, str(tmp_path / "out"), n_partitions=2,
+                 input_format=fmt)
+    assert m["total_documents"] == sum(len(rows) for _, rows in lakes)
+    assert "skipped_fragments" not in m

@@ -244,20 +244,84 @@ def test_worker_loss_during_knn_block_pair_tasks(ray_session):
     assert killed, "no kill ever landed on an executing worker"
 
 
-def test_worker_loss_on_fused_gate_tasks(ray_session, small_corpus, tmp_path):
-    """SIGKILL a fused gate task (``_gate_work_item``) mid-run: Ray
-    retries it, and metrics.json and the docs output equal a clean run,
-    with one file per work item and no temporary file left behind. A
-    fragment of no rows writes no file."""
+def _wait_to_be_killed(marker: str):
+    """A function for a Ray worker that hands the worker's pid to the
+    test through ``marker`` and sleeps until the test kills it. Only the
+    first caller does (``os.link`` creates the marker atomically and
+    fails once it exists), so the retried task and every other task run
+    through."""
+
+    def handshake() -> None:
+        tmp = f"{marker}.{os.getpid()}"
+        with open(tmp, "w") as fh:
+            fh.write(str(os.getpid()))
+        try:
+            os.link(tmp, marker)
+        except FileExistsError:
+            return
+        finally:
+            os.unlink(tmp)
+        time.sleep(120)
+
+    return handshake
+
+
+class _HandshakeKiller(threading.Thread):
+    """SIGKILL the worker that names itself in ``marker``: the kill
+    lands on a worker that is inside the task, by construction."""
+
+    def __init__(self, marker: str):
+        super().__init__(daemon=True)
+        self.marker = marker
+        self.killed: list[int] = []
+        self.stop = threading.Event()
+
+    def run(self):
+        while not self.stop.is_set():
+            if os.path.exists(self.marker):
+                with open(self.marker) as fh:
+                    pid = int(fh.read())
+                os.kill(pid, signal.SIGKILL)
+                self.killed.append(pid)
+                return
+            time.sleep(0.01)
+
+
+def _run_killing_one(run, marker: str):
+    """``run()`` with the worker that writes ``marker`` SIGKILLed; the
+    kill must land."""
+    killer = _HandshakeKiller(marker)
+    killer.start()
+    try:
+        got = run()
+    finally:
+        killer.stop.set()
+        killer.join(timeout=12)
+    assert killer.killed, "no worker reached the handshake"
+    return got
+
+
+def _gate_docs(out):
+    import pyarrow.parquet as pq
+
+    return (pq.read_table(str(out / "docs")).to_pandas()
+            .sort_values(["url", "content_hash"]).reset_index(drop=True))
+
+
+def test_worker_loss_on_fused_gate_tasks(ray_session, small_corpus, tmp_path,
+                                         monkeypatch):
+    """SIGKILL a fused gate task (``_gate_work_item``) while it runs:
+    Ray retries it, and metrics.json and the docs output equal a clean
+    run, with one file per work item and no temporary file left behind.
+    A fragment of no rows writes no file."""
     import glob
 
     import pandas as pd
     import pyarrow.parquet as pq
+    import ray
 
     from rsmetacheck_ray.config import DEFAULT_CONFIG
-    from rsmetacheck_ray.pipelines.quality_gate import (
-        _items_are_bounded, _sized_cfg, _work_items, run_gate,
-    )
+    from rsmetacheck_ray.pipelines import quality_gate as qg
 
     pages = pq.read_table(small_corpus[0]).select(
         ["url", "warc_ts", "html", "text", "lang"])
@@ -272,37 +336,87 @@ def test_worker_loss_on_fused_gate_tasks(ray_session, small_corpus, tmp_path):
         units[f] = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
     plans = []
     for f, counts in units.items():  # n_partitions=3: one fragment each
-        bs = _sized_cfg(DEFAULT_CONFIG, sum(counts)).batch_size
-        assert _items_are_bounded([(f, "parquet", counts)], bs)
-        plans.append(_work_items([(f, "parquet", counts)], bs))
+        bs = qg._sized_cfg(DEFAULT_CONFIG, sum(counts)).batch_size
+        assert qg._items_are_bounded([(f, "parquet", counts)], bs)
+        plans.append(qg._work_items([(f, "parquet", counts)], bs))
     assert [len(p) for p in plans] == [2, 2, 1]
 
-    def docs(out):
-        return (pq.read_table(str(out / "docs")).to_pandas()
-                .sort_values(["url", "content_hash"]).reset_index(drop=True))
+    clean_dir = tmp_path / "clean"
+    clean = qg.run_gate(str(lake), str(clean_dir), n_partitions=3)
+    assert clean["total_documents"] == 4000
+
+    marker = str(tmp_path / "gate-pid")
+    handshake = _wait_to_be_killed(marker)
+    gate = qg._gate_work_item._function
+
+    def killed_gate(*args):
+        handshake()
+        return gate(*args)
+
+    monkeypatch.setattr(qg, "_gate_work_item", ray.remote(
+        **qg._gate_work_item._default_options)(killed_gate))
+    out = tmp_path / "kill"
+    got = _run_killing_one(
+        lambda: qg.run_gate(str(lake), str(out), n_partitions=3), marker)
+    assert got == clean
+    assert (out / "metrics.json").read_bytes() == (
+        clean_dir / "metrics.json").read_bytes()
+    pd.testing.assert_frame_equal(_gate_docs(out), _gate_docs(clean_dir))
+    for pid, want in enumerate([2, 2, 0]):  # the empty fragment: none
+        part = out / "docs" / f"partition={pid}"
+        assert sorted(os.listdir(part)) == [
+            f"part-{k:05d}.parquet" for k in range(want)]
+    assert not [d for d in os.listdir(out / "docs")
+                if not d.startswith("partition=")]
+
+
+def test_worker_loss_on_reader_tasks(ray_session, small_corpus, tmp_path,
+                                     monkeypatch):
+    """SIGKILL a reader (``_read_work_item``, a streaming generator)
+    before its second table: Ray re-runs it and hands on only the tables
+    it had not yet yielded, so each table is gated and written once and
+    metrics.json and the docs output equal a clean run."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from rsmetacheck_ray.config import DEFAULT_CONFIG
+    from rsmetacheck_ray.pipelines import quality_gate as qg
+
+    pages = pq.read_table(small_corpus[0]).select(
+        ["url", "warc_ts", "html", "text", "lang"])
+    lake = tmp_path / "lake"
+    os.makedirs(lake)
+    pq.write_table(pa.concat_tables([pages, pages]), lake / "one.parquet")
+    bs = qg._sized_cfg(DEFAULT_CONFIG, 4000).batch_size
+    assert not qg._items_are_bounded([("one.parquet", "parquet", [4000])], bs)
+    n = -(-4000 // bs)
+    assert n >= 3
 
     clean_dir = tmp_path / "clean"
-    clean = run_gate(str(lake), str(clean_dir), n_partitions=3)
+    clean = qg.run_gate(str(lake), str(clean_dir), n_partitions=1)
     assert clean["total_documents"] == 4000
-    for attempt in range(8):
-        out = tmp_path / f"kill{attempt}"
-        killer = _Killer(n=1, task="_gate_work_item")
-        killer.start()
-        try:
-            got = run_gate(str(lake), str(out), n_partitions=3)
-        finally:
-            killer.stop.set()
-            killer.join(timeout=12)
-        assert got == clean
-        assert (out / "metrics.json").read_bytes() == (
-            clean_dir / "metrics.json").read_bytes()
-        pd.testing.assert_frame_equal(docs(out), docs(clean_dir))
-        for pid, want in enumerate([2, 2, 0]):  # the empty fragment: none
-            part = out / "docs" / f"partition={pid}"
-            assert sorted(os.listdir(part)) == [
-                f"part-{k:05d}.parquet" for k in range(want)]
-        assert not [d for d in os.listdir(out / "docs")
-                    if not d.startswith("partition=")]
-        if killer.killed:
-            return
-    raise AssertionError("no kill ever landed on a gate task")
+
+    marker = str(tmp_path / "reader-pid")
+    handshake = _wait_to_be_killed(marker)
+    reader = qg._read_work_item._function
+
+    def killed_reader(item):
+        for j, t in enumerate(reader(item)):
+            if j == 1:
+                handshake()
+            yield t
+
+    monkeypatch.setattr(qg, "_read_work_item", ray.remote(
+        **qg._read_work_item._default_options)(killed_reader))
+    out = tmp_path / "kill"
+    got = _run_killing_one(
+        lambda: qg.run_gate(str(lake), str(out), n_partitions=1), marker)
+    assert got == clean
+    assert (out / "metrics.json").read_bytes() == (
+        clean_dir / "metrics.json").read_bytes()
+    pd.testing.assert_frame_equal(_gate_docs(out), _gate_docs(clean_dir))
+    assert sorted(os.listdir(out / "docs" / "partition=0")) == [
+        f"part-00000-{j:05d}.parquet" for j in range(n)]
+    assert os.listdir(out / "docs") == ["partition=0"]

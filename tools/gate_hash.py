@@ -16,7 +16,10 @@ rows keep their scrubbed text (and its content hash) instead of null.
 local Ray cluster, gates each seed's fragments in one partition, and
 hashes every written column with the rows sorted by (url, content_hash)
 and then by the remaining columns, so a change to the Ray path (read,
-task layout, write) can be diffed the same way:
+task layout, write) can be diffed the same way. It also gates each
+seed's pages rewritten as one parquet row group, larger than a batch,
+so that a reader task yields them to the gate tasks, and prints those
+hashes on ``reader`` lines beside the fused ones; the two must match:
 
     python tools/gate_hash.py --workload html_gate --seeds 1 2 3 4 --run-gate
 
@@ -68,6 +71,17 @@ def run_gate_output(fragments: list, cfg, out_dir: str):
     return out.sort_by([(k, "ascending") for k in keys])
 
 
+def one_row_group(fragments: list, path: str) -> str:
+    """``fragments``' pages rewritten as one parquet file of one row
+    group, the shape ``run_gate`` reads with a reader task."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pages = pa.concat_tables([pq.read_table(f) for f in fragments])
+    pq.write_table(pages, path, row_group_size=len(pages))
+    return path
+
+
 def column_hashes(out) -> dict:
     return {
         name: hashlib.sha256(repr(out.column(name).to_pylist()).encode()).hexdigest()
@@ -116,9 +130,12 @@ def main(argv=None) -> None:
     w = inputs.WORKLOADS[args.workload]
     for seed in args.seeds:
         ins = inputs.prepare(w, seed, os.path.join(ROOT, ".gatebench", "cache"))
+        reader_out = None
         if args.run_gate:
             with tempfile.TemporaryDirectory() as tmp:
                 out = run_gate_output(ins.fragments, cfg, os.path.join(tmp, "out"))
+                whole = one_row_group(ins.fragments, os.path.join(tmp, "pages.parquet"))
+                reader_out = run_gate_output([whole], cfg, os.path.join(tmp, "reader"))
         else:
             out = gate_output(ins.fragments, cfg, args.write_dropped_text)
         print(f"# {args.workload} seed {seed}: {len(out)} rows, "
@@ -127,6 +144,9 @@ def main(argv=None) -> None:
             print(f"{args.workload} s{seed} column {name} {digest}")
         for code, count in rule_counts(out).items():
             print(f"{args.workload} s{seed} rule {code} {count}")
+        if reader_out is not None:
+            for name, digest in column_hashes(reader_out).items():
+                print(f"{args.workload} s{seed} reader column {name} {digest}")
 
 
 if __name__ == "__main__":
