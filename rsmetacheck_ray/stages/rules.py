@@ -59,19 +59,26 @@ Rule → reference mapping (what each rule recasts):
  - ``status_url``            ← W009 development-status-is-a-URL
    (``w009.py:5-63``), over ``Status:`` lines
 
-Guarded scans. Each text-scanning pattern listed in ``PREFILTERS``
-carries hand-derived RE2 literals, documented there, at least one of
-which occurs in every string the pattern matches. A batch runs each
-literal set once as an RE2 pass (``match_substring_regex``), takes the
-candidate rows out, runs the pattern on them alone and scatters the hits
-back; a pattern read by several rules is scanned once per batch. The
-literals go through RE2, never Arrow's ``match_substring``: RE2 finds a
-leading literal with memchr (about 0.1 µs/doc on the gatebench inputs,
-pyarrow 16.1, one core), while Arrow's substring search runs at about
-2 ns/byte, no faster than the regexes it would guard. Every literal is
-a necessary condition of its pattern, so no hit can move. Scrubbing
-and evidence follow the same rule: ``apply_scrub`` runs on rows with a
-scrub hit only, and ``evidence_json`` is assembled column-wise.
+Regex predicates. Every regex a rule predicate reads (the scrub
+patterns, the text, URL and lang-field patterns, the metadata-line
+patterns) is a column of one polars query per batch, in
+``full_pass_scans``, beside the ASCII symbol count and the
+``Last updated:`` date extract. Each column runs the Rust spelling of
+an RE2 original, tabled in ``PREDICATES``; the RE2 originals stay the
+spec that the DuckDB oracles, the evidence providers and the scrub run.
+The query pays polars' per-query cost once for all of them, and Rust's
+engine does its own literal prefiltering, so no pattern needs a
+hand-derived literal guard. One polars call per pattern would pay that
+cost 33 times a batch instead. RE2 keeps two kinds of work. The
+first is the non-ASCII symbol class: Rust's Unicode 16 tables class
+5,004 codepoints differently from RE2's. The second is the work on
+fired or hit rows only: evidence ``extract_regex``, ``apply_scrub``,
+the author-list and version extracts and the evidence JSON escape
+check. Their cost follows the hits, not the batch, and a polars query
+costs 0.03-0.07 ms per expression even on one row (polars 1.42, one
+core; on 20 rows the ``Authors:`` extract takes 0.07 ms on RE2 and
+0.15 on polars). Running on the spec engine, they also need no second
+spelling. ``evidence_json`` is assembled column-wise.
 """
 
 from __future__ import annotations
@@ -200,87 +207,6 @@ def _bool(arr) -> np.ndarray:
     return pc.fill_null(arr, False).to_numpy(zero_copy_only=False)
 
 
-def _matches(ctx: dict, col: str, pattern: str) -> np.ndarray:
-    return _bool(pc.match_substring_regex(ctx[col], pattern))
-
-
-# --------------------------------------------------------------------------
-# required-literal prefilters
-# --------------------------------------------------------------------------
-
-_LICENSE = ("License: ",)
-_CITE = ("Cite: ",)
-_IDENTIFIER = ("Identifier: ",)
-
-# pattern -> RE2 literals; every string the pattern matches contains a
-# match of at least one of them. A (?i) literal guards a (?i) part of its
-# pattern and runs under the same flag, so RE2's case folding (ſ -> s,
-# U+212A -> k) is the same on both sides. The two text scans left out
-# read every row, in one polars (Rust regex) query in ``build_context``:
-# IP_RE (its only literal, '.', is in most rows) and the symbol count.
-PREFILTERS: dict[str, tuple[str, ...]] = {
-    EMAIL_RE: ("@",),
-    PHONE_RE: ("-",),                 # both alternatives end in -\d{4}
-    TOX_RE: TOXICITY_WORDS,           # one plain-word literal per term
-    PLACEHOLDER_RE: ("<", r"\[", r"\{", "lorem"),  # every alternative starts with one
-    BARE_DOI_RE: (r"10\.",),
-    SWHID_RE: (":1:",),               # of swh:1:, starting at a rarer byte
-    URL_ANY_RE: ("://",),
-    DUAL_LIC_RE: ("(?i)licen",),      # every alternative spells licen[cs]
-    # each metadata-line pattern starts with its line's anchor
-    LIC_URL_RE: _LICENSE,
-    LIC_LOCAL_RE: _LICENSE,
-    LIC_FAMILY_RE: _LICENSE,
-    LIC_VERSIONED_RE: _LICENSE,
-    LIC_EXEMPT_RE: _LICENSE,
-    MULTI_LIC_DECL_RE: _LICENSE,
-    CITE_LINE_RE: _CITE,
-    CITE_DOI_RE: _CITE,
-    AUTHORS_LINE_RE: ("Authors: ",),
-    CONTRIB_LINE_RE: ("Contributors: ",),
-    REQ_NOVER_RE: ("Requires: ",),
-    ID_LINE_RE: _IDENTIFIER,
-    ID_VALID_RE: _IDENTIFIER,
-    STATUS_URL_RE: ("Status: ",),
-    VERSION_LINE_HAS_RE: ("Version: ",),
-}
-
-
-def _candidates(ctx: dict, literals: tuple[str, ...]) -> tuple[np.ndarray, pa.Array]:
-    """(row indices, their text) of the rows where one of ``literals``
-    occurs — one RE2 pass per literal and one take, cached per batch so
-    every pattern sharing the set reuses them."""
-    cache = ctx["_candidates"]
-    if literals not in cache:
-        text = ctx["text"]
-        hit = np.logical_or.reduce(
-            [_bool(pc.match_substring_regex(text, lit)) for lit in literals]
-        )
-        idx = np.flatnonzero(hit)
-        cache[literals] = (idx, text.take(pa.array(idx)))
-    return cache[literals]
-
-
-def _text_hits(ctx: dict, pattern: str) -> np.ndarray:
-    """Bool per row: ``pattern`` matches the text. RE2 runs only on the
-    rows its ``PREFILTERS`` literals admit; memoized per batch, so a
-    pattern read by several rules is scanned once; a pattern without
-    literals is scanned in full. ``build_context`` seeds the memo with
-    ``IP_RE``, whose full pass runs in its polars query."""
-    memo = ctx["_text_hits"]
-    if pattern not in memo:
-        literals = PREFILTERS.get(pattern)
-        if literals is None:
-            memo[pattern] = _matches(ctx, "text", pattern)
-        else:
-            idx, rows = _candidates(ctx, literals)
-            hit = np.zeros(len(ctx["text"]), dtype=bool)
-            if len(idx):
-                hit[idx] = _bool(pc.match_substring_regex(rows, pattern))
-            memo[pattern] = hit
-    return memo[pattern]
-
-
 def _r_empty_text(ctx):
     return ctx["n_tokens"] == 0
 
@@ -318,22 +244,13 @@ def _r_repetition(ctx):
 
 def _r_boilerplate(ctx):
     cfg: GateConfig = ctx["cfg"]
-    # candidate prefilter: the two marker regexes only ever matter for
-    # short (≤N-line) documents — take those rows out so the RE2 scans
-    # touch candidate bytes only
-    cand = (ctx["n_tokens"] > 0) & (ctx["n_lines"] <= cfg.boilerplate_max_lines)
-    idx = np.flatnonzero(cand)
-    if not len(idx):
-        return cand
-    rows = ctx["text"].take(pa.array(idx))
-    cand[idx] = _bool(pc.match_substring_regex(rows, COPYRIGHT_RE)) | _bool(
-        pc.match_substring_regex(rows, NAV_RE)
-    )
-    return cand
+    hits = ctx["hits"]
+    return ((ctx["n_tokens"] > 0) & (ctx["n_lines"] <= cfg.boilerplate_max_lines)
+            & (hits[COPYRIGHT_RE] | hits[NAV_RE]))
 
 
 def _r_placeholder(ctx):
-    return _text_hits(ctx, PLACEHOLDER_RE)
+    return ctx["hits"][PLACEHOLDER_RE]
 
 
 def _r_lang_mismatch(ctx):
@@ -349,28 +266,27 @@ def _r_perplexity(ctx):
 
 
 def _r_dead_url(ctx):
-    return _matches(ctx, "url", DEAD_PATH_RE)
+    return ctx["hits"][DEAD_PATH_RE]
 
 
 def _r_homepage_url(ctx):
-    return _matches(ctx, "url", HOMEPAGE_RE)
+    return ctx["hits"][HOMEPAGE_RE]
 
 
 def _r_archive_url(ctx):
-    return _matches(ctx, "url", ARCHIVE_RE)
+    return ctx["hits"][ARCHIVE_RE]
 
 
 def _r_shorthand_url(ctx):
-    return _matches(ctx, "url", SHORTHAND_RE)
+    return ctx["hits"][SHORTHAND_RE]
 
 
 def _r_bare_identifier(ctx):
-    return _text_hits(ctx, BARE_DOI_RE) | _text_hits(ctx, SWHID_RE)
+    return ctx["hits"][BARE_DOI_RE] | ctx["hits"][SWHID_RE]
 
 
 def _r_multi_value(ctx):
-    decl = ctx["declared_raw"]
-    return _bool(pc.match_substring_regex(decl, MULTI_VALUE_RE))
+    return ctx["hits"][MULTI_VALUE_RE]
 
 
 def _r_outdated_ts(ctx):
@@ -389,25 +305,25 @@ def _r_scrub(code: str):
 
 def _r_local_file_license(ctx):
     # p006.py:4-37 — positive local-file shapes minus the URL shape
-    return _text_hits(ctx, LIC_LOCAL_RE) & ~_text_hits(ctx, LIC_URL_RE)
+    return ctx["hits"][LIC_LOCAL_RE] & ~ctx["hits"][LIC_URL_RE]
 
 
 def _r_citation_incomplete(ctx):
     # p007.py:44-48: reference exists (DOI anywhere) AND the citation
     # section exists AND the citation line itself lacks the reference
     return (
-        _text_hits(ctx, CITE_LINE_RE)
-        & _text_hits(ctx, BARE_DOI_RE)
-        & ~_text_hits(ctx, CITE_DOI_RE)
+        ctx["hits"][CITE_LINE_RE]
+        & ctx["hits"][BARE_DOI_RE]
+        & ~ctx["hits"][CITE_DOI_RE]
     )
 
 
 def _r_license_no_version(ctx):
     # p013.py:29-68: family named, no version token, minus exemptions
     return (
-        _text_hits(ctx, LIC_FAMILY_RE)
-        & ~_text_hits(ctx, LIC_VERSIONED_RE)
-        & ~_text_hits(ctx, LIC_EXEMPT_RE)
+        ctx["hits"][LIC_FAMILY_RE]
+        & ~ctx["hits"][LIC_VERSIONED_RE]
+        & ~ctx["hits"][LIC_EXEMPT_RE]
     )
 
 
@@ -415,7 +331,7 @@ def _r_author_count_mismatch(ctx):
     # p019.py:69-145: list lengths disagree across two sources; the
     # comma count of each line IS count-1, so counts differ iff comma
     # counts differ
-    both = _text_hits(ctx, AUTHORS_LINE_RE) & _text_hits(ctx, CONTRIB_LINE_RE)
+    both = ctx["hits"][AUTHORS_LINE_RE] & ctx["hits"][CONTRIB_LINE_RE]
     idx = np.flatnonzero(both)
     if not len(idx):
         return both
@@ -432,33 +348,33 @@ def _r_author_count_mismatch(ctx):
 def _r_dual_license_untracked(ctx):
     # w003.py:24-62: dual-license wording while the declaration lists
     # at most one license
-    return _text_hits(ctx, DUAL_LIC_RE) & ~_text_hits(ctx, MULTI_LIC_DECL_RE)
+    return ctx["hits"][DUAL_LIC_RE] & ~ctx["hits"][MULTI_LIC_DECL_RE]
 
 
 def _r_requirement_no_version(ctx):
     # w004.py:33-50: a requirement entry whose value has no version digits
-    return _text_hits(ctx, REQ_NOVER_RE)
+    return ctx["hits"][REQ_NOVER_RE]
 
 
 def _r_identifier_not_id(ctx):
     # w006.py:73-155: identifier is a plain name AND a valid DOI/URL
     # identifier exists elsewhere in the document (the anti-join shape)
-    named = _text_hits(ctx, ID_LINE_RE) & ~_text_hits(ctx, ID_VALID_RE)
+    named = ctx["hits"][ID_LINE_RE] & ~ctx["hits"][ID_VALID_RE]
     if not named.any():
         return named
-    return named & (_text_hits(ctx, BARE_DOI_RE) | _text_hits(ctx, URL_ANY_RE))
+    return named & (ctx["hits"][BARE_DOI_RE] | ctx["hits"][URL_ANY_RE])
 
 
 def _r_status_url(ctx):
     # w009.py:5-26 is_url over the development-status value
-    return _text_hits(ctx, STATUS_URL_RE)
+    return ctx["hits"][STATUS_URL_RE]
 
 
 def _r_version_mismatch(ctx):
     # p016.py:24-79 / p017.py:59-94: two version sources both present
     # and disagreeing — the URL's /vN(.M)/ segment vs the page's
     # Version: line (exact token compare, mirrored 1:1 in SQL)
-    idx = np.flatnonzero(_text_hits(ctx, VERSION_LINE_HAS_RE))
+    idx = np.flatnonzero(ctx["hits"][VERSION_LINE_HAS_RE])
     out = np.zeros(len(ctx["text"]), dtype=bool)
     if not len(idx):
         return out
@@ -599,6 +515,66 @@ DROP_CODES = [r.code for r in CATALOG if r.severity == "drop"]
 # shared stats context (computed once per batch, reused by every rule)
 # --------------------------------------------------------------------------
 
+# Every regex predicate a rule reads, keyed by its RE2 original, which
+# stays the spec (the DuckDB oracles, evidence providers and scrub run
+# it): the input column it reads and its Rust spelling. RE2's \b, \d and
+# \s are ASCII, Rust's are Unicode, so each spelling writes RE2's
+# meaning out: \b -> (?-u:\b), \d -> [0-9], \s -> [\t\n\f\r ] (inside
+# classes too). Both engines fold ſ/s and K/k under (?i) and end a (?m)
+# line at \n alone, so those parts are spelled as they are. PHONE is
+# factored on its shared -\d{4} tail: unfactored, Rust scans html_gate's
+# text at 2.1-2.2 µs/doc against 0.3 (polars 1.42, one core).
+# tests/test_regex_engines.py checks each spelling against RE2 on every
+# codepoint, in the positions its changed constructs read.
+_B = r"(?-u:\b)"
+PREDICATES: dict[str, tuple[str, str]] = {
+    # scrub patterns
+    EMAIL_RE: ("text", EMAIL_RE),
+    PHONE_RE: ("text", r"(?:\+?[0-9]{1,2}-[0-9]{3}-[0-9]{3}|\([0-9]{3}\) ?[0-9]{3})-[0-9]{4}"),
+    IP_RE: ("text", _B + r"(?:[0-9]{1,3}\.){3}[0-9]{1,3}" + _B),
+    TOX_RE: ("text", _B + "(?:" + "|".join(TOXICITY_WORDS) + ")" + _B),
+    # text rules
+    PLACEHOLDER_RE: ("text", PLACEHOLDER_RE),
+    COPYRIGHT_RE: ("text", r"(?i)\(c\) [0-9]{4}|copyright [0-9]{4}|all rights reserved"),
+    NAV_RE: ("text", NAV_RE),
+    BARE_DOI_RE: ("text", r"(?:^|[\t\n\f\r (])10\.[0-9]{4,9}/[^\t\n\f\r )]+"),
+    SWHID_RE: ("text", _B + r"swh:1:(?:cnt|dir|rev|rel|snp):[0-9a-f]{40}" + _B),
+    URL_ANY_RE: ("text", URL_ANY_RE),
+    # metadata-declaration lines
+    LIC_URL_RE: ("text", LIC_URL_RE),
+    LIC_LOCAL_RE: ("text", LIC_LOCAL_RE),
+    LIC_FAMILY_RE: ("text", r"(?m)^License: [^\n]*" + _B
+                    + r"(?i:AGPL|LGPL|GPL|Apache|CC[- ]BY|BSD)" + _B),
+    LIC_VERSIONED_RE: ("text", r"(?m)^License: [^\n]*(?:" + _B
+                       + r"(?i:AGPL|LGPL|GPL|Apache)[- ]?[0-9](?:\.[0-9]+)?|" + _B
+                       + r"(?i:CC[- ]BY)[- ]?[0-9](?:\.[0-9]+)?|" + _B
+                       + r"(?i:BSD)[- ][0-9][- ](?i:Clause))"),
+    LIC_EXEMPT_RE: ("text", LIC_EXEMPT_RE),
+    MULTI_LIC_DECL_RE: ("text", MULTI_LIC_DECL_RE),
+    CITE_LINE_RE: ("text", CITE_LINE_RE),
+    CITE_DOI_RE: ("text", r"(?m)^Cite: [^\n]*" + _B + r"10\.[0-9]{4,9}/"),
+    AUTHORS_LINE_RE: ("text", AUTHORS_LINE_RE),
+    CONTRIB_LINE_RE: ("text", CONTRIB_LINE_RE),
+    DUAL_LIC_RE: ("text", r"(?i:dual[\t\n\f\r -]?licen[cs]ed?|dually[\t\n\f\r -]?licen[cs]ed?"
+                  r"|multiple[\t\n\f\r -]?licen[cs]es?"
+                  r"|available under (?:two|multiple|either)[^\n]*licen[cs]es?"
+                  r"|choose (?:between|from)[^\n]*licen[cs]e|licen[cs]e options?)"),
+    REQ_NOVER_RE: ("text", REQ_NOVER_RE),
+    ID_LINE_RE: ("text", ID_LINE_RE),
+    ID_VALID_RE: ("text", r"(?m)^Identifier: (?:(?i:doi:)?10\.[0-9]+/|https?://)"),
+    STATUS_URL_RE: ("text", STATUS_URL_RE),
+    VERSION_LINE_HAS_RE: ("text", VERSION_LINE_HAS_RE),
+    # URL rules
+    DEAD_PATH_RE: ("url", DEAD_PATH_RE),
+    HOMEPAGE_RE: ("url", HOMEPAGE_RE),
+    ARCHIVE_RE: ("url", ARCHIVE_RE),
+    SHORTHAND_RE: ("url", SHORTHAND_RE),
+    # the declared lang field
+    MULTI_VALUE_RE: ("lang", MULTI_VALUE_RE),
+}
+# LAST_UPDATED_RE's group, extracted in the same query
+_LAST_UPDATED_RUST = r"Last updated: ([0-9]{4}-[0-9]{2}-[0-9]{2})"
+
 # RE2's \w is ASCII-only — use Unicode letter/number classes so CJK
 # text isn't counted as symbols. This RE2 class defines the count (the
 # oracles in queries.py spell the same class, and
@@ -612,11 +588,11 @@ DROP_CODES = [r.code for r in CATALOG if r.severity == "drop"]
 _SYMBOL_RE = r"[^\p{L}\p{N}\s]"
 _SYMBOL_ASCII_RUST = r"[\x00-\x08\x0B\x0E-\x1F!-/:-@\[-`{-\x7F]"
 _SYMBOL_NON_ASCII = r"[^\x00-\x7F\p{L}\p{N}]"
-# IP_RE in Rust syntax: RE2's \b and \d are ASCII
-_IP_RUST = r"(?-u:\b)(?:[0-9]{1,3}\.){3}[0-9]{1,3}(?-u:\b)"
 _FULL_PASSES = (
-    pl.col("t").str.count_matches(_SYMBOL_ASCII_RUST).fill_null(0).alias("symbols"),
-    pl.col("t").str.contains(_IP_RUST).fill_null(False).alias("ip"),
+    pl.col("text").str.count_matches(_SYMBOL_ASCII_RUST).fill_null(0).alias("symbols"),
+    pl.col("text").str.extract(_LAST_UPDATED_RUST, 1).alias("last_updated"),
+    *(pl.col(col).str.contains(rust).fill_null(False).alias(f"hit{k}")
+      for k, (col, rust) in enumerate(PREDICATES.values())),
 )
 
 
@@ -624,20 +600,31 @@ def _np_int(arr) -> np.ndarray:
     return arr.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def full_pass_scans(text: pa.Array, n_chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(symbol count, ``IP_RE`` hit) per row of ``text``, whose codepoint
-    counts are ``n_chars`` (0 for a null): the ``_SYMBOL_RE`` count and
-    the ``IP_RE`` match. The two scans that read every row run as one
-    polars query, in turn on the calling thread (``select_seq``: a gate
-    task is scheduled as one CPU); RE2 counts the non-ASCII symbols on
-    the rows that hold any."""
-    full = pl.DataFrame({"t": pl.from_arrow(text)}).select_seq(_FULL_PASSES)
+def full_pass_scans(
+    text: pa.Array, url: pa.Array, lang: pa.Array, n_chars: np.ndarray,
+) -> tuple[np.ndarray, dict[str, np.ndarray], pa.Array]:
+    """(symbol count, predicate hits, ``Last updated:`` date) per row of
+    one batch's ``text``, ``url`` and ``lang``, where ``n_chars`` counts
+    each text's codepoints (0 for a null): the ``_SYMBOL_RE`` count, a
+    bool array per ``PREDICATES`` pattern (False on a null) and
+    ``LAST_UPDATED_RE``'s ``d`` group (null where it does not match).
+
+    All of it is one polars query, run in turn on the calling thread
+    (``select_seq``: a gate task is scheduled as one CPU), so its
+    per-query cost is paid once and Rust's regex engine does its own
+    literal prefiltering. RE2 counts the non-ASCII symbols on the rows
+    that hold any."""
+    full = pl.DataFrame({
+        "text": pl.from_arrow(text), "url": pl.from_arrow(url), "lang": pl.from_arrow(lang),
+    }).select_seq(_FULL_PASSES)
     symbols = full["symbols"].to_numpy().astype(np.int64)
     wide = np.flatnonzero(value_spans(text)[1] != n_chars)
     if len(wide):
         symbols[wide] += _np_int(
             pc.count_substring_regex(text.take(pa.array(wide)), _SYMBOL_NON_ASCII))
-    return symbols, full["ip"].to_numpy()
+    hits = {pat: full[f"hit{k}"].to_numpy() for k, pat in enumerate(PREDICATES)}
+    last_updated = full["last_updated"].to_arrow(compat_level=pl.CompatLevel.oldest())
+    return symbols, hits, last_updated
 
 
 def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
@@ -650,9 +637,9 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
     ``n_lines`` and ``dup_line_frac`` (all from one
     :func:`~rsmetacheck_ray.functions.tokenize.ws_token_stats` pass), plus
     ``bits_per_char`` from perplexity. The rule stage does no
-    tokenization of its own: it adds only the regex-derived columns
-    (symbol count, staleness date, scrub-pattern hits) and the per-batch
-    caches of the guarded scans."""
+    tokenization of its own: it adds only the regex-derived columns of
+    :func:`full_pass_scans` (symbol count, the ``hits`` of every
+    predicate, the staleness date) and the scrub-pattern hits."""
     text = batch.column("extracted_text")
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
@@ -665,7 +652,7 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
 
     n_tokens = _np_int(batch.column("n_tokens"))
     n_chars = _np_int(batch.column("n_chars"))
-    symbol_chars, ip_hit = full_pass_scans(text, n_chars)
+    symbol_chars, hits, date_str = full_pass_scans(text, url, declared_raw, n_chars)
 
     declared = (
         pc.fill_null(declared_raw, "")
@@ -681,10 +668,8 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         zero_copy_only=False
     )
 
-    # staleness: extract `Last updated: YYYY-MM-DD`, diff against
-    # warc_ts. No prefilter: the pattern leads with its literal, which
-    # RE2 finds with memchr.
-    date_str = pc.struct_field(pc.extract_regex(text, LAST_UPDATED_RE), "d")
+    # staleness: the in-document `Last updated: YYYY-MM-DD`, diffed
+    # against warc_ts
     parsed = pc.strptime(date_str, format="%Y-%m-%d", unit="us", error_is_null=True)
     warc = batch.column("warc_ts")
     diff_us = pc.subtract(pc.cast(warc, pa.int64()), pc.cast(parsed, pa.int64()))
@@ -692,11 +677,10 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         diff_us.to_numpy(zero_copy_only=False).astype(np.float64)
     ) / 86_400_000_000.0  # NaN where no date
 
-    ctx = {
+    return {
         "cfg": cfg,
         "text": text,
         "url": url,
-        "declared_raw": declared_raw,
         "declared": declared,
         "detected": detected,
         "stopword_lang_valid": stopword_lang_valid,
@@ -710,11 +694,9 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         "dup_line_frac": batch.column("dup_line_frac").to_numpy(zero_copy_only=False),
         "bits_per_char": batch.column("bits_per_char").to_numpy(zero_copy_only=False),
         "stale_days": stale_days,
-        "_candidates": {},  # per-batch caches of _candidates / _text_hits
-        "_text_hits": {IP_RE: ip_hit},
+        "hits": hits,
+        "scrub_hits": {code: hits[pat] for code, pat, _ in SCRUBS},
     }
-    ctx["scrub_hits"] = {code: _text_hits(ctx, pat) for code, pat, _ in SCRUBS}
-    return ctx
 
 
 def apply_scrub(text: pa.Array) -> pa.Array:

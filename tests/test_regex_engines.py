@@ -1,10 +1,12 @@
 """The gate's full-pass scans run on polars' Rust regex engine, spelled
 beside their RE2 originals (extract's tag passes, langid's marker
-counts, the rule context's symbol count and ``IP_RE`` hit). These tests
-check that each Rust spelling finds exactly what its RE2 original finds:
-exhaustively over every non-surrogate codepoint in the positions where
-the engines' classes and boundaries could differ, and by Hypothesis on
-arbitrary text mixed with tags, markers and addresses.
+counts, and the rule context's query: the symbol count, every rule
+predicate in ``PREDICATES`` and the ``LAST_UPDATED_RE`` date). These
+tests check that each Rust spelling finds exactly what its RE2 original
+finds: exhaustively over every non-surrogate codepoint in the positions
+where the engines' classes, boundaries, case folding and line ends
+could differ, and by Hypothesis on arbitrary text mixed with tags,
+markers, addresses and declaration lines.
 
 The ``*_is_necessary`` tests pin the spelling rules: with Rust's own
 (Unicode) meaning of ``\\b``, ``\\s``, ``\\d`` or ``\\p{..}``, or with
@@ -12,6 +14,9 @@ The ``*_is_necessary`` tests pin the spelling rules: with Rust's own
 """
 
 from __future__ import annotations
+
+import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import polars as pl
@@ -34,9 +39,18 @@ def test_codepoint_count():
     assert len(_CODEPOINTS) == 1_112_064
 
 
+@functools.cache
+def _codepoint_array() -> pa.Array:
+    return pa.array(_CODEPOINTS, pa.string())
+
+
 def _around(template: str) -> pa.Array:
     """``template`` with every codepoint put in for each ``{c}``."""
-    return pa.array([template.format(c=c) for c in _CODEPOINTS], pa.string())
+    parts = template.split("{c}")
+    pieces = [parts[0]]
+    for part in parts[1:]:
+        pieces += [_codepoint_array(), part]
+    return pc.binary_join_element_wise(*pieces, "")
 
 
 def _re2_tags(s: pa.Array) -> pa.Array:
@@ -52,15 +66,41 @@ def _re2_symbols(s: pa.Array) -> np.ndarray:
         zero_copy_only=False)
 
 
-def _re2_ip(s: pa.Array) -> np.ndarray:
-    return pc.fill_null(pc.match_substring_regex(s, R.IP_RE), False).to_numpy(
+def _re2_hits(s: pa.Array, pattern: str) -> np.ndarray:
+    return pc.fill_null(pc.match_substring_regex(s, pattern), False).to_numpy(
         zero_copy_only=False)
+
+
+def _re2_ip(s: pa.Array) -> np.ndarray:
+    return _re2_hits(s, R.IP_RE)
 
 
 def _n_chars(s: pa.Array) -> np.ndarray:
     """The langid stage's ``n_chars``: codepoints, 0 for a null."""
     return pc.fill_null(pc.utf8_length(s), 0).to_numpy(
         zero_copy_only=False).astype(np.int64)
+
+
+def _scans(s: pa.Array):
+    """The rule context's query over ``s``, read as its text, url and
+    lang columns alike: (symbol count, predicate hits, date)."""
+    return R.full_pass_scans(s, s, s, _n_chars(s))
+
+
+def _query_differs(s: pa.Array, hits: dict, last_updated: pa.Array,
+                   pool: ThreadPoolExecutor | None = None) -> dict:
+    """{pattern: the rows where it differs} over the query columns that
+    differ from their RE2 originals; the RE2 passes run on ``pool``
+    when one is given (Arrow's kernels drop the GIL)."""
+    run = pool.map if pool else map
+    re2 = dict(zip(R.PREDICATES, run(lambda p: _re2_hits(s, p), R.PREDICATES)))
+    bad = {p: np.flatnonzero(hits[p] != re2[p]) for p in R.PREDICATES}
+    re2_date = pc.struct_field(pc.extract_regex(s, R.LAST_UPDATED_RE), "d")
+    bad[R.LAST_UPDATED_RE] = np.flatnonzero(
+        pc.fill_null(pc.not_equal(last_updated, re2_date), True).to_numpy(zero_copy_only=False)
+        & ~(pc.is_null(last_updated).to_numpy(zero_copy_only=False)
+            & pc.is_null(re2_date).to_numpy(zero_copy_only=False)))
+    return {p: rows for p, rows in bad.items() if len(rows)}
 
 
 def _re2_markers(s: pa.Array, scorer: LangIdScorer) -> np.ndarray:
@@ -91,7 +131,7 @@ def test_symbol_count_matches_re2_on_every_codepoint():
     a letter and a space."""
     for template in ("{c}", "a{c} "):
         s = _around(template)
-        symbols, _ = R.full_pass_scans(s, _n_chars(s))
+        symbols, _, _ = _scans(s)
         assert not _differs(symbols, _re2_symbols(s)), template
 
 
@@ -110,8 +150,44 @@ def test_ip_hit_matches_re2_on_every_codepoint(template):
     """The ``IP_RE`` hit agrees next to (``\\b``) and in place of
     (``\\d``) a digit, for every codepoint."""
     s = _around(template)
-    _, ip = R.full_pass_scans(s, _n_chars(s))
-    assert not _differs(ip, _re2_ip(s))
+    _, hits, _ = _scans(s)
+    assert not _differs(hits[R.IP_RE], _re2_ip(s))
+
+
+_HEX40 = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize("template", [
+    # \b on both sides
+    "{c}hellspawn{c}",
+    "{c}swh:1:rev:" + _HEX40 + "{c}",
+    "License: x {c}GPL{c}",                  # and the versioned family's \d
+    "Cite: x{c}10.1234/",
+    # \d
+    "10.{c}234/x",
+    "+1-555-123-{c}567 ({c}55) 123-4567",    # each phone alternative
+    "Version: {c}\nLast updated: {c}021-03-05\nIdentifier: 10.{c}/x",
+    # \s inside classes
+    "{c}10.1234/x",
+    " 10.1234/{c}",
+    "dual{c}licensed",
+    # (?i) folding: ſ, K, İ, ı
+    "licen{c}ed",
+    "{c}opyright 2024, all right{c} reserved",
+    # (?m) ^ and $ next to every codepoint, \r included
+    "x{c}License: COPYING{c}Requires: abc{c}Status: www.x{c}Authors: a{c}Contributors: b",
+])
+def test_rule_predicates_match_re2_on_every_codepoint(template):
+    """Every column of the rule context's query (each Rust spelling in
+    ``PREDICATES`` and the date extract), in one query over the
+    template, agrees with its RE2 original for every codepoint put in
+    where a changed construct reads it."""
+    s = _around(template)
+    _, hits, last_updated = _scans(s)
+    with ThreadPoolExecutor(4) as pool:
+        bad = _query_differs(s, hits, last_updated, pool)
+    assert not bad, {p: (len(rows), [hex(ord(_CODEPOINTS[i])) for i in rows[:5]])
+                     for p, rows in bad.items()}
 
 
 @pytest.mark.parametrize("template", [
@@ -137,7 +213,8 @@ def _polars_count(s: pa.Array, pattern: str) -> np.ndarray:
 
 @pytest.mark.parametrize("name", [
     "plain_boundary_markers", "plain_boundary_ip", "unicode_digit_ip",
-    "unicode_space_br", "ascii_class_without_del", "unicode_classes"])
+    "unicode_space_br", "ascii_class_without_del", "unicode_classes",
+    "plain_boundary_toxicity", "unicode_digit_phone", "unicode_space_doi"])
 def test_rust_spelling_is_necessary(name):
     """Each spelling rule matters: Rust's own reading of the RE2
     original differs from RE2 on the inputs the exhaustive tests use."""
@@ -147,9 +224,19 @@ def test_rust_spelling_is_necessary(name):
                         _re2_markers(s, LangIdScorer())[0])
     elif name in ("plain_boundary_ip", "unicode_digit_ip"):
         s = _around("{c}1.2.3.4{c}" if name == "plain_boundary_ip" else "1.2.{c}.4")
-        pat = R._IP_RUST.replace(r"(?-u:\b)", r"\b") if name == "plain_boundary_ip" \
-            else R._IP_RUST.replace("[0-9]", r"\d")
+        ip = R.PREDICATES[R.IP_RE][1]
+        pat = ip.replace(r"(?-u:\b)", r"\b") if name == "plain_boundary_ip" \
+            else ip.replace("[0-9]", r"\d")
         assert _differs(pl.from_arrow(s).str.contains(pat).to_numpy(), _re2_ip(s))
+    elif name in ("plain_boundary_toxicity", "unicode_digit_phone", "unicode_space_doi"):
+        template, pattern, rule = {
+            "plain_boundary_toxicity": ("{c}hellspawn{c}", R.TOX_RE, (r"(?-u:\b)", r"\b")),
+            "unicode_digit_phone": ("+1-555-123-{c}567", R.PHONE_RE, ("[0-9]", r"\d")),
+            "unicode_space_doi": ("{c}10.1234/x", R.BARE_DOI_RE, (r"\t\n\f\r ", r"\s")),
+        }[name]
+        s = _around(template)
+        pat = R.PREDICATES[pattern][1].replace(*rule)
+        assert _differs(pl.from_arrow(s).str.contains(pat).to_numpy(), _re2_hits(s, pattern))
     elif name == "unicode_space_br":
         s = _around("<br{c}>x")
         chain = (pl.col("s").str.replace_all(E._BLOCK_REMOVAL_RUST, "")
@@ -181,7 +268,11 @@ _FRAGMENTS = [
     "entre", "der", "nicht", "ſ", "K", "\u212a", "İ", "ı", "é", "٣", "\v",
     "\u00a0", "\x00", "\x7f", "\x1f", "!", "_", "1.2.3.4", "10.0.0.255",
     "1.2.3.4.5", "1234.5.6.7", "9.9.9", "1.2.3.٣", " ", "\n", "\t", "日本",
-    "😀", "\u2028",
+    "😀", "\u2028", "hellspawn", "hellspawns", "(555) 123-4567", "+1-555-123-4567",
+    "10.1234/x", "(10.1234/x)", "swh:1:cnt:" + _HEX40, "\nLicense: ", "GPL",
+    "BSD-3-Clause", "GPL-3", "\nCite: ", "\nIdentifier: ", "\nVersion: ",
+    "Last updated: 2021-03-05", "dual-licensed", "licenſe", "Copyright 2020",
+    "all rights reserved", " | Contact", "a@b.co", "https://", "<year>", "\r",
 ]
 _DOC = st.one_of(
     st.none(),
@@ -195,7 +286,8 @@ _DOC = st.one_of(
 @given(docs=st.lists(_DOC, min_size=1, max_size=12),
        large=st.booleans(), cut=st.integers(0, 3), scan=st.integers(1, 40))
 def test_rust_passes_match_re2(docs, large, cut, scan):
-    """Every moved pass equals its RE2 original on any documents, as
+    """Every moved pass (each rule predicate and the date extract
+    included) equals its RE2 original on any documents, as
     ``string`` or ``large_string`` and as a sliced array; marker counts
     also over a bounded prefix window, as langid reads them."""
     s = pa.array(docs, pa.large_string() if large else pa.string())
@@ -203,9 +295,9 @@ def test_rust_passes_match_re2(docs, large, cut, scan):
     assert E.strip_tags(s).to_pylist() == _re2_tags(s).to_pylist()
     assert E.strip_tags(s).type == s.type
 
-    symbols, ip = R.full_pass_scans(s, _n_chars(s))
+    symbols, hits, last_updated = _scans(s)
     assert symbols.tolist() == _re2_symbols(s).tolist()
-    assert ip.tolist() == _re2_ip(s).tolist()
+    assert not _query_differs(s, hits, last_updated)
 
     scorer = LangIdScorer()
     starts, lens = value_spans(s)

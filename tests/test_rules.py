@@ -30,7 +30,6 @@ from rsmetacheck_ray.stages.perplexity import PerplexityScorer
 from rsmetacheck_ray.stages.rules import (
     CATALOG,
     DROP_CODES,
-    PREFILTERS,
     RULE_CODES,
     apply_scrub,
     rule_stage_fn,
@@ -442,8 +441,18 @@ def _re2_hits(arr: pa.Array, pattern: str) -> np.ndarray:
     )
 
 
-def _literal_hits(arr: pa.Array, pattern: str) -> np.ndarray:
-    return np.logical_or.reduce([_re2_hits(arr, lit) for lit in PREFILTERS[pattern]])
+def _assert_query_matches_re2(texts: pa.Array) -> dict:
+    """Every column of the rule context's polars query over ``texts``
+    (read as the text, url and lang columns alike) equals its RE2
+    original: each ``PREDICATES`` hit and the ``LAST_UPDATED_RE`` date.
+    Returns the hits."""
+    n_chars = pc.fill_null(pc.utf8_length(texts), 0).to_numpy(zero_copy_only=False)
+    _, hits, last_updated = R.full_pass_scans(texts, texts, texts, n_chars)
+    for pattern in R.PREDICATES:
+        assert hits[pattern].tolist() == _re2_hits(texts, pattern).tolist(), pattern
+    re2_date = pc.struct_field(pc.extract_regex(texts, R.LAST_UPDATED_RE), "d")
+    assert last_updated.to_pylist() == re2_date.to_pylist()
+    return hits
 
 
 # RE2 folds U+017F to s and U+212A to k under (?i); \r is no line end
@@ -451,6 +460,7 @@ _EDGE_CHARS = ["\r", "\n", "\u017f", "\u212a", "\x00", "K", "S", "\u0130", "\u01
 _EDGE_TEXT = st.text(st.one_of(st.sampled_from(_EDGE_CHARS), _CHAR), max_size=40)
 _EDGE = st.sampled_from(["\r\n", ""] + _EDGE_CHARS)
 _ASCII = st.characters(max_codepoint=127)
+_QUERY_PATTERNS = list(R.PREDICATES) + [R.LAST_UPDATED_RE]
 
 
 def _text_for(pattern: str):
@@ -463,16 +473,57 @@ def _text_for(pattern: str):
     )
 
 
-@pytest.mark.parametrize("pattern", list(PREFILTERS))
+@pytest.mark.parametrize("pattern", _QUERY_PATTERNS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_query_columns_match_re2(pattern, data):
+    """Property: the polars query's columns equal RE2's matches of the
+    originals, on strings generated from each pattern and on arbitrary
+    unicode with case-folding, line-end and null edges."""
+    texts = data.draw(st.lists(st.one_of(st.none(), _text_for(pattern)),
+                               min_size=1, max_size=8))
+    _assert_query_matches_re2(pa.array(texts, pa.string()))
+
+
+def _scrubbed(pattern: str, replacement: str):
+    return lambda arr: pc.not_equal(
+        pc.replace_substring_regex(arr, pattern=pattern, replacement=replacement), arr)
+
+
+def _extracted(pattern: str):
+    return lambda arr: pc.is_valid(pc.extract_regex(arr, pattern))
+
+
+# the RE2 work that runs on a predicate's hit rows only, keyed by that
+# predicate: (the pattern the work runs, per row whether it finds
+# anything). The scrub replaces on scrub-hit rows (``_scrub_rows``); the
+# author-count and version rules extract on their line hits.
+_HIT_ROW_WORK = {
+    **{pat: (pat, _scrubbed(pat, repl)) for _, pat, repl in R.SCRUBS},
+    R.AUTHORS_LINE_RE: (R.AUTHORS_LINE_RE, _extracted(R.AUTHORS_LINE_RE)),
+    R.CONTRIB_LINE_RE: (R.CONTRIB_LINE_RE, _extracted(R.CONTRIB_LINE_RE)),
+    R.VERSION_LINE_HAS_RE: (R.VERSION_LINE_RE, _extracted(R.VERSION_LINE_RE)),
+}
+
+
+@pytest.mark.parametrize("pattern", list(_HIT_ROW_WORK))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_prefilter_literal_is_necessary(pattern, data):
-    """Property: wherever a guarded pattern matches under RE2, one of
-    its literals matches too, on strings generated from the pattern and
-    on arbitrary unicode with case-folding, line-end and null edges."""
-    texts = data.draw(st.lists(_text_for(pattern), min_size=1, max_size=8))
+    """Property: a predicate's query column is a necessary condition of
+    the RE2 work that runs on its hit rows only, so the rows it leaves
+    out lose nothing: wherever that work finds a match, the column
+    holds. On strings generated from both patterns and on arbitrary
+    unicode with case-folding, line-end and null edges."""
+    work_pattern, work = _HIT_ROW_WORK[pattern]
+    texts = data.draw(st.lists(
+        st.one_of(st.none(), _text_for(pattern), _text_for(work_pattern)),
+        min_size=1, max_size=8))
     arr = pa.array(texts, pa.string())
-    assert not (_re2_hits(arr, pattern) & ~_literal_hits(arr, pattern)).any()
+    n_chars = pc.fill_null(pc.utf8_length(arr), 0).to_numpy(zero_copy_only=False)
+    _, hits, _ = R.full_pass_scans(arr, arr, arr, n_chars)
+    found = pc.fill_null(work(arr), False).to_numpy(zero_copy_only=False)
+    assert not (found & ~hits[pattern]).any()
 
 
 # declaration lines the injected pages lack: the negative sides of the
@@ -485,49 +536,100 @@ _NEAR_MISSES = [
 ]
 
 
-def test_prefilter_literals_hold_on_the_corpora(scored):
-    """The same implication over the datagen pages and the trigger-
-    injected driver pages, where every guarded pattern fires."""
+def test_query_columns_match_re2_on_the_corpora(scored):
+    """The same equality over the datagen pages and the trigger-injected
+    driver pages (their texts, urls and langs), where every predicate
+    fires."""
     docs = pa.table({
         "doc_id": pa.array(range(260), pa.int64()),
         "text": pa.array(["the quick brown fox near the river bank"] * 260),
         "lang": pa.array(["en"] * 260),
     })
+    pages = synthesize_pages(docs)
     texts = pa.concat_arrays([
-        scored[0].column("extracted_text").combine_chunks(),
-        synthesize_pages(docs).column("text").combine_chunks(),
+        *(scored[0].column(c).combine_chunks().cast(pa.string())
+          for c in ("extracted_text", "url", "lang")),
+        *(pages.column(c).combine_chunks().cast(pa.string()) for c in ("text", "url", "lang")),
         pa.array(_NEAR_MISSES),
     ])
-    for pattern in PREFILTERS:
-        hits = _re2_hits(texts, pattern)
-        assert hits.any(), pattern
-        assert not (hits & ~_literal_hits(texts, pattern)).any(), pattern
+    hits = _assert_query_matches_re2(texts)
+    assert all(hits[p].any() for p in R.PREDICATES), [p for p in R.PREDICATES if not hits[p].any()]
 
 
 _MIXED = st.lists(
-    st.one_of(
-        *[st.from_regex(p, alphabet=_ASCII) for p in PREFILTERS],
-        st.from_regex(R.IP_RE, alphabet=_ASCII),
-        _EDGE_TEXT,
-    ),
+    st.one_of(*[st.from_regex(p, alphabet=_ASCII) for p in _QUERY_PATTERNS], _EDGE_TEXT),
     max_size=6,
 ).flatmap(lambda parts: st.sampled_from(["\n", " ", ""]).map(lambda sep: sep.join(parts)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.none(), _MIXED), min_size=1, max_size=8), st.booleans())
+def test_query_columns_match_re2_on_mixed_text(texts, large):
+    """Every predicate at once over documents joining several patterns'
+    matches, as ``string`` and ``large_string``."""
+    _assert_query_matches_re2(pa.array(texts, pa.large_string() if large else pa.string()))
+
+
+_FULL_PASS_SCANS = R.full_pass_scans
+
+
+def _re2_scans(text, url, lang, n_chars):
+    """``full_pass_scans`` with every predicate and the ``Last updated:``
+    date run as its own full RE2 pass of the original pattern."""
+    symbols, _, _ = _FULL_PASS_SCANS(text, url, lang, n_chars)
+    cols = {"text": text, "url": url, "lang": lang}
+    hits = {p: _re2_hits(cols[col], p) for p, (col, _) in R.PREDICATES.items()}
+    return symbols, hits, pc.struct_field(pc.extract_regex(text, R.LAST_UPDATED_RE), "d")
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.none(), _MIXED), min_size=1, max_size=8))
 def test_guarded_stage_equals_unguarded_passes(texts):
-    """With every prefilter removed each pattern runs a full pass; the
-    guarded stage gives the same hit columns, keep, scrubbed text and
-    evidence."""
+    """With every predicate run as its own full RE2 pass, the stage
+    gives the same hit columns, keep, scrubbed text and evidence as the
+    one polars query and the RE2 work on hit rows only."""
     batch = _stage_batch(texts)
     got = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
-    with mock.patch.dict(R.PREFILTERS, clear=True):
+    with mock.patch.object(R, "full_pass_scans", _re2_scans):
         exp = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
     for name in [f"hit_{c}" for c in RULE_CODES] + [
         "keep", "scrubbed_text", "evidence_json", "rule_errors",
     ]:
         assert got.column(name).to_pylist() == exp.column(name).to_pylist(), name
+
+
+def test_rule_stage_runs_no_re2_pass_over_the_batch(monkeypatch):
+    """Every regex predicate is a column of the one polars query: on an
+    ASCII batch where no rule fires, no RE2 kernel is handed an array of
+    the batch's length (a predicate that drifted back to its own RE2
+    pass would be). RE2 runs only on fired or hit rows."""
+    from rsmetacheck_ray.functions.vocab import CONTENT
+
+    words = CONTENT["en"]
+    texts = [" ".join(words[(i + k * 7) % len(words)] for k in range(12)) for i in range(64)]
+    calls: list[tuple[str, int]] = []
+
+    def recorder(name):
+        kernel = getattr(pc, name)
+
+        def record(values, *args, **kwargs):
+            calls.append((name, len(values)))
+            return kernel(values, *args, **kwargs)
+
+        return record
+
+    for name in ("match_substring_regex", "extract_regex", "count_substring_regex",
+                 "replace_substring_regex"):
+        monkeypatch.setattr(pc, name, recorder(name))
+    batch = _stage_batch(texts)
+    out = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
+    assert not any(out.column(f"hit_{c}").to_numpy(zero_copy_only=False).any()
+                   for c in RULE_CODES)
+    assert not [c for c in calls if c[1] == len(batch)], calls
+    # the recorders see the RE2 work on hit rows: one row's author lists
+    texts[3] += "\nAuthors: a, b\nContributors: c"
+    rule_stage_fn(_stage_batch(texts), DEFAULT_CONFIG, with_evidence=True)
+    assert ("extract_regex", 1) in calls
 
 
 @pytest.mark.parametrize("write_dropped_text", [False, True])

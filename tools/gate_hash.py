@@ -27,7 +27,10 @@ Column hashes are taken over each value's exact Python repr (floats
 round-trip bit for bit), so two runs hash equal only if every value is
 identical. The first line names the pyarrow (RE2) and polars (Rust
 regex) versions the gate's scans ran on: two hash files from different
-engine versions are not expected to diff clean.
+engine versions are not expected to diff clean. Polars runs extract's
+tag passes, langid's marker counts and the rule context's query, which
+holds every rule predicate (scrub, text, URL, lang-field and
+metadata-line patterns), so the polars version covers every hit column.
 """
 
 from __future__ import annotations
