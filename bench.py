@@ -114,12 +114,6 @@ SF1_SHIFT = 10_000_000
 _SCALE_KEYS = {
     "documents": ["doc_id"],
     "embeddings": ["vec_id"],
-    "lineitem": ["l_orderkey", "l_partkey", "l_suppkey"],
-    "orders": ["o_orderkey", "o_custkey"],
-    "customer": ["c_custkey"],
-    "supplier": ["s_suppkey"],
-    "part": ["p_partkey"],
-    "events": ["event_id", "user_id"],
 }
 
 
@@ -179,8 +173,7 @@ def prepare_sf_scaled(sf_dir: str, factor: int = SF1_FACTOR) -> str:
     """A ×factor table set under /tmp (cached): every table replicated
     with key columns shifted per replica; document text and embedding
     vectors decorrelated across replicas (see the helpers above) so
-    per-query work scales ~linearly. nation/region stay fixed (bounded
-    dimension tables)."""
+    per-query work scales ~linearly."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -192,11 +185,6 @@ def prepare_sf_scaled(sf_dir: str, factor: int = SF1_FACTOR) -> str:
         return out
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out)
-    for t in ("region", "nation"):
-        shutil.copy(
-            os.path.join(sf_dir, f"{t}.parquet"),
-            os.path.join(out, f"{t}.parquet"),
-        )
     for t, keys in _SCALE_KEYS.items():
         src = pq.read_table(os.path.join(sf_dir, f"{t}.parquet"))
         parts = []
@@ -410,7 +398,6 @@ BENCH_QUERIES = [
     "source_quality_shrunk",
     "conformal_outliers",
     "gate_isotonic_calibration",
-    "events_hourly_decomposition",
     "pack_ffd",
     "source_classifier_auc",
     "knn_ndcg",
@@ -502,7 +489,6 @@ BENCH_QUERIES = [
     "label_centroid_similarity",
     "source_quality_corr",
     "dedup_savings",
-    "part_name_top_terms",
     "gate_host_keep_rate",
     "gate_rule_cooccurrence",
     "split_leakage",
@@ -526,15 +512,10 @@ BENCH_QUERIES = [
     "bpe_token_counts",
     # round-4 continuation: statistics batch
     "source_spearman",
-    "events_mutual_info",
-    "user_theil_index",
-    "events_spectrum",
-    "event_entropy_rate",
     "gate_classifier_calibration",
     "source_cvm_length",
     "host_lorenz",
     "lang_simpson",
-    "events_temporal_gini",
     "doc_token_novelty",
     "lang_shannon",
     "dedup_degree_hist",

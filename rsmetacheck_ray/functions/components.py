@@ -23,11 +23,12 @@ Size-gated plan:
    through that mapping, drops self-loops, and folds the mapping into
    the accumulated labels. All lookups use the engine's hashed-key-
    partition merge pattern (tagged union + ``groupby(part).map_groups``
-   + per-partition ``searchsorted`` — the as-of-join discipline), NOT
-   ``Dataset.join``: Ray's hash join crashes on hash partitions that
-   receive zero rows of one side, which sparse contracted edge sets
-   hit routinely. Edge count shrinks every round; round count is
-   bounded by the graph's min-propagation depth — O(log n)-ish for
+   + per-partition ``searchsorted`` — the co-partitioned path of
+   ``pipelines/join.py``), NOT ``Dataset.join``: Ray's hash join
+   crashes on hash partitions that receive zero rows of one side,
+   which sparse contracted edge sets hit routinely. Edge count shrinks
+   every round; round count is bounded by the graph's min-propagation
+   depth — O(log n)-ish for
    the star-shaped graphs dedup pair generators emit (Kiveris et al.,
    "Connected Components in MapReduce and Beyond").
 

@@ -291,7 +291,7 @@ def incremental_new_docs_bloom(
 ) -> rd.Dataset:
     """(doc_id, maybe_seen) — the MEMORY-BOUNDED seen-set probe: the
     all-time seen hashes fold into a fixed-size Bloom filter (one bit
-    array per block, OR-merged like the HLL/CMS partials; ~1 MiB per
+    array per block, OR-merged like the CMS partials; ~1 MiB per
     2^23-bit tier vs 16 B/doc exact), broadcast once, and the
     increment probes it SHUFFLE-FREE per batch. One-sided like the
     filter: ``maybe_seen == False`` is DEFINITELY new (no false

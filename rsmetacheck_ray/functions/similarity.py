@@ -539,7 +539,7 @@ def bitext_margin_pairs(
         )
 
     bwd = bwd_p.groupby("query_id").map_groups(bwd_best, batch_format="pyarrow")
-    joined = generic_join(fwd_ok, bwd, on="tgt_id", how="inner")
+    joined = generic_join(fwd_ok, bwd, on="tgt_id")
 
     def mutual(t: pa.Table) -> pa.Table:
         ok = pc.equal(t.column("src_id"), t.column("bwd_src_id"))

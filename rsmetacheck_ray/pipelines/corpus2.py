@@ -1542,76 +1542,6 @@ FROM u
 
 
 # ---------------------------------------------------------------------------
-# Top terms of part names (dimension-table text coverage).
-# ---------------------------------------------------------------------------
-
-def part_name_top_terms(sf_dir: str, k: int = 20) -> rd.Dataset:
-    """(term, n, rk): the k most frequent whitespace tokens across
-    part names, ties token-ascending — the vocabulary head of a
-    dimension-table text column (catalog normalization's first
-    question). Per-batch Arrow group_by pre-combines counts; the
-    global reduce is bounded by the name vocabulary under the guard;
-    the top-k cut happens on the reduced table."""
-    ds = read_pq(os.path.join(sf_dir, "part.parquet"), columns=["p_name"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        flat = split_ws_tokens(b.column("p_name")).flatten()
-        flat = flat.filter(pc.not_equal(flat, ""))
-        g = pa.table({"term": flat}).group_by("term").aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["term", "n"]).set_column(
-            1, "n", pc.cast(g.column(1), pa.int64())
-        )
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"],
-        [("n", "sum")],
-    )
-    empty = pa.table(
-        {
-            "term": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-            "rk": pa.array([], pa.int64()),
-        }
-    )
-    if tbl is None:
-        return rd.from_arrow(empty)
-    rows = sorted(
-        zip(tbl.column("term").to_pylist(), tbl.column("n").to_pylist()),
-        key=lambda r: (-r[1], r[0]),
-    )[:k]
-    return rd.from_arrow(
-        pa.table(
-            {
-                "term": pa.array([r[0] for r in rows], pa.string()),
-                "n": pa.array([r[1] for r in rows], pa.int64()),
-                "rk": pa.array(
-                    np.arange(1, len(rows) + 1, dtype=np.int64)
-                ),
-            }
-        )
-    )
-
-
-PART_NAME_TOP_TERMS_SQL = f"""
-WITH t AS (
-  SELECT unnest(regexp_extract_all(p_name, '{WS_TOKEN_RE}')) AS term
-  FROM part
-), c AS (
-  SELECT term, CAST(COUNT(*) AS BIGINT) AS n FROM t GROUP BY term
-)
-SELECT term, n, rk FROM (
-  SELECT term, n,
-    CAST(ROW_NUMBER() OVER (ORDER BY n DESC, term ASC) AS BIGINT) AS rk
-  FROM c
-) WHERE rk <= 20
-ORDER BY rk
-"""
-
-
-# ---------------------------------------------------------------------------
 # Holdout split balance (pooled quality ratios per split).
 # ---------------------------------------------------------------------------
 

@@ -716,7 +716,7 @@ def source_quality_shrunk(sf_dir: str, tau: int = _SHRINK_TAU) -> "pa.Table":
     # classifier scores and the source attribute join through the
     # size-gated generic join — 16 B/row projections both sides
     scored = generic_join(
-        raw, _docs(sf_dir, ["doc_id", "source"]), on="doc_id", how="inner"
+        raw, _docs(sf_dir, ["doc_id", "source"]), on="doc_id"
     )
 
     def partial(b: pa.Table) -> pa.Table:
@@ -897,138 +897,6 @@ SELECT s.doc_id, s.score_total,
   (q.qhat IS NOT NULL AND s.score_total < q.qhat) AS is_outlier
 FROM s, q_ q
 WHERE s.doc_id % {_CONFORMAL_CAL_MOD} <> 0
-"""
-
-
-# ---------------------------------------------------------------------------
-# seasonal decomposition of the hourly event series: count = trend
-# (centered 25 h moving average) + seasonal (hour-of-day mean of the
-# detrended series) + residual — the classic additive decomposition,
-# kept exact by integer numerators.
-# ---------------------------------------------------------------------------
-
-_DECOMP_HALF = 12  # ±12 h ⇒ 25-hour centered window
-
-
-def events_hourly_decomposition(sf_dir: str) -> "pa.Table":
-    """(hour, n_events, trend, seasonal, residual): additive
-    decomposition of the hourly event-count series. Trend = centered
-    25-hour moving average (only COMPLETE windows emit — edge hours
-    drop, the standard convention); seasonal = per hour-of-day mean of
-    the detrended values; residual = the rest.
-
-    Float discipline: every division's numerator is an ORDER-FREE
-    int64 sum — trend = Σ₂₅n / 25, seasonal = Σ(25·n − Σ₂₅n) / (25·K)
-    (the detrended sum is kept as the integer 25·n − window_sum, so no
-    float accumulates), and residual = n − trend − seasonal evaluates
-    the same two IEEE subtractions in both engines. The hour domain is
-    bounded (~10⁵ rows for a decade of web crawl), so the count
-    histogram rides ONE bounded reduce and the solve is a driver-side
-    sliding sum."""
-    events = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def hour_hist(b: pa.Table) -> pa.Table:
-        us = pc.cast(b.column("ts"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        h = us // 3_600_000_000
-        uh, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(uh, pa.int64()),
-                "n": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    tbl = bounded_group_table_strict(
-        events.map_batches(hour_hist, batch_format="pyarrow"),
-        ["h"],
-        [("n", "sum")],
-    )
-    empty = pa.table(
-        {
-            "hour": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "trend": pa.array([], pa.float64()),
-            "seasonal": pa.array([], pa.float64()),
-            "residual": pa.array([], pa.float64()),
-        }
-    )
-    if tbl is None or tbl.num_rows == 0:
-        return empty
-    hs = tbl.column("h").to_numpy(zero_copy_only=False)
-    ns = tbl.column("n").to_numpy(zero_copy_only=False)
-    lo, hi = int(hs.min()), int(hs.max())
-    hours = np.arange(lo, hi + 1, dtype=np.int64)
-    counts = np.zeros(len(hours), np.int64)
-    counts[hs - lo] = ns
-    w = 2 * _DECOMP_HALF + 1
-    if len(hours) < w:
-        return empty
-    csum = np.concatenate([[0], np.cumsum(counts)])
-    num = csum[w:] - csum[:-w]  # window sum per full-window hour
-    mid = hours[_DECOMP_HALF : len(hours) - _DECOMP_HALF]
-    nmid = counts[_DECOMP_HALF : len(hours) - _DECOMP_HALF]
-    det_num = w * nmid - num  # 25·n − Σ₂₅, exact int
-    hod = mid % 24
-    snum = np.zeros(24, np.int64)
-    kcnt = np.zeros(24, np.int64)
-    np.add.at(snum, hod, det_num)
-    np.add.at(kcnt, hod, 1)
-    trend = num.astype(np.float64) / float(w)
-    seasonal = snum[hod].astype(np.float64) / (float(w) * kcnt[hod])
-    residual = nmid.astype(np.float64) - trend - seasonal
-    return pa.table(
-        {
-            "hour": pa.array(mid, pa.int64()),
-            "n_events": pa.array(nmid, pa.int64()),
-            "trend": pa.array(trend, pa.float64()),
-            "seasonal": pa.array(seasonal, pa.float64()),
-            "residual": pa.array(residual, pa.float64()),
-        }
-    )
-
-
-EVENTS_DECOMP_SQL = f"""
-WITH hc AS (
-  SELECT CAST(epoch_us(ts) // 3600000000 AS BIGINT) AS h,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-),
-bounds AS (SELECT MIN(h) AS hmin, MAX(h) AS hmax FROM hc),
-hours AS (
-  SELECT unnest(generate_series(hmin, hmax)) AS h FROM bounds
-),
-d AS (
-  SELECT hours.h, COALESCE(hc.n, 0) AS n
-  FROM hours LEFT JOIN hc ON hc.h = hours.h
-),
-t AS (
-  SELECT h, n,
-    SUM(n) OVER (ORDER BY h
-      ROWS BETWEEN {_DECOMP_HALF} PRECEDING
-      AND {_DECOMP_HALF} FOLLOWING) AS num,
-    COUNT(*) OVER (ORDER BY h
-      ROWS BETWEEN {_DECOMP_HALF} PRECEDING
-      AND {_DECOMP_HALF} FOLLOWING) AS cnt
-  FROM d
-),
-full_ AS (SELECT h, n, num FROM t WHERE cnt = {2 * _DECOMP_HALF + 1}),
-s AS (
-  SELECT h % 24 AS hod,
-    CAST(SUM({2 * _DECOMP_HALF + 1} * n - num) AS BIGINT) AS snum,
-    CAST(COUNT(*) AS BIGINT) AS k
-  FROM full_ GROUP BY 1
-)
-SELECT f.h AS hour, CAST(f.n AS BIGINT) AS n_events,
-  CAST(f.num AS DOUBLE) / {float(2 * _DECOMP_HALF + 1)} AS trend,
-  CAST(s.snum AS DOUBLE)
-    / ({float(2 * _DECOMP_HALF + 1)} * s.k) AS seasonal,
-  CAST(f.n AS DOUBLE)
-    - CAST(f.num AS DOUBLE) / {float(2 * _DECOMP_HALF + 1)}
-    - CAST(s.snum AS DOUBLE)
-      / ({float(2 * _DECOMP_HALF + 1)} * s.k) AS residual
-FROM full_ f JOIN s ON s.hod = f.h % 24
 """
 
 
@@ -1742,7 +1610,7 @@ def source_quality_influence(sf_dir: str) -> "pa.Table":
         batch_format="pyarrow",
     )
     scored = generic_join(
-        raw, _docs(sf_dir, ["doc_id", "source"]), on="doc_id", how="inner"
+        raw, _docs(sf_dir, ["doc_id", "source"]), on="doc_id"
     )
 
     def partial(b: pa.Table) -> pa.Table:

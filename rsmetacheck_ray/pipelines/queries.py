@@ -863,7 +863,7 @@ def q_classifier_best_f1(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = join(scores, keep, on="doc_id", how="inner")
+    j = join(scores, keep, on="doc_id")
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["score_total", "kept"]).group_by(
@@ -1150,7 +1150,7 @@ def q_gate_classifier_calibration(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = join(bins, keep, on="doc_id", how="inner")
+    j = join(bins, keep, on="doc_id")
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["bin", "kept"]).group_by("bin").aggregate(
@@ -1251,7 +1251,7 @@ def q_gate_classifier_auc(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = join(scores, keep, on="doc_id", how="inner")
+    j = join(scores, keep, on="doc_id")
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["score_total", "kept"]).group_by(
@@ -1365,7 +1365,7 @@ def q_gate_isotonic_calibration(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = join(scores, keep, on="doc_id", how="inner")
+    j = join(scores, keep, on="doc_id")
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["score_total", "kept"]).group_by("score_total").aggregate(
@@ -1451,8 +1451,7 @@ def q_source_classifier_auc(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    j = join(join(scores, src, on="doc_id", how="inner"), keep,
-             on="doc_id", how="inner")
+    j = join(join(scores, src, on="doc_id"), keep, on="doc_id")
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["source", "score_total", "kept"]).group_by(
@@ -9363,7 +9362,7 @@ def _bitext_sides(sf_dir: str) -> tuple[rd.Dataset, rd.Dataset]:
     ).map_batches(as_vec, batch_format="pyarrow")
     j = generic_join(
         emb.select_columns(["vec_id", "embedding"]), langs,
-        on="vec_id", how="inner",
+        on="vec_id",
     )
 
     def side_a(t: pa.Table) -> pa.Table:
@@ -10903,9 +10902,6 @@ def registry() -> dict[str, tuple]:
             cor2.source_quality_corr, cor2._source_quality_corr_sql(),
         ),
         "dedup_savings": (cor2.dedup_savings, cor2.DEDUP_SAVINGS_SQL),
-        "part_name_top_terms": (
-            cor2.part_name_top_terms, cor2.PART_NAME_TOP_TERMS_SQL,
-        ),
         "source_ks_length": (
             cor2.source_ks_length, cor2.SOURCE_KS_LENGTH_SQL,
         ),
@@ -10949,9 +10945,6 @@ def registry() -> dict[str, tuple]:
             cor3.source_quality_influence,
             lambda: cor3._source_influence_sql(),
         ),
-        "events_hourly_decomposition": (
-            cor3.events_hourly_decomposition, cor3.EVENTS_DECOMP_SQL,
-        ),
         "source_wasserstein_length": (
             cor3.source_wasserstein_length, cor3.SOURCE_WASSERSTEIN_SQL,
         ),
@@ -10971,14 +10964,6 @@ def registry() -> dict[str, tuple]:
             cor3.stratified_neyman_sample, lambda: cor3._neyman_sqls()[1],
         ),
         "source_spearman": (st.source_spearman, st._source_spearman_sql()),
-        "events_mutual_info": (
-            st.events_mutual_info, st.EVENTS_MUTUAL_INFO_SQL,
-        ),
-        "user_theil_index": (st.user_theil_index, st.USER_THEIL_SQL),
-        "events_spectrum": (st.events_spectrum, st.EVENTS_SPECTRUM_SQL),
-        "event_entropy_rate": (
-            st.event_entropy_rate, st.EVENT_ENTROPY_RATE_SQL,
-        ),
         # deferred for the same LM-export reason as gate_decisions
         "gate_classifier_auc": (
             q_gate_classifier_auc,
@@ -11099,9 +11084,6 @@ def registry() -> dict[str, tuple]:
         "dedup_degree_hist": (q_dedup_degree_hist, SQL_DEDUP_DEGREE_HIST),
         "doc_token_novelty": (
             st.doc_token_novelty, st._doc_token_novelty_sql(),
-        ),
-        "events_temporal_gini": (
-            st.events_temporal_gini, st.EVENTS_TEMPORAL_GINI_SQL,
         ),
         # corpus balancing: deterministic per-host quota sample
         "host_sample": (

@@ -1,15 +1,13 @@
-"""Statistics batch (round 4, continuation): four estimator shapes the
-suite did not yet cover —
+"""Statistics batch: estimator shapes over the document tables —
 
 - rank correlation (per-source Spearman ρ between each document's
   stop-word-marker count and token count — the robust counterpart of
   ``corpus2.source_quality_corr``'s Pearson),
-- mutual information (event type × hour-of-day, in nats — "how much
-  does the clock tell you about what users do"),
-- Theil T inequality index over per-user activity (the
-  log-decomposable cousin of ``source_gini``),
-- quantized spectral power at the daily / weekly periods over the
-  hourly count series (is traffic actually periodic, as one number).
+- Simpson and Shannon diversity of each language's token
+  distribution, and per-document token novelty,
+- distribution drift between sources: the two-sample Cramér–von
+  Mises distance of document lengths and each source's Population
+  Stability Index against the corpus.
 
 The reference has no statistics engine at all (single-process JSON
 walk, ``src/detect_pitfalls_main.py:313-318``); these extend SURVEY
@@ -22,22 +20,15 @@ Determinism discipline (house rules, same as ``corpus2.lang_zipf``):
   libm-matched quantization the oracles re-derive bit-for-bit);
 - floats appear only in final driver-side expressions written
   token-identically in the SQL (``CAST(int AS DOUBLE)`` ≙
-  ``float(int)``, both round-half-even);
-- trig constants for the spectral probe are quantized ONCE at import
-  and embedded as the SAME integer literals in both engines.
+  ``float(int)``, both round-half-even).
 
 Scale notes. Spearman ships per-batch (source, x, y, count) joint-
 histogram partials — bounded by the per-document value domains (a
 doc's marker / token counts are bounded by its length), NOT by corpus
 size — through the strict bounded-reduce guard (which raises rather
 than OOM the driver if a pathological corpus breaks the bound; the
-escape hatch is a sort-based rank plan). Mutual information reduces
-the (|types| × 24) joint. Theil does ONE user-hash shuffle of
-per-batch (user, n) partials (16 B rows), folds per-user totals
-inside each owning partition, and emits count-of-counts partials
-bounded by the max per-user activity. The spectral probe reuses the
-bounded hourly-count domain. Nothing here materializes raw rows on
-the driver.
+escape hatch is a sort-based rank plan). Nothing here materializes
+raw rows on the driver.
 """
 
 from __future__ import annotations
@@ -52,15 +43,13 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..partitioning import (
-    _part_of,
     adaptive_partitions,
-    bounded_group_reduce,
     bounded_group_table_strict,
     parquet_rows_hint,
     read_pq,
 )
 
-_LOG_SCALE = 1_000_000  # micro-log / micro-trig fixed point
+_LOG_SCALE = 1_000_000  # micro-log fixed point
 
 
 def _micro_ln(v: int) -> int:
@@ -212,245 +201,6 @@ SELECT source, CAST(COUNT(*) AS BIGINT) AS n,
 FROM r
 GROUP BY source
 ORDER BY source
-"""
-
-
-# ---------------------------------------------------------------------------
-# Mutual information: event type × hour-of-day.
-# ---------------------------------------------------------------------------
-
-def events_mutual_info(sf_dir: str) -> rd.Dataset:
-    """One row (n_events, n_types, mi_nats): the mutual information
-    between event type and hour-of-day — the single-number version of
-    a per-(type, hour) lift heatmap (0 ⇒ the clock says
-    nothing about behavior).
-
-    Exactness: MI = Σ nᵢⱼ·(L(nᵢⱼ)+L(N)−L(nᵢ)−L(nⱼ)) / (N·10⁶) with L
-    the micro-log quantization — the distributed sum is exact int64
-    counts, the driver sum exact Python ints, and the oracle re-derives
-    every L term with the same libm ``ln``.
-
-    Plan: one shuffle-free per-batch (type, hour) count pass; the
-    reduce and the MI fold are bounded by |types| × 24."""
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_type", "ts"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        hour = (
-            b.column("ts").to_numpy(zero_copy_only=False)
-            .astype("M8[h]")
-            .astype(np.int64)
-            % 24
-        )
-        t = pa.table(
-            {
-                "event_type": b.column("event_type"),
-                "hr": pa.array(hour, pa.int64()),
-            }
-        ).group_by(["event_type", "hr"]).aggregate([([], "count_all")])
-        t = t.rename_columns(["event_type", "hr", "n"])
-        return t.set_column(2, "n", pc.cast(t.column(2), pa.int64()))
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hr"],
-        [("n", "sum")],
-    )
-    empty = pa.table(
-        {
-            "n_events": pa.array([], pa.int64()),
-            "n_types": pa.array([], pa.int64()),
-            "mi_nats": pa.array([], pa.float64()),
-        }
-    )
-    if tbl is None:
-        return rd.from_arrow(empty)
-    et = tbl.column("event_type").to_pylist()
-    hr = tbl.column("hr").to_pylist()
-    n = tbl.column("n").to_pylist()
-    type_tot: dict[str, int] = {}
-    hour_tot: dict[int, int] = {}
-    for t_, h, c in zip(et, hr, n):
-        type_tot[t_] = type_tot.get(t_, 0) + int(c)
-        hour_tot[h] = hour_tot.get(h, 0) + int(c)
-    big_n = sum(type_tot.values())
-    ln_n = _micro_ln(big_n)
-    s = 0
-    for t_, h, c in zip(et, hr, n):
-        c = int(c)
-        s += c * (
-            _micro_ln(c) + ln_n - _micro_ln(type_tot[t_])
-            - _micro_ln(hour_tot[h])
-        )
-    return rd.from_arrow(
-        pa.table(
-            {
-                "n_events": pa.array([big_n], pa.int64()),
-                "n_types": pa.array([len(type_tot)], pa.int64()),
-                "mi_nats": pa.array(
-                    [float(s) / (float(big_n) * 1000000.0)], pa.float64()
-                ),
-            }
-        )
-    )
-
-
-EVENTS_MUTUAL_INFO_SQL = f"""
-WITH j AS MATERIALIZED (
-  SELECT event_type, CAST(hour(ts) AS BIGINT) AS hr,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2
-), tt AS (
-  SELECT event_type, CAST(SUM(n) AS BIGINT) AS nt FROM j GROUP BY 1
-), ht AS (SELECT hr, CAST(SUM(n) AS BIGINT) AS nh FROM j GROUP BY 1),
-g AS (
-  SELECT CAST(SUM(n) AS BIGINT) AS big_n,
-         CAST(COUNT(DISTINCT event_type) AS BIGINT) AS n_types
-  FROM j
-), q AS (
-  SELECT SUM(CAST(j.n AS HUGEINT) * (
-      {_MICRO_LN_SQL.format(v="j.n")}
-      + {_MICRO_LN_SQL.format(v="g.big_n")}
-      - {_MICRO_LN_SQL.format(v="tt.nt")}
-      - {_MICRO_LN_SQL.format(v="ht.nh")})) AS s
-  FROM j JOIN tt USING (event_type) JOIN ht USING (hr) CROSS JOIN g
-)
-SELECT g.big_n AS n_events, g.n_types AS n_types,
-  CAST(q.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0) AS mi_nats
-FROM g CROSS JOIN q
-"""
-
-
-# ---------------------------------------------------------------------------
-# Theil T inequality index over per-user activity.
-# ---------------------------------------------------------------------------
-
-def user_theil_index(
-    sf_dir: str, num_partitions: int | None = None
-) -> rd.Dataset:
-    """One row (n_users, n_events, mean_events, theil_t): the Theil T
-    index of inequality across per-user event counts — 0 ⇒ everyone
-    equally active, ln(n_users) ⇒ one user owns all traffic. The
-    log-decomposable counterpart of ``source_gini``.
-
-    Exactness: T = Σₖ mₖ·k·(L(k)+L(n)−L(N)) / (N·10⁶) over the
-    count-of-counts histogram (activity k → mₖ users) with L the
-    micro-log quantization; every sum is an exact integer.
-
-    Plan: per-batch (user, n) count partials, ONE user-hash shuffle
-    (16 B rows); each owning partition folds its users' totals and
-    emits (k, m) count-of-counts partials bounded by the max per-user
-    activity; the driver fold is over that bounded histogram."""
-    from ..functions.hashing import splitmix64_np
-
-    ds = read_pq(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
-    )
-    hint = parquet_rows_hint(ds)
-    n_parts = num_partitions or adaptive_partitions(hint, row_bytes=16)
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = (
-            pa.table({"user_id": b.column("user_id")})
-            .group_by(["user_id"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["user_id", "n"])
-        )
-        upart = (
-            splitmix64_np(
-                g.column("user_id")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.uint64)
-            )
-            % n_parts
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "user_id": g.column("user_id"),
-                "n": pc.cast(g.column("n"), pa.int64()),
-                "upart": pa.array(upart, pa.int64()),
-            }
-        )
-
-    def fold(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "m": pa.array([], pa.int64())}
-            )
-        per_user = (
-            g.select(["user_id", "n"])
-            .group_by(["user_id"])
-            .aggregate([("n", "sum")])
-        )
-        k = per_user.column("n_sum").to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(k, return_counts=True)
-        return pa.table(
-            {
-                "k": pa.array(vals.astype(np.int64)),
-                "m": pa.array(cnts.astype(np.int64)),
-            }
-        )
-
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("upart")
-        .map_groups(fold, batch_format="pyarrow")
-    )
-    tbl = bounded_group_table_strict(hist, ["k"], [("m", "sum")])
-    empty = pa.table(
-        {
-            "n_users": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "mean_events": pa.array([], pa.float64()),
-            "theil_t": pa.array([], pa.float64()),
-        }
-    )
-    if tbl is None:
-        return rd.from_arrow(empty)
-    ks = [int(v) for v in tbl.column("k").to_pylist()]
-    ms = [int(v) for v in tbl.column("m").to_pylist()]
-    n_users = sum(ms)
-    big_n = sum(k * m for k, m in zip(ks, ms))
-    ln_nu, ln_n = _micro_ln(n_users), _micro_ln(big_n)
-    s = sum(m * k * (_micro_ln(k) + ln_nu - ln_n) for k, m in zip(ks, ms))
-    return rd.from_arrow(
-        pa.table(
-            {
-                "n_users": pa.array([n_users], pa.int64()),
-                "n_events": pa.array([big_n], pa.int64()),
-                "mean_events": pa.array(
-                    [float(big_n) / float(n_users)], pa.float64()
-                ),
-                "theil_t": pa.array(
-                    [float(s) / (float(big_n) * 1000000.0)], pa.float64()
-                ),
-            }
-        )
-    )
-
-
-USER_THEIL_SQL = f"""
-WITH u AS (
-  SELECT user_id, CAST(COUNT(*) AS BIGINT) AS k FROM events GROUP BY 1
-), h AS MATERIALIZED (
-  SELECT k, CAST(COUNT(*) AS BIGINT) AS m FROM u GROUP BY 1
-), g AS (
-  SELECT CAST(SUM(k * m) AS BIGINT) AS big_n,
-         CAST(SUM(m) AS BIGINT) AS nu
-  FROM h
-), q AS (
-  SELECT SUM(CAST(h.m AS HUGEINT) * h.k * (
-      {_MICRO_LN_SQL.format(v="h.k")}
-      + {_MICRO_LN_SQL.format(v="g.nu")}
-      - {_MICRO_LN_SQL.format(v="g.big_n")})) AS s
-  FROM h CROSS JOIN g
-)
-SELECT g.nu AS n_users, g.big_n AS n_events,
-  CAST(g.big_n AS DOUBLE) / CAST(g.nu AS DOUBLE) AS mean_events,
-  CAST(q.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0) AS theil_t
-FROM g CROSS JOIN q
 """
 
 
@@ -950,192 +700,6 @@ ORDER BY d.doc_id
 
 
 # ---------------------------------------------------------------------------
-# Temporal Gini of the hourly event-count series.
-# ---------------------------------------------------------------------------
-
-def events_temporal_gini(sf_dir: str) -> rd.Dataset:
-    """One row (n_hours, n_events, gini): the Gini coefficient of the
-    ZERO-FILLED hourly count series over the corpus's observed hour
-    span — burstiness as inequality (0 ⇒ perfectly even traffic,
-    → 1 ⇒ all events in one hour). The temporal counterpart of
-    ``source_gini``.
-
-    Exactness: with counts sorted ascending, G's numerator
-    Σᵢ (2i − n − 1)·xᵢ and denominator n·Σx are exact integers; the
-    statistic is their single float division, written identically in
-    the oracle over a dense ``generate_series`` hour spine.
-
-    Plan: one shuffle-free per-batch hour-count pass (the
-    events_spectrum partial); the zero-fill and rank walk run on the
-    driver over the bounded hour span."""
-    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h = (
-            b.column("ts").to_numpy(zero_copy_only=False)
-            .astype("M8[h]")
-            .astype(np.int64)
-        )
-        vals, cnts = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(vals, pa.int64()),
-                "n": pa.array(cnts.astype(np.int64)),
-            }
-        )
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"), ["h"], [("n", "sum")]
-    )
-    empty = pa.table(
-        {
-            "n_hours": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "gini": pa.array([], pa.float64()),
-        }
-    )
-    if tbl is None:
-        return rd.from_arrow(empty)
-    hs = tbl.column("h").to_numpy(zero_copy_only=False)
-    ns = tbl.column("n").to_numpy(zero_copy_only=False)
-    span = int(hs.max()) - int(hs.min()) + 1
-    dense = np.zeros(span, np.int64)
-    dense[hs - hs.min()] = ns
-    dense.sort()
-    n = span
-    total = int(dense.sum())
-    num = sum((2 * (i + 1) - n - 1) * int(x) for i, x in enumerate(dense))
-    gini = float(num) / float(n * total) if total else 0.0
-    return rd.from_arrow(
-        pa.table(
-            {
-                "n_hours": pa.array([n], pa.int64()),
-                "n_events": pa.array([total], pa.int64()),
-                "gini": pa.array([gini], pa.float64()),
-            }
-        )
-    )
-
-
-EVENTS_TEMPORAL_GINI_SQL = """
-WITH c AS (
-  SELECT epoch_us(date_trunc('hour', ts)) // 3600000000 AS h,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-), b AS (SELECT min(h) AS hmin, max(h) AS hmax FROM c),
-spine AS (SELECT unnest(generate_series(hmin, hmax)) AS h FROM b),
-dense AS (
-  SELECT spine.h, COALESCE(c.n, 0) AS x
-  FROM spine LEFT JOIN c USING (h)
-), ranked AS (
-  SELECT x, ROW_NUMBER() OVER (ORDER BY x, h) AS i,
-         COUNT(*) OVER () AS n
-  FROM dense
-)
-SELECT CAST(MAX(n) AS BIGINT) AS n_hours,
-  CAST(SUM(x) AS BIGINT) AS n_events,
-  CASE WHEN SUM(x) > 0
-    THEN CAST(SUM(CAST(2 * i - n - 1 AS HUGEINT) * x) AS DOUBLE)
-       / CAST(CAST(MAX(n) AS HUGEINT) * SUM(x) AS DOUBLE)
-    ELSE 0.0 END AS gini
-FROM ranked
-"""
-
-
-# ---------------------------------------------------------------------------
-# Quantized spectral power at the daily / weekly periods.
-# ---------------------------------------------------------------------------
-
-_SPECTRUM_PERIODS = (24, 168)
-
-# micro-trig LUTs, quantized ONCE here and embedded as the SAME integer
-# literals in the oracle — determinism does not depend on two engines'
-# cos/sin agreeing, only on these constants
-_TRIG_LUT: dict[int, tuple[list[int], list[int]]] = {
-    p: (
-        [
-            int(math.floor(math.cos(2.0 * math.pi * i / p) * _LOG_SCALE + 0.5))
-            for i in range(p)
-        ],
-        [
-            int(math.floor(math.sin(2.0 * math.pi * i / p) * _LOG_SCALE + 0.5))
-            for i in range(p)
-        ],
-    )
-    for p in _SPECTRUM_PERIODS
-}
-
-
-def events_spectrum(sf_dir: str) -> rd.Dataset:
-    """(period_hours, n_events, n_hours, power_ratio): the DFT power
-    of the hourly event-count series at the daily (24 h) and weekly
-    (168 h) periods, normalized by the squared total — "is traffic
-    periodic" as one number per period (1 ⇒ a pure sinusoid's
-    fundamental; ~0 ⇒ flat / aperiodic).
-
-    Exactness: A = Σₜ cₜ·cosq(t mod p), B = Σₜ cₜ·sinq(t mod p) with
-    cosq/sinq the import-time micro-trig LUT shared verbatim with the
-    oracle; A and B are exact integers, power = (A²+B²)/(N²·10¹²) is
-    the single float expression both engines write.
-
-    Plan: one shuffle-free per-batch hour-count pass; the reduce is
-    bounded by the corpus's hour span."""
-    ds = read_pq(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h = (
-            b.column("ts").to_numpy(zero_copy_only=False)
-            .astype("M8[h]")
-            .astype(np.int64)
-        )
-        vals, cnts = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(vals, pa.int64()),
-                "n": pa.array(cnts.astype(np.int64)),
-            }
-        )
-
-    tbl = bounded_group_table_strict(
-        ds.map_batches(partial, batch_format="pyarrow"), ["h"], [("n", "sum")]
-    )
-    empty = pa.table(
-        {
-            "period_hours": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "n_hours": pa.array([], pa.int64()),
-            "power_ratio": pa.array([], pa.float64()),
-        }
-    )
-    if tbl is None:
-        return rd.from_arrow(empty)
-    hs = [int(v) for v in tbl.column("h").to_pylist()]
-    ns = [int(v) for v in tbl.column("n").to_pylist()]
-    big_n = sum(ns)
-    n_hours = len(hs)
-    out_p, out_pw = [], []
-    for p in _SPECTRUM_PERIODS:
-        cq, sq = _TRIG_LUT[p]
-        a = sum(n * cq[h % p] for h, n in zip(hs, ns))
-        b = sum(n * sq[h % p] for h, n in zip(hs, ns))
-        out_p.append(p)
-        out_pw.append(
-            (float(a) * float(a) + float(b) * float(b))
-            / (float(big_n) * float(big_n) * 1e12)
-        )
-    return rd.from_arrow(
-        pa.table(
-            {
-                "period_hours": pa.array(out_p, pa.int64()),
-                "n_events": pa.array([big_n] * len(out_p), pa.int64()),
-                "n_hours": pa.array([n_hours] * len(out_p), pa.int64()),
-                "power_ratio": pa.array(out_pw, pa.float64()),
-            }
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
 # Two-sample Cramér–von Mises distance between source length
 # distributions (the integrated-squared-difference companion of
 # corpus2.source_ks_length's max-difference KS statistic).
@@ -1254,206 +818,6 @@ SELECT sa AS source_a, sb AS source_b, na AS n_a, nb AS n_b,
 FROM cum
 GROUP BY sa, sb, na, nb
 ORDER BY source_a, source_b
-"""
-
-
-# ---------------------------------------------------------------------------
-# Entropy rate of the event-type process.
-# ---------------------------------------------------------------------------
-
-def _event_transitions(
-    sf_dir: str, num_partitions: int | None = None
-) -> rd.Dataset:
-    """(prev_type, next_type, n): counts of consecutive event-type
-    pairs within each user's (ts, event_id) order."""
-    ev = read_pq(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
-    n_parts = num_partitions or adaptive_partitions(
-        parquet_rows_hint(ev), row_bytes=40
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "part": _part_of(b.column("user_id"), n_parts),
-                "uid": b.column("user_id"),
-                "ts": pc.cast(b.column("ts"), pa.int64()),
-                "eid": b.column("event_id"),
-                "etype": b.column("event_type"),
-            }
-        )
-
-    def count(g: pa.Table) -> pa.Table:
-        uid = g.column("uid").to_numpy(zero_copy_only=False)
-        ts = g.column("ts").to_numpy(zero_copy_only=False)
-        eid = g.column("eid").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid_s = uid[order]
-        types = g.column("etype").take(pa.array(order, pa.int64()))
-        n = len(uid_s)
-        if n < 2:
-            return pa.table(
-                {
-                    "prev_type": pa.array([], pa.string()),
-                    "next_type": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        same = uid_s[1:] == uid_s[:-1]
-        idx = np.flatnonzero(same)
-        t = pa.table(
-            {
-                "prev_type": types.take(pa.array(idx, pa.int64())),
-                "next_type": types.take(pa.array(idx + 1, pa.int64())),
-            }
-        )
-        out = t.group_by(["prev_type", "next_type"]).aggregate(
-            [([], "count_all")]
-        )
-        return out.rename_columns(["prev_type", "next_type", "n"])
-
-    parts = (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count, batch_format="pyarrow")
-    )
-    return bounded_group_reduce(
-        parts, ["prev_type", "next_type"], [("n", "sum")]
-    )
-
-
-def event_entropy_rate(
-    sf_dir: str, num_partitions: int | None = None
-) -> rd.Dataset:
-    """One row (n_transitions, n_types, next_entropy_nats,
-    cond_entropy_nats, info_gain_nats): the first-order entropy rate
-    of the event-type process — H(next) is the marginal surprise of
-    the next event, H(next | current) what remains once you know the
-    current state, and the gap is how much one step of memory buys a
-    next-event predictor (the information-theoretic summary of
-    a per-state mode table).
-
-    Exactness: both entropies are micro-log folds over exact integer
-    transition counts — H(next|prev) = Σᵢⱼ nᵢⱼ·(L(nᵢ·)−L(nᵢⱼ)) /
-    (N·10⁶), H(next) = Σⱼ n·ⱼ·(L(N)−L(n·ⱼ)) / (N·10⁶).
-
-    Plan: composes the distributed transition-count shuffle
-    (``_event_transitions``); the driver fold is bounded by |types|²."""
-    rows = _event_transitions(sf_dir, num_partitions=num_partitions).take_all()
-    empty = pa.table(
-        {
-            "n_transitions": pa.array([], pa.int64()),
-            "n_types": pa.array([], pa.int64()),
-            "next_entropy_nats": pa.array([], pa.float64()),
-            "cond_entropy_nats": pa.array([], pa.float64()),
-            "info_gain_nats": pa.array([], pa.float64()),
-        }
-    )
-    if not rows:
-        return rd.from_arrow(empty)
-    prev_tot: dict[str, int] = {}
-    next_tot: dict[str, int] = {}
-    for r in rows:
-        n = int(r["n"])
-        prev_tot[r["prev_type"]] = prev_tot.get(r["prev_type"], 0) + n
-        next_tot[r["next_type"]] = next_tot.get(r["next_type"], 0) + n
-    big_n = sum(prev_tot.values())
-    ln_n = _micro_ln(big_n)
-    s_cond = sum(
-        int(r["n"]) * (_micro_ln(prev_tot[r["prev_type"]])
-                       - _micro_ln(int(r["n"])))
-        for r in rows
-    )
-    s_next = sum(m * (ln_n - _micro_ln(m)) for m in next_tot.values())
-    h_cond = float(s_cond) / (float(big_n) * 1000000.0)
-    h_next = float(s_next) / (float(big_n) * 1000000.0)
-    return rd.from_arrow(
-        pa.table(
-            {
-                "n_transitions": pa.array([big_n], pa.int64()),
-                "n_types": pa.array([len(next_tot)], pa.int64()),
-                "next_entropy_nats": pa.array([h_next], pa.float64()),
-                "cond_entropy_nats": pa.array([h_cond], pa.float64()),
-                "info_gain_nats": pa.array([h_next - h_cond], pa.float64()),
-            }
-        )
-    )
-
-
-EVENT_ENTROPY_RATE_SQL = f"""
-WITH s AS (
-  SELECT user_id, event_type,
-         LAG(event_type) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id) AS prev_type
-  FROM events
-), tr AS MATERIALIZED (
-  SELECT prev_type, event_type AS next_type, CAST(COUNT(*) AS BIGINT) AS n
-  FROM s WHERE prev_type IS NOT NULL
-  GROUP BY prev_type, next_type
-), pt AS (
-  SELECT prev_type, CAST(SUM(n) AS BIGINT) AS np FROM tr GROUP BY 1
-), nt AS MATERIALIZED (
-  SELECT next_type, CAST(SUM(n) AS BIGINT) AS nn FROM tr GROUP BY 1
-), g AS (
-  SELECT CAST(SUM(n) AS BIGINT) AS big_n,
-         CAST(COUNT(DISTINCT next_type) AS BIGINT) AS n_types
-  FROM tr
-), qc AS (
-  SELECT SUM(CAST(tr.n AS HUGEINT) * (
-      {_MICRO_LN_SQL.format(v="pt.np")}
-      - {_MICRO_LN_SQL.format(v="tr.n")})) AS s
-  FROM tr JOIN pt USING (prev_type)
-), qn AS (
-  SELECT SUM(CAST(nt.nn AS HUGEINT) * (
-      {_MICRO_LN_SQL.format(v="g.big_n")}
-      - {_MICRO_LN_SQL.format(v="nt.nn")})) AS s
-  FROM nt CROSS JOIN g
-)
-SELECT g.big_n AS n_transitions, g.n_types,
-  CAST(qn.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0)
-    AS next_entropy_nats,
-  CAST(qc.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0)
-    AS cond_entropy_nats,
-  CAST(qn.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0)
-    - CAST(qc.s AS DOUBLE) / (CAST(g.big_n AS DOUBLE) * 1000000.0)
-    AS info_gain_nats
-FROM g CROSS JOIN qc CROSS JOIN qn
-"""
-
-
-def _spectrum_lut_values() -> str:
-    rows = []
-    for p in _SPECTRUM_PERIODS:
-        cq, sq = _TRIG_LUT[p]
-        for i in range(p):
-            rows.append(f"({p}, {i}, {cq[i]}, {sq[i]})")
-    return ", ".join(rows)
-
-
-EVENTS_SPECTRUM_SQL = f"""
-WITH c AS (
-  SELECT epoch_us(date_trunc('hour', ts)) // 3600000000 AS h,
-         CAST(COUNT(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-), lut AS (
-  SELECT * FROM (VALUES {_spectrum_lut_values()}) AS l(period, ph, cq, sq)
-), a AS (
-  SELECT l.period,
-         SUM(CAST(c.n AS HUGEINT) * l.cq) AS fa,
-         SUM(CAST(c.n AS HUGEINT) * l.sq) AS fb,
-         CAST(SUM(c.n) AS BIGINT) AS big_n,
-         CAST(COUNT(*) AS BIGINT) AS n_hours
-  FROM c JOIN lut l ON l.ph = c.h % l.period
-  GROUP BY l.period
-)
-SELECT CAST(period AS BIGINT) AS period_hours, big_n AS n_events, n_hours,
-  (CAST(fa AS DOUBLE) * CAST(fa AS DOUBLE)
-   + CAST(fb AS DOUBLE) * CAST(fb AS DOUBLE))
-    / (CAST(big_n AS DOUBLE) * CAST(big_n AS DOUBLE) * 1e12) AS power_ratio
-FROM a
-ORDER BY period_hours
 """
 
 

@@ -262,31 +262,6 @@ def test_dedup_savings_counts(ray_session, tmp_path):
         ], got
 
 
-def test_part_name_top_terms(ray_session, tmp_path):
-    d = str(tmp_path)
-    pq.write_table(
-        pa.table(
-            {
-                "p_partkey": pa.array([1, 2, 3], pa.int64()),
-                "p_name": pa.array(
-                    ["red soft gear", "red gear", "blue gear"], pa.string()
-                ),
-                "p_brand": pa.array(["B"] * 3, pa.string()),
-                "p_type": pa.array(["T"] * 3, pa.string()),
-                "p_size": pa.array([1, 1, 1], pa.int32()),
-                "p_retailprice": pa.array([1.0] * 3, pa.float64()),
-            }
-        ),
-        os.path.join(d, "part.parquet"),
-    )
-    got = c2.part_name_top_terms(d, k=3).take_all()
-    assert got == [
-        {"term": "gear", "n": 3, "rk": 1},
-        {"term": "red", "n": 2, "rk": 2},
-        {"term": "blue", "n": 1, "rk": 3},  # tie with 'soft' → asc
-    ], got
-
-
 def test_split_balance_pools_and_totals(ray_session):
     sf = "/root/testdata/sf0.001"
     rows = c2.split_balance(sf).take_all()

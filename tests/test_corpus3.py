@@ -344,70 +344,6 @@ def test_isotonic_query_pools_violators(ray_session, tmp_path):
     assert iso.min() >= 0.0 and iso.max() <= 1.0
 
 
-def test_hourly_decomposition_identity_and_seasonality(ray_session, tmp_path):
-    import pyarrow as pa2
-    import pyarrow.parquet as pq2
-    import numpy as np
-
-    d = str(tmp_path)
-    # 4 days of hourly events: a planted diurnal pattern (3 events at
-    # hour-of-day 0, 1 otherwise) on a flat trend
-    rows = []
-    eid = 0
-    for h in range(96):
-        k = 3 if h % 24 == 0 else 1
-        for _ in range(k):
-            rows.append((eid, h * 3_600_000_000 + 5, 1))
-            eid += 1
-    pq2.write_table(
-        pa2.table({
-            "event_id": pa2.array([r[0] for r in rows], pa2.int64()),
-            "ts": pa2.array([r[1] for r in rows], pa2.timestamp("us")),
-            "user_id": pa2.array([r[2] for r in rows], pa2.int64()),
-            "event_type": pa2.array(["view"] * len(rows), pa2.string()),
-            "value": pa2.array([0.0] * len(rows), pa2.float64()),
-            "props": pa2.array(["{}"] * len(rows), pa2.string()),
-        }),
-        os.path.join(d, "events.parquet"),
-    )
-    t = c3.events_hourly_decomposition(d)
-    assert t.num_rows == 96 - 24  # edge hours drop (±12)
-    n = t.column("n_events").to_numpy()
-    tr = t.column("trend").to_numpy()
-    se = t.column("seasonal").to_numpy()
-    re = t.column("residual").to_numpy()
-    hours = t.column("hour").to_numpy()
-    # additive identity (up to reconstruction-order rounding: residual
-    # is DEFINED as n - trend - seasonal, so re-summing in a different
-    # order costs ~1 ulp)
-    assert np.allclose(n.astype(float), tr + se + re, atol=1e-12, rtol=0)
-    # the planted spike hour carries the max seasonal component
-    hod = hours % 24
-    assert se[hod == 0].min() > se[hod != 0].max()
-    # trend envelope: a 25 h window spans one spike (24·1+3 = 27) or
-    # two (23·1+6 = 29)
-    assert tr.min() == 27 / 25 and tr.max() == 29 / 25
-
-
-def test_hourly_decomposition_short_series_empty(ray_session, tmp_path):
-    import pyarrow as pa2
-    import pyarrow.parquet as pq2
-
-    d = str(tmp_path)
-    pq2.write_table(
-        pa2.table({
-            "event_id": pa2.array([1], pa2.int64()),
-            "ts": pa2.array([1_000_000], pa2.timestamp("us")),
-            "user_id": pa2.array([1], pa2.int64()),
-            "event_type": pa2.array(["view"], pa2.string()),
-            "value": pa2.array([0.0], pa2.float64()),
-            "props": pa2.array(["{}"], pa2.string()),
-        }),
-        os.path.join(d, "events.parquet"),
-    )
-    assert c3.events_hourly_decomposition(d).num_rows == 0
-
-
 def test_wasserstein_planted_shift(ray_session, tmp_path):
     d = str(tmp_path)
     # source 'a': all docs length 10; source 'b': all docs length 14.

@@ -1,7 +1,6 @@
-"""Differential tests for the generic join API (pipelines/join.py):
-inner/left/semi/anti vs DuckDB on duplicate + null + string keys, on
-BOTH physical paths (broadcast and forced co-partition), plus the asof
-and range merges vs brute-force references."""
+"""Differential tests for the generic inner equi-join
+(pipelines/join.py) vs DuckDB on duplicate + null + string keys, on
+BOTH physical paths (broadcast and forced co-partition)."""
 
 from __future__ import annotations
 
@@ -39,21 +38,12 @@ def _right_tbl():
     )
 
 
-def _duck(how: str):
+def _duck():
     con = duckdb.connect()
     con.register("l", _left_tbl())
     con.register("r", _right_tbl())
-    if how == "inner":
-        q = "SELECT l.*, r.rv FROM l JOIN r ON l.k = r.k"
-    elif how == "left":
-        q = "SELECT l.*, r.rv FROM l LEFT JOIN r ON l.k = r.k"
-    elif how == "semi":
-        q = "SELECT l.* FROM l SEMI JOIN r ON l.k = r.k"
-    else:
-        q = "SELECT l.* FROM l ANTI JOIN r ON l.k = r.k"
-    cols = (
-        "k, lv, name, rv" if how in ("inner", "left") else "k, lv, name"
-    )
+    q = "SELECT l.*, r.rv FROM l JOIN r ON l.k = r.k"
+    cols = "k, lv, name, rv"
     rows = con.execute(
         f"SELECT {cols} FROM ({q}) ORDER BY "
         + ", ".join(f"{c} NULLS FIRST" for c in cols.split(", "))
@@ -73,9 +63,8 @@ def _sorted_rows(ds: rd.Dataset, cols):
     ]
 
 
-@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
 @pytest.mark.parametrize("path", ["broadcast", "copart"])
-def test_equi_join_matches_duckdb(ray_session, how, path, monkeypatch):
+def test_equi_join_matches_duckdb(ray_session, path, monkeypatch):
     if path == "copart":
         monkeypatch.setattr(J, "BROADCAST_MAX_ROWS", 0)
         # force the copart route even though the pull would fit
@@ -84,9 +73,8 @@ def test_equi_join_matches_duckdb(ray_session, how, path, monkeypatch):
         )
     left = rd.from_arrow(_left_tbl())
     right = rd.from_arrow(_right_tbl())
-    out = J.join(left, right, on="k", how=how, num_partitions=3)
-    cols = ["k", "lv", "name"] + (["rv"] if how in ("inner", "left") else [])
-    assert _sorted_rows(out, cols) == _duck(how)
+    out = J.join(left, right, on="k", num_partitions=3)
+    assert _sorted_rows(out, ["k", "lv", "name", "rv"]) == _duck()
 
 
 def test_join_string_keys_and_key_pair(ray_session):
@@ -96,149 +84,21 @@ def test_join_string_keys_and_key_pair(ray_session):
     right = rd.from_arrow(
         pa.table({"code": pa.array(["en", "en", "de"]), "full": pa.array(["english", "anglais", "german"])})
     )
-    out = J.join(left, right, on=("lang", "code"), how="inner")
+    out = J.join(left, right, on=("lang", "code"))
     got = sorted(
         (r["lang"], r["n"], r["full"]) for r in out.take_all()
     )
     assert got == [("de", 3, "german"), ("en", 1, "anglais"), ("en", 1, "english")]
-    anti = J.join(left, right, on=("lang", "code"), how="anti")
-    assert sorted(r["lang"] or "" for r in anti.take_all()) == ["", "fr"]
 
 
 def test_join_name_collision_suffixed(ray_session):
     left = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()), "v": pa.array([1], pa.int64())}))
     right = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64()), "v": pa.array([9], pa.int64())}))
-    out = J.join(left, right, on="k", how="inner").take_all()
+    out = J.join(left, right, on="k").take_all()
     assert out == [{"k": 1, "v": 1, "v_r": 9}]
 
 
 def test_join_empty_right(ray_session):
     left = rd.from_arrow(_left_tbl())
     right = rd.from_arrow(_right_tbl().slice(0, 0))
-    assert J.join(left, right, on="k", how="inner").count() == 0
-    assert J.join(left, right, on="k", how="anti").count() == 6
-    lj = J.join(left, right, on="k", how="left")
-    assert lj.count() == 6 and all(r["rv"] is None for r in lj.take_all())
-
-
-def _brute_asof(l_rows, r_rows):
-    out = []
-    for lk, lt, lv in l_rows:
-        best = None
-        for rk, rt, rv in r_rows:
-            if rk == lk and rt <= lt and (best is None or rt > best[0]):
-                best = (rt, rv)
-        out.append((lk, lt, lv, best[1] if best else None))
-    return sorted(out, key=lambda r: (r[0], r[1], r[2]))
-
-
-def test_asof_join_backward(ray_session):
-    rng = np.random.RandomState(7)
-    l_rows = [(int(rng.randint(0, 5)), int(rng.randint(0, 100)), i) for i in range(60)]
-    r_rows = [(int(rng.randint(0, 5)), int(rng.randint(0, 100)), 1000 + i) for i in range(40)]
-    left = rd.from_arrow(pa.table({
-        "u": pa.array([r[0] for r in l_rows], pa.int64()),
-        "t": pa.array([r[1] for r in l_rows], pa.int64()),
-        "lv": pa.array([r[2] for r in l_rows], pa.int64()),
-    }))
-    right = rd.from_arrow(pa.table({
-        "u": pa.array([r[0] for r in r_rows], pa.int64()),
-        "t": pa.array([r[1] for r in r_rows], pa.int64()),
-        "rv": pa.array([r[2] for r in r_rows], pa.int64()),
-    }))
-    out = J.join(left, right, on="t", how="asof", by="u", num_partitions=3)
-    got = sorted(
-        (r["u"], r["t"], r["lv"], r["rv"]) for r in out.take_all()
-    )
-    # ties in (key, ts): brute force picks max rt; on equal rt the merge
-    # picks the later right row — align brute force by rv as tiebreak
-    def brute():
-        res = []
-        for lk, lt, lv in l_rows:
-            cand = [(rt, rv) for rk, rt, rv in r_rows if rk == lk and rt <= lt]
-            res.append((lk, lt, lv, max(cand)[1] if cand else None))
-        return sorted(res)
-    assert got == brute()
-
-
-def test_range_join_inner(ray_session):
-    rng = np.random.RandomState(3)
-    l_rows = [(int(rng.randint(0, 4)), int(rng.randint(0, 50)), i) for i in range(50)]
-    r_rows = []
-    for i in range(30):
-        lo = int(rng.randint(0, 50))
-        r_rows.append((int(rng.randint(0, 4)), lo, lo + int(rng.randint(0, 10)), 100 + i))
-    left = rd.from_arrow(pa.table({
-        "u": pa.array([r[0] for r in l_rows], pa.int64()),
-        "x": pa.array([r[1] for r in l_rows], pa.int64()),
-        "lv": pa.array([r[2] for r in l_rows], pa.int64()),
-    }))
-    right = rd.from_arrow(pa.table({
-        "u": pa.array([r[0] for r in r_rows], pa.int64()),
-        "lo": pa.array([r[1] for r in r_rows], pa.int64()),
-        "hi": pa.array([r[2] for r in r_rows], pa.int64()),
-        "rv": pa.array([r[3] for r in r_rows], pa.int64()),
-    }))
-    out = J.join(
-        left, right, on="x", how="range", by="u",
-        right_bounds=("lo", "hi"), num_partitions=3,
-    )
-    got = sorted((r["u"], r["x"], r["lv"], r["rv"]) for r in out.take_all())
-    want = sorted(
-        (lu, lx, lv, rv)
-        for lu, lx, lv in l_rows
-        for ru, lo, hi, rv in r_rows
-        if ru == lu and lo <= lx <= hi
-    )
-    assert got == want
-
-
-def test_asof_timestamps(ray_session):
-    ts = lambda s: np.datetime64(s, "us").item()
-    left = rd.from_arrow(pa.table({
-        "u": pa.array([1, 1], pa.int64()),
-        "t": pa.array([ts("2020-01-05"), ts("2020-01-01")], pa.timestamp("us")),
-        "lv": pa.array([1, 2], pa.int64()),
-    }))
-    right = rd.from_arrow(pa.table({
-        "u": pa.array([1, 1], pa.int64()),
-        "t": pa.array([ts("2020-01-02"), ts("2020-01-04")], pa.timestamp("us")),
-        "rv": pa.array([10, 20], pa.int64()),
-    }))
-    out = J.join(left, right, on="t", how="asof", by="u")
-    got = {r["lv"]: r["rv"] for r in out.take_all()}
-    assert got == {1: 20, 2: None}
-
-
-def test_outer_join_matches_duckdb(ray_session):
-    left = rd.from_arrow(_left_tbl())
-    right = rd.from_arrow(_right_tbl())
-    out = J.join(left, right, on="k", how="outer", num_partitions=3)
-    cols = ["k", "lv", "name", "rv"]
-    con = duckdb.connect()
-    con.register("l", _left_tbl())
-    con.register("r", _right_tbl())
-    # the engine coalesces the key column across sides
-    want = con.execute(
-        "SELECT coalesce(l.k, r.k) AS k, lv, name, rv "
-        "FROM l FULL OUTER JOIN r ON l.k = r.k "
-        "ORDER BY k NULLS FIRST, lv NULLS FIRST, name NULLS FIRST, "
-        "rv NULLS FIRST"
-    ).fetchall()
-    con.close()
-    got = _sorted_rows(out, cols)
-    # NULL keys never match: the left NULL row and right NULL row both
-    # survive as unmatched rows — but coalesce(NULL, NULL) stays NULL,
-    # so the engine's k column matches DuckDB's coalesced key exactly
-    assert got == want, (got, want)
-
-
-def test_outer_join_empty_sides(ray_session):
-    empty = rd.from_arrow(
-        pa.table({"k": pa.array([], pa.int64()), "lv": pa.array([], pa.int64()),
-                  "name": pa.array([], pa.string())})
-    )
-    right = rd.from_arrow(_right_tbl())
-    out = J.join(empty, right, on="k", how="outer", num_partitions=2)
-    rows = _sorted_rows(out, ["k", "rv"])
-    assert rows == [(None, 500), (2, 200), (2, 201), (3, 300), (4, 400)]
+    assert J.join(left, right, on="k").count() == 0

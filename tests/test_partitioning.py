@@ -56,7 +56,7 @@ def test_parquet_hints(ray_session):
 
     import pyarrow.parquet as pq
 
-    path = os.path.join(SF, "events.parquet")
+    path = os.path.join(SF, "documents.parquet")
     ds = rd.read_parquet(path)
     assert parquet_rows_hint(ds) == pq.ParquetFile(path).metadata.num_rows
     assert parquet_bytes_hint(ds) > 0

@@ -116,64 +116,6 @@ def test_doc_chunks_cover_all_bytes(text):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_asof_join_matches_bruteforce(ray_session, seed):
-    """join(how="asof") == per-event brute force (latest order of the
-    same customer at or before ts) on random key/time data with heavy
-    key collisions and equal timestamps, on several partition counts.
-    Ties on the ordering column may pick any of the tied right rows."""
-    import ray.data as rd
-
-    from rsmetacheck_ray.pipelines.join import join
-
-    rng = np.random.default_rng(seed)
-    n_ev, n_ord, n_keys = 300, 200, 12
-    ev = pa.table(
-        {
-            "event_id": pa.array(np.arange(n_ev), pa.int64()),
-            "user_id": pa.array(rng.integers(0, n_keys, n_ev), pa.int64()),
-            "ts": pa.array(
-                rng.integers(0, 10_000, n_ev) * 1_000_000, pa.timestamp("us")
-            ),
-        }
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(np.arange(n_ord) + 1000, pa.int64()),
-            "o_custkey": pa.array(rng.integers(0, n_keys, n_ord), pa.int64()),
-            "o_orderdate": pa.array(
-                rng.integers(0, 10_000, n_ord) * 1_000_000, pa.timestamp("us")
-            ),
-        }
-    )
-    e_uid = ev.column("user_id").to_numpy()
-    e_ts = ev.column("ts").cast(pa.int64()).to_numpy()
-    o_key = orders.column("o_orderkey").to_numpy()
-    o_cust = orders.column("o_custkey").to_numpy()
-    o_ts = orders.column("o_orderdate").cast(pa.int64()).to_numpy()
-    for parts in (1, 3):
-        got = join(
-            rd.from_arrow(ev),
-            rd.from_arrow(orders),
-            on=("ts", "o_orderdate"),
-            how="asof",
-            by=("user_id", "o_custkey"),
-            num_partitions=parts,
-        ).take_all()
-        assert sorted(r["event_id"] for r in got) == list(range(n_ev))
-        for r in got:
-            i = r["event_id"]
-            m = (o_cust == e_uid[i]) & (o_ts <= e_ts[i])
-            if not m.any():
-                assert r["o_orderkey"] is None and r["o_orderdate"] is None
-                continue
-            latest = o_ts[m].max()
-            assert r["o_orderkey"] in set(o_key[m & (o_ts == latest)].tolist())
-            got_ts = np.datetime64(r["o_orderdate"], "us").astype(np.int64)
-            assert got_ts == latest
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
 def test_boilerplate_scrub_matches_bruteforce(ray_session, seed):
     """scrub_boilerplate_lines == per-doc brute force (drop every line
     whose distinct-doc frequency >= min_df) on random corpora with

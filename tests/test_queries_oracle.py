@@ -15,10 +15,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = (
-    "region nation customer supplier part orders lineitem events "
-    "documents embeddings"
-).split()
+TABLES = ("documents", "embeddings")
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +169,11 @@ def test_entry_contract(ray_session):
 
 
 def test_nation_order_stats_distributed_path_matches_broadcast(ray_session, oracle_con):
-    """Order totals per nation over orders ⋈ customer ⋈ nation: the
-    size-gated join gives identical results on both plans, broadcast
-    probe (small right side) and distributed hash join (forced here by
-    a zero gate), and both equal the DuckDB oracle."""
-    import numpy as np
+    """Characters and embedding labels per source over
+    documents ⋈ embeddings (``doc_id`` = ``vec_id``): the size-gated
+    join gives identical results on both plans, broadcast probe (small
+    right side) and distributed hash join (forced here by a zero gate),
+    and both equal the DuckDB oracle."""
     import ray.data as rd
 
     from rsmetacheck_ray.pipelines.join import join
@@ -185,33 +182,29 @@ def test_nation_order_stats_distributed_path_matches_broadcast(ray_session, orac
         return rd.read_parquet(os.path.join(SF_DIR, f"{t}.parquet"), columns=cols)
 
     def stats(**kw):
-        oc = join(
-            read("orders", ["o_custkey", "o_totalprice"]),
-            read("customer", ["c_custkey", "c_nationkey"]),
-            on=("o_custkey", "c_custkey"), **kw,
-        )
         df = join(
-            oc, read("nation", ["n_nationkey", "n_name"]),
-            on=("c_nationkey", "n_nationkey"), **kw,
+            read("documents", ["doc_id", "source", "n_chars"]),
+            read("embeddings", ["vec_id", "label"]),
+            on=("doc_id", "vec_id"), **kw,
         ).to_pandas()
-        df["cents"] = np.floor(df["o_totalprice"] * 100 + 0.5).astype(np.int64)
-        g = df.groupby("n_name").agg(
-            total_cents=("cents", "sum"), n_orders=("cents", "size")
+        g = df.groupby("source").agg(
+            total_chars=("n_chars", "sum"),
+            label_sum=("label", "sum"),
+            n_docs=("doc_id", "size"),
         )
-        return g.reset_index().sort_values("n_name").reset_index(drop=True)
+        return g.reset_index().sort_values("source").reset_index(drop=True)
 
     bcast = stats()
     dist = stats(broadcast_max=0, num_partitions=3)
     pd.testing.assert_frame_equal(bcast, dist)
     want = oracle_con.execute("""
-        SELECT n.n_name,
-          CAST(SUM(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT)) AS BIGINT)
-            AS total_cents,
-          COUNT(*) AS n_orders
-        FROM orders o
-        JOIN customer c ON o.o_custkey = c.c_custkey
-        JOIN nation n ON c.c_nationkey = n.n_nationkey
-        GROUP BY n.n_name
+        SELECT d.source,
+          CAST(SUM(d.n_chars) AS BIGINT) AS total_chars,
+          CAST(SUM(e.label) AS BIGINT) AS label_sum,
+          COUNT(*) AS n_docs
+        FROM documents d
+        JOIN embeddings e ON d.doc_id = e.vec_id
+        GROUP BY d.source
     """).fetchdf()
     assert len(bcast) > 1  # non-degenerate fixture
     pd.testing.assert_frame_equal(_canon(bcast), _canon(want), check_dtype=False)

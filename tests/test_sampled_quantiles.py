@@ -1,7 +1,9 @@
 """Sampled-quantile operator tests: partition-count INVARIANCE (the
-property MRL cannot give), rank error vs the exact order statistics,
-bottom-k merge correctness, and the small-input exactness degradation
-(n ≤ k ⇒ the sample IS the data ⇒ exact nearest-rank quantiles)."""
+property a compacting quantile sketch cannot give), rank error vs the
+exact order statistics, bottom-k merge correctness, and the small-input
+exactness degradation (n ≤ k ⇒ the sample IS the data ⇒ exact
+nearest-rank quantiles). The whole-table cases run the keyed operator
+with one key."""
 
 from __future__ import annotations
 
@@ -37,13 +39,22 @@ def _reference(tbl: pa.Table, k: int = sk.SQ_K, pcts=sk.SQ_PCTS):
     return {p: s[min(n - 1, (n * p) // 100)] for p in pcts}
 
 
+def _single_key_quantiles(tbl: pa.Table, parts: int) -> pa.Table:
+    """(g, pct, est) of ``sampled_quantiles_by_key`` over ``tbl`` with
+    every row under the one key "all"."""
+    keyed = tbl.append_column("g", pa.array(["all"] * tbl.num_rows))
+    res = sk.sampled_quantiles_by_key(
+        rd.from_arrow(keyed).repartition(parts), "g", "event_id", "value"
+    )
+    assert set(res.column("g").to_pylist()) == {"all"}
+    return res
+
+
 def test_partition_count_invariance(ray_session):
     tbl = _events(20_000)
     outs = []
     for parts in (1, 3, 16):
-        res = sk.sampled_quantiles(
-            rd.from_arrow(tbl).repartition(parts), "event_id", "value"
-        )
+        res = _single_key_quantiles(tbl, parts)
         outs.append(res.column("est").to_pylist())
     assert outs[0] == outs[1] == outs[2]  # bitwise identical
     ref = _reference(tbl)
@@ -52,7 +63,7 @@ def test_partition_count_invariance(ray_session):
 
 def test_rank_error_vs_exact(ray_session):
     tbl = _events(200_000)
-    res = sk.sampled_quantiles(rd.from_arrow(tbl).repartition(8), "event_id", "value")
+    res = _single_key_quantiles(tbl, 8)
     vals = np.sort(tbl.column("value").to_numpy())
     n = len(vals)
     for p, est in zip(
@@ -64,7 +75,7 @@ def test_rank_error_vs_exact(ray_session):
 
 def test_small_input_is_exact(ray_session):
     tbl = _events(500)  # n < k: the sample is the whole input
-    res = sk.sampled_quantiles(rd.from_arrow(tbl).repartition(4), "event_id", "value")
+    res = _single_key_quantiles(tbl, 4)
     vals = np.sort(tbl.column("value").to_numpy())
     n = len(vals)
     for p, est in zip(

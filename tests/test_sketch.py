@@ -1,46 +1,9 @@
-"""HyperLogLog sketch tests: accuracy vs the exact distinct across
-cardinality ranges, order-independent merging, and the Ray partial-
-combine pipeline over the driver tables."""
+"""Count-min sketch tests: the one-sided error bound, order-independent
+merging, and the Ray heavy-hitter pipeline against the exact top-k
+(the keyed sampled quantiles are tested in test_sampled_quantiles.py,
+the Bloom filter through the incremental-dedup tests)."""
 
 from __future__ import annotations
-
-import numpy as np
-
-from rsmetacheck_ray.functions import sketch as sk
-
-
-def test_accuracy_across_ranges():
-    for n in (50, 1_000, 50_000, 500_000):
-        vals = np.arange(n, dtype=np.int64) * 7919 + 13
-        est = sk.hll_estimate(sk.hll_registers(vals))
-        assert abs(est - n) / n < 0.05, (n, est)
-
-
-def test_merge_is_order_independent_and_idempotent():
-    vals = np.arange(10_000, dtype=np.int64) * 31 + 7
-    shards = np.array_split(vals, 13)
-    blobs = [sk.hll_registers(s).tobytes() for s in shards]
-    a = sk.hll_estimate(sk.hll_merge(blobs))
-    b = sk.hll_estimate(sk.hll_merge(list(reversed(blobs))))
-    c = sk.hll_estimate(sk.hll_merge(blobs + blobs))  # re-merge = no-op
-    assert a == b == c
-    # merged shards == single-pass sketch
-    single = sk.hll_estimate(sk.hll_registers(vals))
-    assert a == single
-
-
-def test_approx_distinct_pipeline(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    n, dups = 20_000, 3
-    vals = np.repeat(np.arange(n, dtype=np.int64) * 101 + 5, dups)
-    ds = rd.from_arrow(pa.table({"user_id": pa.array(vals, pa.int64())})).repartition(8)
-    est = sk.approx_distinct(ds, "user_id")
-    assert abs(est - n) / n < 0.05, est
-
-
-# --- count-min sketch -------------------------------------------------------
 
 
 def test_cms_overestimates_and_bounds():
@@ -112,190 +75,3 @@ def test_cms_heavy_hitters_match_exact_top(ray_session):
     assert got == [f"t{i:02d}" for i in range(1, 11)]
     est = out.column("est_n").to_pylist()
     assert est == sorted(est, reverse=True)
-
-
-# --- MRL quantile sketch ----------------------------------------------------
-
-
-def _rank_error(data, q, est):
-    s = np.sort(data)
-    r = np.searchsorted(s, est, side="right")
-    return abs(r - q * len(s)) / len(s)
-
-
-def test_mrl_rank_error_bound():
-    from rsmetacheck_ray.functions.sketch import (
-        mrl_from_values, mrl_merge, mrl_quantiles, mrl_serialize,
-    )
-
-    rng = np.random.default_rng(7)
-    data = rng.lognormal(0.0, 2.0, 200_000)
-    blobs = [
-        mrl_serialize(mrl_from_values(c)) for c in np.array_split(data, 37)
-    ]
-    est = mrl_quantiles(mrl_merge(blobs), [0.01, 0.25, 0.5, 0.75, 0.99])
-    for q, e in zip([0.01, 0.25, 0.5, 0.75, 0.99], est):
-        assert _rank_error(data, q, e) <= 0.005
-
-
-def test_mrl_exact_below_buffer_capacity():
-    from rsmetacheck_ray.functions.sketch import (
-        MRL_K, mrl_from_values, mrl_quantiles,
-    )
-
-    rng = np.random.default_rng(3)
-    data = rng.normal(size=MRL_K)  # fits level 0: sketch is lossless
-    est = mrl_quantiles(mrl_from_values(data), [0.1, 0.5, 0.9])
-    s = np.sort(data)
-    # smallest value whose cumulative weight reaches ceil(q*n)
-    for q, e in zip([0.1, 0.5, 0.9], est):
-        assert e == s[int(np.ceil(q * len(s))) - 1]
-
-
-def test_mrl_merge_topology_within_error():
-    from rsmetacheck_ray.functions.sketch import (
-        mrl_from_values, mrl_merge, mrl_quantiles, mrl_serialize,
-    )
-
-    rng = np.random.default_rng(11)
-    data = rng.uniform(0, 1, 100_000)
-    for n_split in (1, 8, 64):
-        blobs = [
-            mrl_serialize(mrl_from_values(c))
-            for c in np.array_split(data, n_split)
-        ]
-        (e,) = mrl_quantiles(mrl_merge(blobs), [0.5])
-        assert _rank_error(data, 0.5, e) <= 0.005
-
-
-def test_mrl_nan_dropped_and_empty():
-    from rsmetacheck_ray.functions.sketch import (
-        mrl_from_values, mrl_quantiles, mrl_serialize, mrl_merge,
-    )
-
-    est = mrl_quantiles(mrl_from_values(np.array([np.nan, 1.0, np.nan])), [0.5])
-    assert est[0] == 1.0
-    empty = mrl_merge([mrl_serialize(mrl_from_values(np.empty(0)))])
-    assert np.isnan(mrl_quantiles(empty, [0.5])[0])
-
-
-def test_approx_quantiles_pipeline(ray_session):
-    import pyarrow.parquet as pq
-
-    from rsmetacheck_ray.functions.sketch import approx_quantiles
-    import ray.data as rd
-
-    path = "/root/testdata/sf0.001/events.parquet"
-    ds = rd.read_parquet(path, columns=["value"])
-    out = approx_quantiles(ds, "value")
-    assert out.column("q").to_pylist() == [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99]
-    vals = pq.read_table(path, columns=["value"]).column("value").to_numpy()
-    vals = vals[~np.isnan(vals)]
-    for q, e in zip(out.column("q").to_pylist(), out.column("estimate").to_pylist()):
-        assert _rank_error(vals, q, e) <= 0.005
-
-
-def test_approx_distinct_by_key_accuracy_and_layout(ray_session):
-    """Per-group HLL within 5% of the exact per-group distinct, and
-    identical under different block layouts (register max is order-
-    independent)."""
-    import duckdb
-    import ray.data as rd
-
-    from rsmetacheck_ray.functions.sketch import approx_distinct_by_key
-    from rsmetacheck_ray.partitioning import read_pq
-
-    sf = "/root/testdata/sf0.01"
-    ds = read_pq(sf + "/events.parquet")
-    got = (
-        approx_distinct_by_key(ds, "event_type", "user_id")
-        .to_pandas()
-        .set_index("event_type")["approx_distinct"]
-    )
-    exact = (
-        duckdb.sql(
-            f"SELECT event_type, count(DISTINCT user_id) AS n "
-            f"FROM read_parquet('{sf}/events.parquet') GROUP BY event_type"
-        )
-        .df()
-        .set_index("event_type")["n"]
-    )
-    assert set(got.index) == set(exact.index)
-    for k in exact.index:
-        assert abs(got[k] - exact[k]) <= max(0.05 * exact[k], 2), k
-
-    other = (
-        approx_distinct_by_key(ds.repartition(13), "event_type", "user_id")
-        .to_pandas()
-        .set_index("event_type")["approx_distinct"]
-    )
-    assert got.sort_index().equals(other.sort_index())
-
-
-def test_approx_quantiles_by_key_rank_error(ray_session):
-    """Per-group MRL estimates land within 2% rank error of the exact
-    per-group quantiles, and merge order (block layout) never changes
-    the estimate's validity."""
-    import duckdb
-
-    from rsmetacheck_ray.functions.sketch import approx_quantiles_by_key
-    from rsmetacheck_ray.partitioning import read_pq
-
-    sf = "/root/testdata/sf0.01"
-    ds = read_pq(sf + "/events.parquet")
-    got = approx_quantiles_by_key(ds, "event_type", "value").to_pandas()
-    vals = duckdb.sql(
-        f"SELECT event_type, value FROM read_parquet('{sf}/events.parquet')"
-    ).df()
-    for (etype, q), grp in got.groupby(["event_type", "q"]):
-        est = grp["estimate"].iloc[0]
-        v = vals.loc[vals["event_type"] == etype, "value"].sort_values().to_numpy()
-        # rank of the estimate among the exact values
-        import numpy as np
-
-        rank = np.searchsorted(v, est, side="right") / len(v)
-        assert abs(rank - q) <= 0.02, (etype, q, rank)
-
-
-# ---------------------------------------------------------------------------
-# KMV bottom-k intersection sketch
-# ---------------------------------------------------------------------------
-
-def test_kmv_exact_below_k():
-    from rsmetacheck_ray.functions.sketch import (
-        kmv_intersection, kmv_merge, kmv_partial,
-    )
-
-    a_ids = np.arange(0, 600, dtype=np.int64)
-    b_ids = np.arange(400, 900, dtype=np.int64)  # overlap = 200
-    a = kmv_merge([kmv_partial(a_ids[:300]), kmv_partial(a_ids[300:])])
-    b = kmv_partial(b_ids)
-    assert kmv_intersection(a, b) == 200
-
-
-def test_kmv_merge_order_independent():
-    from rsmetacheck_ray.functions.sketch import kmv_merge, kmv_partial
-
-    rng = np.random.default_rng(3)
-    ids = rng.integers(0, 1 << 40, size=30_000)
-    parts = [kmv_partial(ids[i::7]) for i in range(7)]
-    m1 = kmv_merge(parts)
-    m2 = kmv_merge(list(reversed(parts)))
-    assert np.array_equal(m1, m2)
-    # idempotent: re-merging the merge changes nothing
-    assert np.array_equal(kmv_merge([m1, m1]), m1)
-
-
-def test_kmv_estimate_accuracy_above_k():
-    from rsmetacheck_ray.functions.sketch import (
-        KMV_K, kmv_intersection, kmv_partial,
-    )
-
-    n, overlap = 40_000, 15_000
-    a_ids = np.arange(0, n, dtype=np.int64)
-    b_ids = np.arange(n - overlap, 2 * n - overlap, dtype=np.int64)
-    a = kmv_partial(a_ids)
-    b = kmv_partial(b_ids)
-    assert len(a) == KMV_K and len(b) == KMV_K  # truly approximate
-    est = kmv_intersection(a, b)
-    assert abs(est - overlap) / overlap < 0.15, est

@@ -1,17 +1,14 @@
 """Planted-value tests for the statistics batch (pipelines/stats.py):
-Spearman's tie handling (doubled average ranks) and sign, mutual
-information's exact-zero independence and ln2 dependence cases, Theil's
-exact-zero equality case and hand-computed two-user value, and the
-spectral probe's pure-phase power=1 / uniform power≈0 cases — plus
-partition invariance where the query exposes ``num_partitions``."""
+Spearman's tie handling (doubled average ranks) and sign, the
+Cramér–von Mises zero and hand-computed cases, the Lorenz, Simpson and
+Shannon extremes and first-seen token novelty — plus partition
+invariance where the query exposes ``num_partitions``."""
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -24,10 +21,6 @@ def _write(d, name, cols):
     pq.write_table(pa.table(cols), os.path.join(d, f"{name}.parquet"))
 
 
-def _ts(s):
-    return np.datetime64(s, "us").item()
-
-
 def _docs(d, rows):
     """rows: (doc_id, text, source)."""
     did, text, src = zip(*rows)
@@ -37,19 +30,6 @@ def _docs(d, rows):
         "lang": pa.array(["en"] * len(rows), pa.string()),
         "source": pa.array(src, pa.string()),
         "n_chars": pa.array([len(t) for t in text], pa.int64()),
-    })
-
-
-def _events(d, rows):
-    """rows: (event_id, ts, user_id, event_type)."""
-    eid, ts, uid, et = zip(*rows)
-    _write(d, "events", {
-        "event_id": pa.array(eid, pa.int64()),
-        "ts": pa.array([_ts(x) for x in ts], pa.timestamp("us")),
-        "user_id": pa.array(uid, pa.int64()),
-        "event_type": pa.array(et, pa.string()),
-        "value": pa.array([1.0] * len(rows), pa.float64()),
-        "props": pa.array(["{}"] * len(rows), pa.string()),
     })
 
 
@@ -88,102 +68,6 @@ def test_spearman_constant_column_is_zero(ray_session, tmp_path):
     _docs(d, [(1, "foo", "a"), (2, "bar baz", "a"), (3, "qux qux qux", "a")])
     got = st.source_spearman(d).take_all()
     assert got == [{"source": "a", "n": 3, "spearman": 0.0}]
-
-
-# ---------------------------------------------------------------------------
-# events_mutual_info
-# ---------------------------------------------------------------------------
-
-def test_mutual_info_independent_is_exact_zero(ray_session, tmp_path):
-    d = str(tmp_path)
-    # 2 types x 2 hours, one event per cell: perfectly independent.
-    # Micro-log exactness: L(4) = 2*L(2) (1386294 = 2*693147), so the
-    # quantized MI is EXACTLY 0.0, not merely small.
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 1, "a"),
-        (3, "2024-01-01T00:30:00", 2, "b"),
-        (4, "2024-01-01T01:30:00", 2, "b"),
-    ])
-    got = st.events_mutual_info(d).take_all()
-    assert got == [{"n_events": 4, "n_types": 2, "mi_nats": 0.0}]
-
-
-def test_mutual_info_dependent_is_ln2(ray_session, tmp_path):
-    d = str(tmp_path)
-    # type determines hour -> MI = ln 2 (in quantized micro-log units)
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 2, "b"),
-    ])
-    got = st.events_mutual_info(d).take_all()
-    assert got[0]["n_events"] == 2 and got[0]["n_types"] == 2
-    assert got[0]["mi_nats"] == 693147.0 * 2 / (2.0 * 1000000.0)
-    assert abs(got[0]["mi_nats"] - math.log(2)) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# user_theil_index
-# ---------------------------------------------------------------------------
-
-def test_theil_equal_activity_is_exact_zero(ray_session, tmp_path):
-    d = str(tmp_path)
-    # two users, two events each: L(2)+L(2)-L(4) = 0 exactly
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 1, "a"),
-        (3, "2024-01-01T02:00:00", 2, "a"),
-        (4, "2024-01-01T03:00:00", 2, "a"),
-    ])
-    for parts in (1, 2, 3):
-        got = st.user_theil_index(d, num_partitions=parts).take_all()
-        assert got == [{
-            "n_users": 2, "n_events": 4,
-            "mean_events": 2.0, "theil_t": 0.0,
-        }]
-
-
-def test_theil_two_user_hand_value(ray_session, tmp_path):
-    d = str(tmp_path)
-    # users with 3 and 1 events: T = (3*(L3+L2-L4) + 1*(L1+L2-L4)) / 4e6
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 1, "a"),
-        (3, "2024-01-01T02:00:00", 1, "a"),
-        (4, "2024-01-01T03:00:00", 2, "a"),
-    ])
-
-    def L(v):
-        return int(math.floor(math.log(v) * 1_000_000 + 0.5))
-
-    want = float(3 * (L(3) + L(2) - L(4)) + (L(1) + L(2) - L(4))) / (
-        4.0 * 1000000.0
-    )
-    for parts in (1, 2):
-        got = st.user_theil_index(d, num_partitions=parts).take_all()
-        assert got[0]["theil_t"] == want
-        assert abs(got[0]["theil_t"] - 0.75 * math.log(1.5)
-                   - 0.25 * math.log(0.5)) < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# events_spectrum
-# ---------------------------------------------------------------------------
-
-def test_spectrum_pure_phase_power_one(ray_session, tmp_path):
-    d = str(tmp_path)
-    # all mass at hour-of-week 0 (which is also hour-of-day 0):
-    # A = N*cosq[0] = N*1e6, B = 0 -> power exactly 1.0 at BOTH periods
-    _events(d, [
-        (1, "2024-01-04T00:00:00", 1, "a"),   # a Thursday, h % 168 == 0
-        (2, "2024-01-11T00:00:00", 1, "a"),
-        (3, "2024-01-18T00:00:00", 1, "a"),
-    ])
-    got = {r["period_hours"]: r for r in st.events_spectrum(d).take_all()}
-    assert set(got) == {24, 168}
-    for p in (24, 168):
-        assert got[p]["n_events"] == 3 and got[p]["n_hours"] == 3
-        assert got[p]["power_ratio"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,96 +199,6 @@ def test_token_novelty_first_seen_attribution(ray_session, tmp_path):
         assert got[2]["n_types"] == 2 and got[2]["n_novel"] == 1
         assert got[2]["novelty"] == 0.5
         assert got[3]["n_types"] == 2 and got[3]["novelty"] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# events_temporal_gini
-# ---------------------------------------------------------------------------
-
-def test_temporal_gini_values(ray_session, tmp_path):
-    d = str(tmp_path)
-    # 3 events in hour 0, 1 event in hour 2, hour 1 empty (zero-fill):
-    # sorted dense [0,1,3], num = 0 + 0 + 2*3 = 6, gini = 6/(3*4) = 0.5
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T00:10:00", 1, "a"),
-        (3, "2024-01-01T00:20:00", 1, "a"),
-        (4, "2024-01-01T02:00:00", 1, "a"),
-    ])
-    got = st.events_temporal_gini(d).take_all()
-    assert got == [{"n_hours": 3, "n_events": 4, "gini": 0.5}]
-
-
-def test_temporal_gini_uniform_zero(ray_session, tmp_path):
-    d = str(tmp_path)
-    rows = []
-    for h in range(3):
-        for j in range(2):
-            rows.append(
-                (h * 2 + j + 1, f"2024-01-01T{h:02d}:{j * 20:02d}:00", 1, "a")
-            )
-    _events(d, rows)
-    got = st.events_temporal_gini(d).take_all()
-    assert got == [{"n_hours": 3, "n_events": 6, "gini": 0.0}]
-
-
-# ---------------------------------------------------------------------------
-# event_entropy_rate
-# ---------------------------------------------------------------------------
-
-def test_entropy_rate_deterministic_chain(ray_session, tmp_path):
-    d = str(tmp_path)
-    # one user alternating a->b->a->b: every state has exactly one
-    # successor, so H(next|prev) = 0 EXACTLY while H(next) > 0
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 1, "b"),
-        (3, "2024-01-01T02:00:00", 1, "a"),
-        (4, "2024-01-01T03:00:00", 1, "b"),
-    ])
-
-    def L(v):
-        return int(math.floor(math.log(v) * 1_000_000 + 0.5))
-
-    # transitions: a->b x2, b->a x1; next marginals b:2, a:1, N=3
-    want_next = float(2 * (L(3) - L(2)) + (L(3) - L(1))) / (3.0 * 1000000.0)
-    for parts in (1, 2):
-        got = st.event_entropy_rate(d, num_partitions=parts).take_all()
-        assert got[0]["n_transitions"] == 3 and got[0]["n_types"] == 2
-        assert got[0]["cond_entropy_nats"] == 0.0
-        assert got[0]["next_entropy_nats"] == want_next
-        assert got[0]["info_gain_nats"] == want_next
-
-
-def test_entropy_rate_uniform_chain_no_gain(ray_session, tmp_path):
-    d = str(tmp_path)
-    # two users, each with an a->a and an a->b transition: knowing the
-    # current state buys nothing (only one prev state), so
-    # info_gain == 0.0 and cond == next == H({2,2}/4) = ln 2
-    _events(d, [
-        (1, "2024-01-01T00:00:00", 1, "a"),
-        (2, "2024-01-01T01:00:00", 1, "a"),
-        (3, "2024-01-01T02:00:00", 1, "b"),
-        (4, "2024-01-01T00:00:00", 2, "a"),
-        (5, "2024-01-01T01:00:00", 2, "a"),
-        (6, "2024-01-01T02:00:00", 2, "b"),
-    ])
-    got = st.event_entropy_rate(d).take_all()
-    assert got[0]["n_transitions"] == 4
-    assert got[0]["info_gain_nats"] == 0.0
-    assert abs(got[0]["cond_entropy_nats"] - math.log(2)) < 1e-5
-
-
-def test_spectrum_uniform_day_is_near_zero(ray_session, tmp_path):
-    d = str(tmp_path)
-    # one event in every hour of one day: the 24h fundamental vanishes
-    rows = [
-        (i + 1, f"2024-01-01T{i:02d}:00:00", 1, "a") for i in range(24)
-    ]
-    _events(d, rows)
-    got = {r["period_hours"]: r for r in st.events_spectrum(d).take_all()}
-    assert got[24]["power_ratio"] < 1e-10   # quantization leaves ~0
-    assert got[24]["n_hours"] == 24
 
 
 def test_host_lorenz_histogram_equals_rank_walk(ray_session, tmp_path):

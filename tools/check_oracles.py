@@ -15,10 +15,7 @@ import pyarrow as pa
 
 import ray
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events "
-    "documents embeddings"
-).split()
+TABLES = ("documents", "embeddings")
 
 
 def to_pandas(res) -> pd.DataFrame:
