@@ -27,6 +27,14 @@ def row_u64(seed: int, index: int, stream: int) -> int:
     return splitmix64(seed ^ splitmix64((stream * 0x9E3779B97F4A7C15 + index) & _MASK))
 
 
+def row_u64_np(seed: int, index: np.ndarray, stream: np.ndarray) -> np.ndarray:
+    """``row_u64`` over broadcast uint64-castable ``index``/``stream`` arrays."""
+    with np.errstate(over="ignore"):
+        inner = np.uint64(0x9E3779B97F4A7C15) * np.asarray(stream, np.uint64) \
+            + np.asarray(index, np.uint64)
+    return splitmix64_np(np.uint64(seed) ^ splitmix64_np(inner))
+
+
 def splitmix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 over a uint64 ndarray (wrapping arithmetic)."""
     with np.errstate(over="ignore"):

@@ -25,7 +25,8 @@ Scale design:
  - the binary ``html`` payload never travels past the extract step
    (and, for a bounded work item, never leaves its gate task);
  - scorer state (LM tables, compiled patterns) loaded once per
-   worker/actor;
+   worker/actor; ``ray.data`` is imported only inside the functions
+   that build Datasets, so a gate task's worker never loads it;
  - NO full materialization anywhere: a fused task holds one work item
    (under two batches) and a gate task of the reader path one batch;
    one reader runs at a time, and only while fewer than two gate tasks
@@ -52,7 +53,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, GateConfig
 from ..stages.extract import extract_stage
@@ -181,9 +181,9 @@ def _gate_task_fn(batch: pa.Table, cfg: GateConfig, write_dropped_text: bool,
 
 
 def build_gate(
-    ds: rd.Dataset, cfg: GateConfig = DEFAULT_CONFIG, write_dropped_text: bool = False,
+    ds: ray.data.Dataset, cfg: GateConfig = DEFAULT_CONFIG, write_dropped_text: bool = False,
     expose_flags: bool = False, compute: str = "tasks",
-) -> rd.Dataset:
+) -> ray.data.Dataset:
     """Assemble the lazy gate pipeline over a pages Dataset.
 
     Returns a Dataset of ALL rows with decision columns + scrubbed
@@ -223,7 +223,7 @@ def build_gate(
     )
 
 
-def evidence_view(out_docs_dir: str) -> rd.Dataset:
+def evidence_view(out_docs_dir: str) -> ray.data.Dataset:
     """Per-(document, fired-rule) evidence rows — the relational recast
     of the reference's per-document JSON-LD assessment files
     (``utils/json_ld_utils.py:447-514``: one CheckResult per fired rule
@@ -232,6 +232,8 @@ def evidence_view(out_docs_dir: str) -> rd.Dataset:
     carries the rule's SPECIFIC offending value (matched substring /
     stat) where the rule provides one, the static suggestion text as
     fallback. Only flagged docs emit rows."""
+    import ray.data
+
     meta = {r.code: (r.severity, r.category, r.suggestion) for r in CATALOG}
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -292,7 +294,7 @@ def evidence_view(out_docs_dir: str) -> rd.Dataset:
 
     # schema check through the same resolution read_parquet itself uses
     # (works for remote URIs too, unlike a local glob)
-    ds_all = rd.read_parquet(out_docs_dir)
+    ds_all = ray.data.read_parquet(out_docs_dir)
     has_evidence = "evidence_json" in (ds_all.schema().names or [])
     cols = ["url", "rule_bits"] + (["evidence_json"] if has_evidence else [])
     ds = ds_all.select_columns(cols)
@@ -308,10 +310,12 @@ def evidence_view(out_docs_dir: str) -> rd.Dataset:
     return ds.map_batches(explode, batch_format="pyarrow")
 
 
-def kept_view(out_docs_dir: str) -> rd.Dataset:
+def kept_view(out_docs_dir: str) -> ray.data.Dataset:
     """The kept-documents dataset: a filtered, column-pruned read of
     the gated output (row-group predicate pushdown on ``keep``)."""
-    return rd.read_parquet(
+    import ray.data
+
+    return ray.data.read_parquet(
         out_docs_dir,
         columns=["url", "warc_ts", "detected_lang", "scrubbed_text"],
         filter=(pc.field("keep") == True),  # noqa: E712
@@ -1054,7 +1058,9 @@ def compute_metrics(docs_root: str, as_record: bool = False) -> dict:
     """Standalone recompute of the global summary from a gated output
     directory: column-pruned read of (keep, rule_bits, detected_lang),
     per-batch vectorized tallies merged on the driver — no shuffle."""
-    ds = rd.read_parquet(
+    import ray.data
+
+    ds = ray.data.read_parquet(
         docs_root, columns=["detected_lang", "keep", "rule_bits"]
     )
 
@@ -1126,6 +1132,7 @@ def run_gate_incremental(
     """
     import glob as _glob
 
+    import ray.data
     from ray.data.aggregate import Max, Min
 
     fragments = list_parquet_fragments(
@@ -1167,7 +1174,7 @@ def run_gate_incremental(
         # probe and the seen-store write consume it.
         hash_cols = ["content_hash", "content_hash2"]
         new_hashes = (
-            rd.read_parquet(os.path.join(ep_dir, "docs"), columns=hash_cols)
+            ray.data.read_parquet(os.path.join(ep_dir, "docs"), columns=hash_cols)
             .groupby(hash_cols)
             .count()
             .select_columns(hash_cols)
@@ -1191,7 +1198,7 @@ def run_gate_incremental(
             both = (
                 new_hashes.map_batches(_tag(1), batch_format="pyarrow")
                 .union(
-                    rd.read_parquet(seen_files, columns=hash_cols)
+                    ray.data.read_parquet(seen_files, columns=hash_cols)
                     .map_batches(_tag(0), batch_format="pyarrow")
                 )
                 .groupby(hash_cols)

@@ -48,17 +48,3 @@ RULE_HITS_TYPE = pa.list_(
         ]
     )
 )
-
-# Per-partition lineage record (recasts the driver-local summary
-# counters, ``detect_pitfalls_main.py:274-279,385-394``).
-LINEAGE_SCHEMA = pa.schema(
-    [
-        pa.field("partition_id", pa.int64(), nullable=False),
-        pa.field("fragment_ids", pa.list_(pa.string()), nullable=False),
-        pa.field("rule", pa.string(), nullable=False),
-        pa.field("lang", pa.string(), nullable=True),
-        pa.field("hits", pa.int64(), nullable=False),
-        pa.field("kept", pa.int64(), nullable=False),
-        pa.field("dropped", pa.int64(), nullable=False),
-    ]
-)

@@ -120,8 +120,9 @@ def _unescape(s: pa.Array) -> pa.Array:
 
 def strip_tags(s: pa.Array) -> pa.Array:
     """Steps 2-4 (block removal, newline tags, any tag) over a string
-    array, as one polars query; the result has ``s``'s type."""
-    out = pl.DataFrame({"s": pl.from_arrow(s)}).select(_TAG_PASSES).to_series()
+    array, as one polars query on the calling thread; the result has
+    ``s``'s type."""
+    out = pl.DataFrame({"s": pl.from_arrow(s)}).select_seq(_TAG_PASSES).to_series()
     return out.to_arrow().cast(s.type)
 
 

@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, GateConfig
 from ..functions.arrowbuf import prefix_bytes, value_spans
-from ..functions.hashing import row_u64
+from ..functions.hashing import row_u64_np
 from ..functions.vocab import CONTENT, MARKERS, ZH_CHARS
 
 _ALPHA = 0.1
@@ -71,32 +71,31 @@ _BYTE_CODE = _byte_code_table()
 _BYTE_CODE_PA = pa.array(_BYTE_CODE)
 
 
+def _pick(pool, s: np.ndarray, stream: np.ndarray) -> np.ndarray:
+    """``pool[row_u64(_TRAIN_SEED, s, stream) % len(pool)]`` over
+    broadcast ``s`` and ``stream``."""
+    return np.array(list(pool), object)[row_u64_np(_TRAIN_SEED, s, stream) % len(pool)]
+
+
 def _train_corpus() -> bytes:
     """Deterministic training text: pool sentences in all 5 languages
     plus 'misc web furniture' templates (dates, phones, IPs, emails,
     identifiers) so benign numeric tokens don't rank as gibberish."""
     lines: list[str] = []
+    s, j = np.arange(400)[:, None], np.arange(18)[None, :]
     for li, lang in enumerate(("en", "fr", "es", "de")):
-        markers, content = MARKERS[lang], CONTENT[lang]
-        for s in range(400):
-            words = []
-            for j in range(18):
-                r = row_u64(_TRAIN_SEED, s, li * 1000 + j * 101 + s * 7)
-                pool = markers if j % 3 == 1 else content
-                words.append(pool[r % len(pool)])
-            w0 = words[0]
-            words[0] = w0.capitalize() if s % 3 == 0 else w0
-            lines.append(" ".join(words) + ".")
-    for s in range(400):
-        chars = [
-            ZH_CHARS[row_u64(_TRAIN_SEED, s, 50_000 + j) % len(ZH_CHARS)]
-            for j in range(40)
-        ]
-        lines.append("".join(chars))
+        stream = li * 1000 + j * 101 + s * 7
+        words = np.where(j % 3 == 1, _pick(MARKERS[lang], s, stream), _pick(CONTENT[lang], s, stream))
+        for i, row in enumerate(words.tolist()):
+            row[0] = row[0].capitalize() if i % 3 == 0 else row[0]
+            lines.append(" ".join(row) + ".")
+    lines += ["".join(row) for row in _pick(ZH_CHARS, s, 50_000 + np.arange(40)).tolist()]
     # misc: digits / separators in the shapes benign keep-rows contain
-    for s in range(60):
-        d = [row_u64(_TRAIN_SEED, s, 60_000 + j) % 10 for j in range(16)]
-        hexs = "".join("0123456789abcdef"[row_u64(_TRAIN_SEED, s, 61_000 + j) % 16] for j in range(40))
+    s = np.arange(60)[:, None]
+    digits = _pick(range(10), s, 60_000 + np.arange(16)).tolist()
+    hexes = _pick("0123456789abcdef", s, 61_000 + np.arange(40)).tolist()
+    for d, h in zip(digits, hexes):
+        hexs = "".join(h)
         lines.append(f"Last updated: 20{d[0]}{d[1]}-0{d[2] % 9 + 1}-1{d[3]}.")
         lines.append(f"call +1-555-{d[4]}{d[5]}{d[6]}-{d[7]}{d[8]}{d[9]}{d[10]} now.")
         lines.append(f"server at 192.168.{d[11]}{d[12]}.{d[13]}{d[14]} responded.")

@@ -59,26 +59,24 @@ Rule → reference mapping (what each rule recasts):
  - ``status_url``            ← W009 development-status-is-a-URL
    (``w009.py:5-63``), over ``Status:`` lines
 
-Regex predicates. Every regex a rule predicate reads (the scrub
-patterns, the text, URL and lang-field patterns, the metadata-line
-patterns) is a column of one polars query per batch, in
-``full_pass_scans``, beside the ASCII symbol count and the
-``Last updated:`` date extract. Each column runs the Rust spelling of
-an RE2 original, tabled in ``PREDICATES``; the RE2 originals stay the
-spec that the DuckDB oracles, the evidence providers and the scrub run.
-The query pays polars' per-query cost once for all of them, and Rust's
-engine does its own literal prefiltering, so no pattern needs a
-hand-derived literal guard. One polars call per pattern would pay that
-cost 33 times a batch instead. RE2 keeps two kinds of work. The
-first is the non-ASCII symbol class: Rust's Unicode 16 tables class
-5,004 codepoints differently from RE2's. The second is the work on
-fired or hit rows only: evidence ``extract_regex``, ``apply_scrub``,
-the author-list and version extracts and the evidence JSON escape
-check. Their cost follows the hits, not the batch, and a polars query
-costs 0.03-0.07 ms per expression even on one row (polars 1.42, one
-core; on 20 rows the ``Authors:`` extract takes 0.07 ms on RE2 and
-0.15 on polars). Running on the spec engine, they also need no second
-spelling. ``evidence_json`` is assembled column-wise.
+Regex predicates. One polars query per batch (``full_pass_scans``)
+runs the ASCII symbol count, the ``Last updated:`` date, the Rust
+spelling of each whole-text, URL and lang-field predicate
+(``PREDICATES``; the RE2 originals stay the spec the DuckDB oracles
+run) and one ``extract_all`` of the metadata declaration lines. The
+ten predicates whose first match is their rule's evidence
+(``MATCHED``) are extracted, so one column is both hit and evidence.
+The 15 metadata-line predicates (``LINE_PREDICATES``) run as RE2
+originals on the extracted lines, which also give the metadata
+evidence and the ``Authors:``, ``Contributors:`` and ``Version:``
+values. The gate's polars patterns stay at or under 32: polars 1.42.1
+caches compiled regexes per thread in 32 entries
+(``polars_utils::regex_cache``), and one pattern more recompiles every
+pattern on every batch (a 1-row query: 0.66 ms with 32 patterns, 9.5 ms
+with 33). The query holds 19, extract and langid 7 more. RE2 keeps the
+non-ASCII symbol class (Rust's Unicode 16 tables class 5,004
+codepoints differently) and the work on fired or hit rows: two
+evidence extracts, ``apply_scrub`` and the evidence JSON escape check.
 """
 
 from __future__ import annotations
@@ -181,7 +179,12 @@ STATUS_URL_RE = r"(?m)^Status: [^\n]*(?:https?://|www\.|\.org|\.com|\.net)"
 VERSION_LINE_RE = r"(?m)^Version: (?P<v>[0-9][0-9.]*)"
 VERSION_LINE_HAS_RE = r"(?m)^Version: [0-9]"
 URL_VERSION_RE = r"/v(?P<v>\d+(?:\.\d+)?)/"
-URL_VERSION_HAS_RE = r"/v\d+(?:\.\d+)?/"
+# the declaration lines every pattern above reads; each anchor's first
+# line is its rules' evidence
+DECL_ANCHORS = ("License", "Cite", "Authors", "Contributors", "Requires", "Identifier",
+                "Status", "Version")
+DECL_LINE_RE = r"(?m)^(?:" + "|".join(DECL_ANCHORS) + r"): [^\n]*"
+DECL_LINE = {a: rf"(?m)^{a}: [^\n]*" for a in DECL_ANCHORS}
 
 
 # --------------------------------------------------------------------------
@@ -329,20 +332,11 @@ def _r_license_no_version(ctx):
 
 def _r_author_count_mismatch(ctx):
     # p019.py:69-145: list lengths disagree across two sources; the
-    # comma count of each line IS count-1, so counts differ iff comma
-    # counts differ
-    both = ctx["hits"][AUTHORS_LINE_RE] & ctx["hits"][CONTRIB_LINE_RE]
-    idx = np.flatnonzero(both)
-    if not len(idx):
-        return both
-    rows = ctx["text"].take(pa.array(idx))
-
-    def commas(pattern: str) -> np.ndarray:
-        val = pc.struct_field(pc.extract_regex(rows, pattern), "v")
-        return pc.count_substring(val, ",").to_numpy(zero_copy_only=False)
-
-    both[idx] = commas(AUTHORS_LINE_RE) != commas(CONTRIB_LINE_RE)
-    return both
+    # comma count of each first line (AUTHORS_/CONTRIB_LINE_RE's match)
+    # IS count-1, so counts differ iff comma counts differ
+    authors, contrib = (pc.count_substring(ctx["first"][DECL_LINE[a]], ",")
+                        for a in ("Authors", "Contributors"))
+    return _bool(pc.not_equal(authors, contrib))
 
 
 def _r_dual_license_untracked(ctx):
@@ -373,13 +367,13 @@ def _r_status_url(ctx):
 def _r_version_mismatch(ctx):
     # p016.py:24-79 / p017.py:59-94: two version sources both present
     # and disagreeing — the URL's /vN(.M)/ segment vs the page's
-    # Version: line (exact token compare, mirrored 1:1 in SQL)
+    # Version: line, VERSION_LINE_RE's v (exact compare, mirrored in SQL)
     idx = np.flatnonzero(ctx["hits"][VERSION_LINE_HAS_RE])
     out = np.zeros(len(ctx["text"]), dtype=bool)
     if not len(idx):
         return out
     take = pa.array(idx)
-    t_ex = pc.struct_field(pc.extract_regex(ctx["text"].take(take), VERSION_LINE_RE), "v")
+    t_ex = pc.utf8_slice_codeunits(ctx["first"][VERSION_LINE_RE].take(take), len("Version: "))
     u_ex = pc.struct_field(pc.extract_regex(ctx["url"].take(take), URL_VERSION_RE), "v")
     out[idx] = _bool(pc.not_equal(t_ex, u_ex))
     return out
@@ -404,6 +398,11 @@ def _ev_first(col: str, pattern: str):
         return pc.struct_field(pc.extract_regex(rows, f"(?P<m>{pattern})"), "m")
 
     return ev
+
+
+def _ev_match(pattern: str):
+    """Evidence = ``pattern``'s first match, held by the stats context."""
+    return lambda ctx, idx: ctx["first"][pattern].take(pa.array(idx))
 
 
 def _ev_fmt(fmt: Callable[..., str], *cols: str):
@@ -433,31 +432,31 @@ EVIDENCE: dict[str, Callable] = {
         "top_bigram_frac", "dup_line_frac",
     ),
     "boilerplate_only": _ev_first("text", COPYRIGHT_RE + "|" + NAV_RE),
-    "template_placeholder": _ev_first("text", PLACEHOLDER_RE),
+    "template_placeholder": _ev_match(PLACEHOLDER_RE),
     "lang_mismatch": _ev_fmt(
         lambda dec, det: f"declared={dec},detected={det}", "declared", "detected"
     ),
     "perplexity_high": _ev_fmt(lambda b: f"bits_per_char={b:.3f}", "bits_per_char"),
-    "dead_url_pattern": _ev_first("url", DEAD_PATH_RE),
-    "homepage_url": _ev_first("url", HOMEPAGE_RE),
-    "archive_url": _ev_first("url", ARCHIVE_RE),
-    "shorthand_url": _ev_first("url", SHORTHAND_RE),
+    "dead_url_pattern": _ev_match(DEAD_PATH_RE),
+    "homepage_url": _ev_match(HOMEPAGE_RE),
+    "archive_url": _ev_match(ARCHIVE_RE),
+    "shorthand_url": _ev_match(SHORTHAND_RE),
     "bare_identifier": _ev_first("text", BARE_DOI_RE + "|" + SWHID_RE),
     "multi_value_field": _ev_fmt(lambda dec: f"lang={dec}", "declared"),
     "outdated_ts": _ev_fmt(lambda d: f"stale_days={d:.1f}", "stale_days"),
-    "pii_email": _ev_first("text", EMAIL_RE),
-    "pii_phone": _ev_first("text", PHONE_RE),
-    "pii_ip": _ev_first("text", IP_RE),
-    "toxicity": _ev_first("text", TOX_RE),
-    "local_file_license": _ev_first("text", r"(?m)^License: [^\n]*"),
-    "citation_incomplete": _ev_first("text", r"(?m)^Cite: [^\n]*"),
-    "license_no_version": _ev_first("text", r"(?m)^License: [^\n]*"),
-    "author_count_mismatch": _ev_first("text", r"(?m)^Authors: [^\n]*"),
-    "dual_license_untracked": _ev_first("text", DUAL_LIC_RE),
-    "requirement_no_version": _ev_first("text", r"(?m)^Requires: [^\n]*"),
-    "identifier_not_id": _ev_first("text", r"(?m)^Identifier: [^\n]*"),
-    "status_url": _ev_first("text", r"(?m)^Status: [^\n]*"),
-    "version_mismatch": _ev_first("text", r"(?m)^Version: [^\n]*"),
+    "pii_email": _ev_match(EMAIL_RE),
+    "pii_phone": _ev_match(PHONE_RE),
+    "pii_ip": _ev_match(IP_RE),
+    "toxicity": _ev_match(TOX_RE),
+    "local_file_license": _ev_match(DECL_LINE["License"]),
+    "citation_incomplete": _ev_match(DECL_LINE["Cite"]),
+    "license_no_version": _ev_match(DECL_LINE["License"]),
+    "author_count_mismatch": _ev_match(DECL_LINE["Authors"]),
+    "dual_license_untracked": _ev_match(DUAL_LIC_RE),
+    "requirement_no_version": _ev_match(DECL_LINE["Requires"]),
+    "identifier_not_id": _ev_match(DECL_LINE["Identifier"]),
+    "status_url": _ev_match(DECL_LINE["Status"]),
+    "version_mismatch": _ev_match(DECL_LINE["Version"]),
 }
 
 
@@ -515,17 +514,18 @@ DROP_CODES = [r.code for r in CATALOG if r.severity == "drop"]
 # shared stats context (computed once per batch, reused by every rule)
 # --------------------------------------------------------------------------
 
-# Every regex predicate a rule reads, keyed by its RE2 original, which
-# stays the spec (the DuckDB oracles, evidence providers and scrub run
-# it): the input column it reads and its Rust spelling. RE2's \b, \d and
-# \s are ASCII, Rust's are Unicode, so each spelling writes RE2's
-# meaning out: \b -> (?-u:\b), \d -> [0-9], \s -> [\t\n\f\r ] (inside
-# classes too). Both engines fold ſ/s and K/k under (?i) and end a (?m)
-# line at \n alone, so those parts are spelled as they are. PHONE is
-# factored on its shared -\d{4} tail: unfactored, Rust scans html_gate's
-# text at 2.1-2.2 µs/doc against 0.3 (polars 1.42, one core).
-# tests/test_regex_engines.py checks each spelling against RE2 on every
-# codepoint, in the positions its changed constructs read.
+# Every regex predicate a rule reads on the whole text, URL or lang
+# field, keyed by its RE2 original, which stays the spec (the DuckDB
+# oracles and the scrub run it): the input column it reads and its Rust
+# spelling. RE2's \b, \d and \s are ASCII, Rust's are Unicode, so each
+# spelling writes RE2's meaning out: \b -> (?-u:\b), \d -> [0-9], \s ->
+# [\t\n\f\r ] (inside classes too). Both engines fold ſ/s and K/k under
+# (?i) and end a (?m) line at \n alone, so those parts are spelled as
+# they are. PHONE is factored on its shared -\d{4} tail: unfactored, Rust
+# scans html_gate's text at 2.1-2.2 µs/doc against 0.3 (polars 1.42, one
+# core). Both engines take the leftmost-first match, so a spelling's
+# first match is RE2's too. tests/test_regex_engines.py checks each
+# spelling against RE2 on every codepoint, where its changes read.
 _B = r"(?-u:\b)"
 PREDICATES: dict[str, tuple[str, str]] = {
     # scrub patterns
@@ -540,30 +540,10 @@ PREDICATES: dict[str, tuple[str, str]] = {
     BARE_DOI_RE: ("text", r"(?:^|[\t\n\f\r (])10\.[0-9]{4,9}/[^\t\n\f\r )]+"),
     SWHID_RE: ("text", _B + r"swh:1:(?:cnt|dir|rev|rel|snp):[0-9a-f]{40}" + _B),
     URL_ANY_RE: ("text", URL_ANY_RE),
-    # metadata-declaration lines
-    LIC_URL_RE: ("text", LIC_URL_RE),
-    LIC_LOCAL_RE: ("text", LIC_LOCAL_RE),
-    LIC_FAMILY_RE: ("text", r"(?m)^License: [^\n]*" + _B
-                    + r"(?i:AGPL|LGPL|GPL|Apache|CC[- ]BY|BSD)" + _B),
-    LIC_VERSIONED_RE: ("text", r"(?m)^License: [^\n]*(?:" + _B
-                       + r"(?i:AGPL|LGPL|GPL|Apache)[- ]?[0-9](?:\.[0-9]+)?|" + _B
-                       + r"(?i:CC[- ]BY)[- ]?[0-9](?:\.[0-9]+)?|" + _B
-                       + r"(?i:BSD)[- ][0-9][- ](?i:Clause))"),
-    LIC_EXEMPT_RE: ("text", LIC_EXEMPT_RE),
-    MULTI_LIC_DECL_RE: ("text", MULTI_LIC_DECL_RE),
-    CITE_LINE_RE: ("text", CITE_LINE_RE),
-    CITE_DOI_RE: ("text", r"(?m)^Cite: [^\n]*" + _B + r"10\.[0-9]{4,9}/"),
-    AUTHORS_LINE_RE: ("text", AUTHORS_LINE_RE),
-    CONTRIB_LINE_RE: ("text", CONTRIB_LINE_RE),
     DUAL_LIC_RE: ("text", r"(?i:dual[\t\n\f\r -]?licen[cs]ed?|dually[\t\n\f\r -]?licen[cs]ed?"
                   r"|multiple[\t\n\f\r -]?licen[cs]es?"
                   r"|available under (?:two|multiple|either)[^\n]*licen[cs]es?"
                   r"|choose (?:between|from)[^\n]*licen[cs]e|licen[cs]e options?)"),
-    REQ_NOVER_RE: ("text", REQ_NOVER_RE),
-    ID_LINE_RE: ("text", ID_LINE_RE),
-    ID_VALID_RE: ("text", r"(?m)^Identifier: (?:(?i:doi:)?10\.[0-9]+/|https?://)"),
-    STATUS_URL_RE: ("text", STATUS_URL_RE),
-    VERSION_LINE_HAS_RE: ("text", VERSION_LINE_HAS_RE),
     # URL rules
     DEAD_PATH_RE: ("url", DEAD_PATH_RE),
     HOMEPAGE_RE: ("url", HOMEPAGE_RE),
@@ -572,6 +552,16 @@ PREDICATES: dict[str, tuple[str, str]] = {
     # the declared lang field
     MULTI_VALUE_RE: ("lang", MULTI_VALUE_RE),
 }
+# extracted: the first match is the rule's evidence, the hit "not null"
+MATCHED = (EMAIL_RE, PHONE_RE, IP_RE, TOX_RE, PLACEHOLDER_RE, DUAL_LIC_RE,
+           DEAD_PATH_RE, HOMEPAGE_RE, ARCHIVE_RE, SHORTHAND_RE)
+# each matches within one DECL_LINE_RE line ((?m) ^ and $ end a line at
+# \n; a final \b reads \n and the text's end alike): RE2 runs on the lines
+LINE_PREDICATES = (
+    LIC_URL_RE, LIC_LOCAL_RE, LIC_FAMILY_RE, LIC_VERSIONED_RE, LIC_EXEMPT_RE,
+    MULTI_LIC_DECL_RE, CITE_LINE_RE, CITE_DOI_RE, AUTHORS_LINE_RE, CONTRIB_LINE_RE,
+    REQ_NOVER_RE, ID_LINE_RE, ID_VALID_RE, STATUS_URL_RE, VERSION_LINE_HAS_RE,
+)
 # LAST_UPDATED_RE's group, extracted in the same query
 _LAST_UPDATED_RUST = r"Last updated: ([0-9]{4}-[0-9]{2}-[0-9]{2})"
 
@@ -591,29 +581,70 @@ _SYMBOL_NON_ASCII = r"[^\x00-\x7F\p{L}\p{N}]"
 _FULL_PASSES = (
     pl.col("text").str.count_matches(_SYMBOL_ASCII_RUST).fill_null(0).alias("symbols"),
     pl.col("text").str.extract(_LAST_UPDATED_RUST, 1).alias("last_updated"),
-    *(pl.col(col).str.contains(rust).fill_null(False).alias(f"hit{k}")
-      for k, (col, rust) in enumerate(PREDICATES.values())),
+    pl.col("text").str.extract_all(DECL_LINE_RE).alias("decl"),
+    *((pl.col(col).str.extract(rust, 0) if pat in MATCHED
+       else pl.col(col).str.contains(rust).fill_null(False)).alias(f"p{k}")
+      for k, (pat, (col, rust)) in enumerate(PREDICATES.items())),
 )
+_ARROW = pl.CompatLevel.oldest()
 
 
 def _np_int(arr) -> np.ndarray:
     return arr.to_numpy(zero_copy_only=False).astype(np.int64)
 
 
+def _take_or_null(values: pa.Array, pos: np.ndarray) -> pa.Array:
+    """``values[pos]``, null where ``pos`` is negative."""
+    return values.take(pa.array(pos, mask=pos < 0))
+
+
+def _decl_lines(decl: pa.Array, n: int) -> tuple[dict, dict]:
+    """(``LINE_PREDICATES`` hits, first matches of each ``DECL_LINE``
+    pattern and ``VERSION_LINE_RE``) over ``n`` rows' declaration lines
+    ``decl``. A pattern starting ``(?m)^Anchor: `` runs on that anchor's
+    lines only."""
+    lines = decl.flatten()  # no null values: a row without lines is null or []
+    row = pc.list_parent_indices(decl).to_numpy()
+
+    def first(at: np.ndarray) -> np.ndarray:
+        # per row, the index in `at` (ascending lines) of its first line; -1
+        r = row[at]
+        head = np.flatnonzero(np.diff(r, prepend=-1))
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[r[head]] = head
+        return pos
+
+    hits, found = {}, {}
+    for a in DECL_ANCHORS:
+        at = np.flatnonzero(pc.starts_with(lines, a + ": ").to_numpy(zero_copy_only=False))
+        on = lines.take(pa.array(at))
+        found[DECL_LINE[a]] = _take_or_null(on, first(at))
+        for p in LINE_PREDICATES:
+            if p.startswith(f"(?m)^{a}: "):
+                m = pc.match_substring_regex(on, p).to_numpy(zero_copy_only=False)
+                hits[p] = np.bincount(row[at[m]], minlength=n) > 0
+        if a == "Version":
+            v = pc.struct_field(pc.extract_regex(on, f"(?P<m>{VERSION_LINE_RE})"), "m")
+            valid = pc.is_valid(v).to_numpy(zero_copy_only=False)
+            found[VERSION_LINE_RE] = _take_or_null(v.filter(pa.array(valid)), first(at[valid]))
+    return hits, found
+
+
 def full_pass_scans(
     text: pa.Array, url: pa.Array, lang: pa.Array, n_chars: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray], pa.Array]:
-    """(symbol count, predicate hits, ``Last updated:`` date) per row of
-    one batch's ``text``, ``url`` and ``lang``, where ``n_chars`` counts
-    each text's codepoints (0 for a null): the ``_SYMBOL_RE`` count, a
-    bool array per ``PREDICATES`` pattern (False on a null) and
-    ``LAST_UPDATED_RE``'s ``d`` group (null where it does not match).
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, pa.Array], pa.Array]:
+    """(symbol count, predicate hits, first matches, ``Last updated:``
+    date) per row of one batch's ``text``, ``url`` and ``lang``, where
+    ``n_chars`` counts each text's codepoints (0 for a null): the
+    ``_SYMBOL_RE`` count, a bool array per ``PREDICATES`` and
+    ``LINE_PREDICATES`` pattern (False on a null), the first match of
+    each ``MATCHED`` and ``DECL_LINE`` pattern and of ``VERSION_LINE_RE``,
+    and ``LAST_UPDATED_RE``'s ``d`` group (both null where none).
 
-    All of it is one polars query, run in turn on the calling thread
-    (``select_seq``: a gate task is scheduled as one CPU), so its
-    per-query cost is paid once and Rust's regex engine does its own
-    literal prefiltering. RE2 counts the non-ASCII symbols on the rows
-    that hold any."""
+    The whole-text scans are one polars query on the calling thread
+    (``select_seq``: a gate task is one CPU, and polars' regex cache is
+    per thread). RE2 runs the metadata-line patterns on the lines it
+    extracts and counts the non-ASCII symbols on the rows holding any."""
     full = pl.DataFrame({
         "text": pl.from_arrow(text), "url": pl.from_arrow(url), "lang": pl.from_arrow(lang),
     }).select_seq(_FULL_PASSES)
@@ -622,9 +653,14 @@ def full_pass_scans(
     if len(wide):
         symbols[wide] += _np_int(
             pc.count_substring_regex(text.take(pa.array(wide)), _SYMBOL_NON_ASCII))
-    hits = {pat: full[f"hit{k}"].to_numpy() for k, pat in enumerate(PREDICATES)}
-    last_updated = full["last_updated"].to_arrow(compat_level=pl.CompatLevel.oldest())
-    return symbols, hits, last_updated
+    hits, first = _decl_lines(full["decl"].to_arrow(compat_level=_ARROW), len(text))
+    for k, pat in enumerate(PREDICATES):
+        if pat in MATCHED:
+            first[pat] = full[f"p{k}"].to_arrow(compat_level=_ARROW)
+            hits[pat] = _bool(pc.is_valid(first[pat]))
+        else:
+            hits[pat] = full[f"p{k}"].to_numpy()
+    return symbols, hits, first, full["last_updated"].to_arrow(compat_level=_ARROW)
 
 
 def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
@@ -638,8 +674,8 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
     :func:`~rsmetacheck_ray.functions.tokenize.ws_token_stats` pass), plus
     ``bits_per_char`` from perplexity. The rule stage does no
     tokenization of its own: it adds only the regex-derived columns of
-    :func:`full_pass_scans` (symbol count, the ``hits`` of every
-    predicate, the staleness date) and the scrub-pattern hits."""
+    :func:`full_pass_scans` (symbol count, the ``hits`` and ``first``
+    matches of the predicates, the staleness date) and the scrub hits."""
     text = batch.column("extracted_text")
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
@@ -652,7 +688,7 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
 
     n_tokens = _np_int(batch.column("n_tokens"))
     n_chars = _np_int(batch.column("n_chars"))
-    symbol_chars, hits, date_str = full_pass_scans(text, url, declared_raw, n_chars)
+    symbol_chars, hits, first, date_str = full_pass_scans(text, url, declared_raw, n_chars)
 
     declared = (
         pc.fill_null(declared_raw, "")
@@ -695,6 +731,7 @@ def build_context(batch: pa.Table, cfg: GateConfig) -> dict:
         "bits_per_char": batch.column("bits_per_char").to_numpy(zero_copy_only=False),
         "stale_days": stale_days,
         "hits": hits,
+        "first": first,
         "scrub_hits": {code: hits[pat] for code, pat, _ in SCRUBS},
     }
 
@@ -726,53 +763,37 @@ def _scrub_rows(text: pa.Array, rows: np.ndarray) -> pa.Array:
 _JSON_ESCAPE_RE = r'[^ !#-\[\]-~]'
 
 
-def _take_or_null(values: pa.Array, pos: np.ndarray) -> pa.Array:
-    """``values[pos]``, null where ``pos`` is negative."""
-    return values.take(pa.array(pos, mask=pos < 0))
-
-
 def _evidence_json(payload: dict, n: int) -> pa.Array:
     """The ``evidence_json`` column: per row, ``json.dumps(d,
     sort_keys=True)`` of ``d`` = {code: value} over the rules with a
-    value there, null where there is none — built column-wise. Each
-    rule gives one ``"code": "value"`` fragment column (``json.dumps``
-    only for values that need escaping); a row's fragments are joined
-    in sorted-code order and wrapped in braces."""
-    frags: list[tuple[np.ndarray, pa.Array]] = []
-    for code in sorted(payload):
-        idx, vals = payload[code]
-        valid = pc.is_valid(vals).to_numpy(zero_copy_only=False)
-        if not valid.all():
-            idx, vals = idx[valid], vals.filter(pa.array(valid))
-        if not len(idx):
-            continue
-        key = json.dumps(code)
-        frag = pc.binary_join_element_wise(f'{key}: "', vals, '"', "")
-        escape = _bool(pc.match_substring_regex(vals, _JSON_ESCAPE_RE))
-        if escape.any():
-            mask = pa.array(escape)
-            slow = [f"{key}: {json.dumps(v)}" for v in vals.filter(mask).to_pylist()]
-            frag = pc.replace_with_mask(frag, mask, pa.array(slow, frag.type))
-        frags.append((idx, frag))
-    if not frags:
+    value there, null where there is none. One pass over the long (row,
+    code, ``"code": "value"`` fragment) table (``json.dumps`` only for
+    values that need escaping), stably sorted by row into one list per
+    row, joined and wrapped in braces."""
+    codes = sorted(payload)
+    if not codes:
         return pa.nulls(n, pa.string())
-    has = np.zeros(n, dtype=bool)
-    for idx, _ in frags:
-        has[idx] = True
-    rows = np.flatnonzero(has)
-    # one column per rule over the rows with evidence, null where the
-    # rule has none. Only those rows are joined: pyarrow 16's skip-null
-    # join drops rows whose inputs are all null instead of emitting them.
-    cols = []
-    for idx, frag in frags:
-        pos = np.full(len(rows), -1, dtype=np.int64)
-        pos[np.searchsorted(rows, idx)] = np.arange(len(idx))
-        cols.append(_take_or_null(frag, pos))
-    body = pc.binary_join_element_wise(*cols, ", ", null_handling="skip")
-    obj = pc.binary_join_element_wise("{", body, "}", "")
+    rows = np.concatenate([payload[c][0] for c in codes])
+    code = np.repeat(np.arange(len(codes)), [len(payload[c][0]) for c in codes])
+    vals = pa.concat_arrays([payload[c][1] for c in codes])
+    valid = _bool(pc.is_valid(vals))
+    order = np.flatnonzero(valid)[np.argsort(rows[valid], kind="stable")]
+    rows, code, vals = rows[order], code[order], vals.take(pa.array(order))
+    keys = [json.dumps(c) for c in codes]
+    frag = pc.binary_join_element_wise(
+        pa.array([f'{k}: "' for k in keys]).take(pa.array(code)), vals, '"', "")
+    escape = _bool(pc.match_substring_regex(vals, _JSON_ESCAPE_RE))
+    if escape.any():
+        mask = pa.array(escape)
+        slow = [f"{keys[c]}: {json.dumps(v)}"
+                for c, v in zip(code[escape].tolist(), vals.filter(mask).to_pylist())]
+        frag = pc.replace_with_mask(frag, mask, pa.array(slow, frag.type))
+    has, counts = np.unique(rows, return_counts=True)
+    offsets = pa.array(np.concatenate([[0], np.cumsum(counts)]), pa.int32())
+    body = pc.binary_join(pa.ListArray.from_arrays(offsets, frag), ", ")
     pos = np.full(n, -1, dtype=np.int64)
-    pos[rows] = np.arange(len(rows))
-    return _take_or_null(obj, pos)
+    pos[has] = np.arange(len(has))
+    return _take_or_null(pc.binary_join_element_wise("{", body, "}", ""), pos)
 
 
 # --------------------------------------------------------------------------

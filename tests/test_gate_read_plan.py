@@ -16,6 +16,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -48,6 +50,17 @@ def test_partition_is_one_fused_operator(ray_session, small_corpus, tmp_path,
                        sized)
     files = sorted(os.listdir(out / "docs" / "partition=0"))
     assert files == [f"part-{k:05d}.parquet" for k in range(len(plan))]
+
+
+def test_gate_module_does_not_import_ray_data():
+    """A gate task's worker imports ``quality_gate`` to run its task,
+    and importing ``ray.data`` there costs a few hundred milliseconds of
+    cold start: only the functions that build Datasets import it."""
+    code = ("import sys, ray\n"
+            "import rsmetacheck_ray.pipelines.quality_gate\n"
+            "assert 'ray.data' not in sys.modules, 'ray.data imported'\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True)
 
 
 def test_work_items_group_row_groups_greedily():

@@ -141,7 +141,7 @@ def test_epoch_hash_read_runs_once(
 
         return ds.map_batches(note, batch_format="pyarrow")
 
-    monkeypatch.setattr(qg.rd, "read_parquet", counting_read)
+    monkeypatch.setattr(rd, "read_parquet", counting_read)
     pages_dir, _ = small_corpus
     files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     lake = tmp_path / "lake"

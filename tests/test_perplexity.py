@@ -183,3 +183,49 @@ def test_bits_per_char_matches_spec(texts, scan_chars, large, pad):
     """Property: bit-identical to the spec on arbitrary unicode, with
     windows short enough that most documents are cut."""
     _assert_bpc_matches_spec(texts, scan_chars, large, pad)
+
+
+def _train_corpus_loop() -> bytes:
+    """The training corpus built row by row with the scalar
+    ``row_u64``: the reference the vectorized ``_train_corpus`` keeps."""
+    from rsmetacheck_ray.functions.hashing import row_u64
+    from rsmetacheck_ray.functions.vocab import CONTENT, MARKERS, ZH_CHARS
+    from rsmetacheck_ray.stages.perplexity import _TRAIN_SEED
+
+    lines: list[str] = []
+    for li, lang in enumerate(("en", "fr", "es", "de")):
+        markers, content = MARKERS[lang], CONTENT[lang]
+        for s in range(400):
+            words = []
+            for j in range(18):
+                r = row_u64(_TRAIN_SEED, s, li * 1000 + j * 101 + s * 7)
+                pool = markers if j % 3 == 1 else content
+                words.append(pool[r % len(pool)])
+            words[0] = words[0].capitalize() if s % 3 == 0 else words[0]
+            lines.append(" ".join(words) + ".")
+    for s in range(400):
+        lines.append("".join(ZH_CHARS[row_u64(_TRAIN_SEED, s, 50_000 + j) % len(ZH_CHARS)]
+                             for j in range(40)))
+    for s in range(60):
+        d = [row_u64(_TRAIN_SEED, s, 60_000 + j) % 10 for j in range(16)]
+        hexs = "".join("0123456789abcdef"[row_u64(_TRAIN_SEED, s, 61_000 + j) % 16]
+                       for j in range(40))
+        lines.append(f"Last updated: 20{d[0]}{d[1]}-0{d[2] % 9 + 1}-1{d[3]}.")
+        lines.append(f"call +1-555-{d[4]}{d[5]}{d[6]}-{d[7]}{d[8]}{d[9]}{d[10]} now.")
+        lines.append(f"server at 192.168.{d[11]}{d[12]}.{d[13]}{d[14]} responded.")
+        lines.append(f"contact user{d[15]}@mail-{d[0]}.example.net for details.")
+        lines.append(f"identifier 10.5281/zenodo.{d[1]}{d[2]}{d[3]}{d[4]}{d[5]} cited.")
+        lines.append(f"swh:1:rev:{hexs} (c) 2024 Example Site | Home | About")
+    return "\n".join(lines).encode("utf-8")
+
+
+def test_train_corpus_matches_the_scalar_loop():
+    """The vectorized training corpus (``splitmix64_np`` over whole
+    index grids) is byte for byte the row-by-row one, so the bit-cost
+    table the scorer and the DuckDB oracle read is unchanged."""
+    import hashlib
+
+    from rsmetacheck_ray.stages.perplexity import _bit_table, _train_corpus
+
+    assert _train_corpus() == _train_corpus_loop()
+    assert hashlib.sha256(_bit_table().tobytes()).hexdigest().startswith("0a87edb994a2d464")

@@ -1,9 +1,11 @@
 """The gate's full-pass scans run on polars' Rust regex engine, spelled
 beside their RE2 originals (extract's tag passes, langid's marker
 counts, and the rule context's query: the symbol count, every rule
-predicate in ``PREDICATES`` and the ``LAST_UPDATED_RE`` date). These
+predicate in ``PREDICATES``, the ``LAST_UPDATED_RE`` date and the
+declaration lines that the metadata-line patterns run on). These
 tests check that each Rust spelling finds exactly what its RE2 original
-finds: exhaustively over every non-surrogate codepoint in the positions
+finds, and each extracted column exactly RE2's first match:
+exhaustively over every non-surrogate codepoint in the positions
 where the engines' classes, boundaries, case folding and line ends
 could differ, and by Hypothesis on arbitrary text mixed with tags,
 markers, addresses and declaration lines.
@@ -16,6 +18,7 @@ The ``*_is_necessary`` tests pin the spelling rules: with Rust's own
 from __future__ import annotations
 
 import functools
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,24 +85,41 @@ def _n_chars(s: pa.Array) -> np.ndarray:
 
 
 def _scans(s: pa.Array):
-    """The rule context's query over ``s``, read as its text, url and
-    lang columns alike: (symbol count, predicate hits, date)."""
+    """The rule context's scans over ``s``, read as its text, url and
+    lang columns alike: (symbol count, predicate hits, first matches,
+    date)."""
     return R.full_pass_scans(s, s, s, _n_chars(s))
 
 
-def _query_differs(s: pa.Array, hits: dict, last_updated: pa.Array,
+def _re2_first(s: pa.Array, pattern: str) -> pa.Array:
+    return pc.struct_field(pc.extract_regex(s, f"(?P<m>{pattern})"), "m")
+
+
+def _null_or_differs(a: pa.Array, b: pa.Array) -> np.ndarray:
+    """Per row, whether ``a`` and ``b`` differ (a null equals a null)."""
+    return (pc.fill_null(pc.not_equal(a, b), True).to_numpy(zero_copy_only=False)
+            & ~(pc.is_null(a).to_numpy(zero_copy_only=False)
+                & pc.is_null(b).to_numpy(zero_copy_only=False)))
+
+
+def _query_differs(s: pa.Array, hits: dict, first: dict, last_updated: pa.Array,
                    pool: ThreadPoolExecutor | None = None) -> dict:
-    """{pattern: the rows where it differs} over the query columns that
-    differ from their RE2 originals; the RE2 passes run on ``pool``
-    when one is given (Arrow's kernels drop the GIL)."""
+    """{pattern: the rows where it differs} over the scans that differ
+    from their RE2 originals on the whole of ``s``: every hit (the
+    ``PREDICATES`` columns and the ``LINE_PREDICATES`` run on the
+    declaration lines), every first match (the ``MATCHED`` columns and
+    the declaration-line values) and the date. The RE2 passes run on
+    ``pool`` when one is given (Arrow's kernels drop the GIL)."""
     run = pool.map if pool else map
-    re2 = dict(zip(R.PREDICATES, run(lambda p: _re2_hits(s, p), R.PREDICATES)))
-    bad = {p: np.flatnonzero(hits[p] != re2[p]) for p in R.PREDICATES}
+    patterns = [*R.PREDICATES, *R.LINE_PREDICATES]
+    assert sorted(hits) == sorted(patterns)
+    re2 = dict(zip(patterns, run(lambda p: _re2_hits(s, p), patterns)))
+    bad = {p: np.flatnonzero(hits[p] != re2[p]) for p in patterns}
+    re2_first = dict(zip(first, run(lambda p: _re2_first(s, p), first)))
+    bad.update({("first", p): np.flatnonzero(_null_or_differs(first[p], re2_first[p]))
+                for p in first})
     re2_date = pc.struct_field(pc.extract_regex(s, R.LAST_UPDATED_RE), "d")
-    bad[R.LAST_UPDATED_RE] = np.flatnonzero(
-        pc.fill_null(pc.not_equal(last_updated, re2_date), True).to_numpy(zero_copy_only=False)
-        & ~(pc.is_null(last_updated).to_numpy(zero_copy_only=False)
-            & pc.is_null(re2_date).to_numpy(zero_copy_only=False)))
+    bad[R.LAST_UPDATED_RE] = np.flatnonzero(_null_or_differs(last_updated, re2_date))
     return {p: rows for p, rows in bad.items() if len(rows)}
 
 
@@ -131,7 +151,7 @@ def test_symbol_count_matches_re2_on_every_codepoint():
     a letter and a space."""
     for template in ("{c}", "a{c} "):
         s = _around(template)
-        symbols, _, _ = _scans(s)
+        symbols, _, _, _ = _scans(s)
         assert not _differs(symbols, _re2_symbols(s)), template
 
 
@@ -150,7 +170,7 @@ def test_ip_hit_matches_re2_on_every_codepoint(template):
     """The ``IP_RE`` hit agrees next to (``\\b``) and in place of
     (``\\d``) a digit, for every codepoint."""
     s = _around(template)
-    _, hits, _ = _scans(s)
+    _, hits, _, _ = _scans(s)
     assert not _differs(hits[R.IP_RE], _re2_ip(s))
 
 
@@ -178,14 +198,16 @@ _HEX40 = "0123456789abcdef0123456789abcdef01234567"
     "x{c}License: COPYING{c}Requires: abc{c}Status: www.x{c}Authors: a{c}Contributors: b",
 ])
 def test_rule_predicates_match_re2_on_every_codepoint(template):
-    """Every column of the rule context's query (each Rust spelling in
-    ``PREDICATES`` and the date extract), in one query over the
-    template, agrees with its RE2 original for every codepoint put in
-    where a changed construct reads it."""
+    """Every scan of the rule context (each Rust spelling in
+    ``PREDICATES``, as a hit and, for ``MATCHED``, as its first match;
+    the metadata-line patterns on the extracted declaration lines; the
+    date extract), in one query over the template, agrees with its RE2
+    original on the whole text for every codepoint put in where a
+    changed construct reads it."""
     s = _around(template)
-    _, hits, last_updated = _scans(s)
+    _, hits, first, last_updated = _scans(s)
     with ThreadPoolExecutor(4) as pool:
-        bad = _query_differs(s, hits, last_updated, pool)
+        bad = _query_differs(s, hits, first, last_updated, pool)
     assert not bad, {p: (len(rows), [hex(ord(_CODEPOINTS[i])) for i in rows[:5]])
                      for p, rows in bad.items()}
 
@@ -203,6 +225,53 @@ def test_tag_passes_match_re2_on_every_codepoint(template):
     re2 = _re2_tags(s).to_pylist()
     bad = [hex(ord(c)) for c, a, b in zip(_CODEPOINTS, rust, re2) if a != b]
     assert not bad, (len(bad), bad[:5])
+
+
+# --- the regex budget --------------------------------------------------------
+
+_REGEX_FNS = {"Contains", "CountMatches", "Extract", "ExtractAll", "Replace"}
+
+
+def _rust_regexes(exprs) -> set[str]:
+    """The distinct regex patterns that polars expressions run: the
+    pattern argument of every non-literal regex string function in
+    them, read from their serialized plans."""
+    found: set[str] = set()
+
+    def walk(node):
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, dict):
+            fn = node.get("Function")
+            kind = fn["function"].get("StringExpr") if fn and isinstance(fn["function"], dict) else None
+            if kind is not None:
+                name, opts = (kind, None) if isinstance(kind, str) else next(iter(kind.items()))
+                literal = opts is True or (isinstance(opts, dict) and opts.get("literal"))
+                if name in _REGEX_FNS and not literal:
+                    found.add(fn["input"][1]["Literal"]["Scalar"]["String"])
+            for value in node.values():
+                walk(value)
+
+    for expr in exprs:
+        walk(json.loads(expr.meta.serialize(format="json")))
+    return found
+
+
+def test_gate_regexes_fit_the_polars_regex_cache():
+    """The gate's polars queries run at most 32 distinct regexes per
+    batch: extract's tag passes, langid's marker counts and the rule
+    context's query. Polars 1.42.1 keeps compiled regexes in a
+    thread-local cache of 32 entries (``polars_utils::regex_cache``):
+    with a 33rd pattern each one is evicted before its reuse, and every
+    pattern recompiles on every batch (a 1-row query took 0.66 ms with
+    32 distinct patterns and 9.5 ms with 33). The stages run their
+    queries with ``select_seq``, on the task's own thread, so that one
+    thread's cache serves them all."""
+    patterns = _rust_regexes([E._TAG_PASSES, *LangIdScorer()._marker_counts, *R._FULL_PASSES])
+    assert {E._ANY_TAG, R._SYMBOL_ASCII_RUST, R.DECL_LINE_RE, R.PREDICATES[R.IP_RE][1],
+            R.PREDICATES[R.COPYRIGHT_RE][1]} <= patterns
+    assert len(patterns) <= 32, len(patterns)
 
 
 # --- the spelling rules are necessary --------------------------------------
@@ -295,9 +364,9 @@ def test_rust_passes_match_re2(docs, large, cut, scan):
     assert E.strip_tags(s).to_pylist() == _re2_tags(s).to_pylist()
     assert E.strip_tags(s).type == s.type
 
-    symbols, hits, last_updated = _scans(s)
+    symbols, hits, first, last_updated = _scans(s)
     assert symbols.tolist() == _re2_symbols(s).tolist()
-    assert not _query_differs(s, hits, last_updated)
+    assert not _query_differs(s, hits, first, last_updated)
 
     scorer = LangIdScorer()
     starts, lens = value_spans(s)

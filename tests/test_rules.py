@@ -441,15 +441,24 @@ def _re2_hits(arr: pa.Array, pattern: str) -> np.ndarray:
     )
 
 
+def _re2_first(arr: pa.Array, pattern: str) -> list:
+    return pc.struct_field(pc.extract_regex(arr, f"(?P<m>{pattern})"), "m").to_pylist()
+
+
 def _assert_query_matches_re2(texts: pa.Array) -> dict:
-    """Every column of the rule context's polars query over ``texts``
-    (read as the text, url and lang columns alike) equals its RE2
-    original: each ``PREDICATES`` hit and the ``LAST_UPDATED_RE`` date.
-    Returns the hits."""
+    """Every scan of the rule context over ``texts`` (read as the text,
+    url and lang columns alike) equals its RE2 original on the whole of
+    ``texts``: each ``PREDICATES`` hit and ``LINE_PREDICATES`` hit, each
+    first match (the ``MATCHED`` columns and the declaration-line
+    values) and the ``LAST_UPDATED_RE`` date. Returns the hits."""
     n_chars = pc.fill_null(pc.utf8_length(texts), 0).to_numpy(zero_copy_only=False)
-    _, hits, last_updated = R.full_pass_scans(texts, texts, texts, n_chars)
-    for pattern in R.PREDICATES:
+    _, hits, first, last_updated = R.full_pass_scans(texts, texts, texts, n_chars)
+    assert sorted(hits) == sorted([*R.PREDICATES, *R.LINE_PREDICATES])
+    for pattern in hits:
         assert hits[pattern].tolist() == _re2_hits(texts, pattern).tolist(), pattern
+    assert sorted(first) == sorted([*R.MATCHED, *R.DECL_LINE.values(), R.VERSION_LINE_RE])
+    for pattern, got in first.items():
+        assert got.to_pylist() == _re2_first(texts, pattern), pattern
     re2_date = pc.struct_field(pc.extract_regex(texts, R.LAST_UPDATED_RE), "d")
     assert last_updated.to_pylist() == re2_date.to_pylist()
     return hits
@@ -460,7 +469,7 @@ _EDGE_CHARS = ["\r", "\n", "\u017f", "\u212a", "\x00", "K", "S", "\u0130", "\u01
 _EDGE_TEXT = st.text(st.one_of(st.sampled_from(_EDGE_CHARS), _CHAR), max_size=40)
 _EDGE = st.sampled_from(["\r\n", ""] + _EDGE_CHARS)
 _ASCII = st.characters(max_codepoint=127)
-_QUERY_PATTERNS = list(R.PREDICATES) + [R.LAST_UPDATED_RE]
+_QUERY_PATTERNS = [*R.PREDICATES, *R.LINE_PREDICATES, R.LAST_UPDATED_RE]
 
 
 def _text_for(pattern: str):
@@ -494,10 +503,12 @@ def _extracted(pattern: str):
     return lambda arr: pc.is_valid(pc.extract_regex(arr, pattern))
 
 
-# the RE2 work that runs on a predicate's hit rows only, keyed by that
-# predicate: (the pattern the work runs, per row whether it finds
-# anything). The scrub replaces on scrub-hit rows (``_scrub_rows``); the
-# author-count and version rules extract on their line hits.
+# the RE2 work whose value is read on a predicate's hit rows only, keyed
+# by that predicate: (the pattern the work runs, per row whether it
+# finds anything). The scrub replaces on scrub-hit rows
+# (``_scrub_rows``); the author-count rule compares the author lines
+# where both line predicates hit, and the version rule reads
+# VERSION_LINE_RE's match on its VERSION_LINE_HAS_RE hits.
 _HIT_ROW_WORK = {
     **{pat: (pat, _scrubbed(pat, repl)) for _, pat, repl in R.SCRUBS},
     R.AUTHORS_LINE_RE: (R.AUTHORS_LINE_RE, _extracted(R.AUTHORS_LINE_RE)),
@@ -521,9 +532,45 @@ def test_prefilter_literal_is_necessary(pattern, data):
         min_size=1, max_size=8))
     arr = pa.array(texts, pa.string())
     n_chars = pc.fill_null(pc.utf8_length(arr), 0).to_numpy(zero_copy_only=False)
-    _, hits, _ = R.full_pass_scans(arr, arr, arr, n_chars)
+    _, hits, _, _ = R.full_pass_scans(arr, arr, arr, n_chars)
     found = pc.fill_null(work(arr), False).to_numpy(zero_copy_only=False)
     assert not (found & ~hits[pattern]).any()
+
+
+_LINE_VALUES = ["", "GPL", "GPL-3.0", "BSD-3-Clause", "MIT OR GPL", "./LICENSE", "COPYING",
+                "a, b", "https://x.org", "10.1234/x", "doi:10.1/x", "1.2", "v1", "1.2.3",
+                " 0BSD", "LicenseRef-x", "www.x", "x\r", "\u212a"]
+_DECL = st.sampled_from(R.DECL_ANCHORS)
+_LINE = st.one_of(
+    st.tuples(_DECL, st.sampled_from([": ", ":", ":  "]), st.sampled_from(_LINE_VALUES))
+    .map("".join),
+    # an anchor mid-line, and other lines
+    st.tuples(st.text(min_size=1, max_size=3), _DECL, st.just(": x")).map("".join),
+    st.text(max_size=8),
+)
+_DECL_TEXT = st.tuples(st.lists(_LINE, max_size=8), st.sampled_from(["\n", "\r\n"]),
+                       st.sampled_from(["", "\n"])).map(lambda t: t[1].join(t[0]) + t[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.none(), _DECL_TEXT), min_size=1, max_size=8))
+def test_declaration_line_route_matches_re2(texts):
+    """Property: the metadata-line route (one polars extract of the
+    declaration lines, then each RE2 original on its own anchor's
+    lines) equals RE2 on the whole text: every ``LINE_PREDICATES`` hit,
+    the first ``(?m)^Anchor: [^\\n]*`` line of each anchor (the rules'
+    evidence) and ``VERSION_LINE_RE``'s first match, which is the first
+    ``Version:`` line that starts with a digit, not always the first
+    ``Version:`` line. On multi-line texts with anchors mid-line,
+    ``\\r\\n`` line ends, empty values, a last line without ``\\n``,
+    repeated anchors and nulls."""
+    arr = pa.array(texts, pa.string())
+    n_chars = pc.fill_null(pc.utf8_length(arr), 0).to_numpy(zero_copy_only=False)
+    _, hits, first, _ = R.full_pass_scans(arr, arr, arr, n_chars)
+    for pattern in R.LINE_PREDICATES:
+        assert hits[pattern].tolist() == _re2_hits(arr, pattern).tolist(), pattern
+    for pattern in [*R.DECL_LINE.values(), R.VERSION_LINE_RE]:
+        assert first[pattern].to_pylist() == _re2_first(arr, pattern), pattern
 
 
 # declaration lines the injected pages lack: the negative sides of the
@@ -553,7 +600,7 @@ def test_query_columns_match_re2_on_the_corpora(scored):
         pa.array(_NEAR_MISSES),
     ])
     hits = _assert_query_matches_re2(texts)
-    assert all(hits[p].any() for p in R.PREDICATES), [p for p in R.PREDICATES if not hits[p].any()]
+    assert all(hit.any() for hit in hits.values()), [p for p, hit in hits.items() if not hit.any()]
 
 
 _MIXED = st.lists(
@@ -574,20 +621,26 @@ _FULL_PASS_SCANS = R.full_pass_scans
 
 
 def _re2_scans(text, url, lang, n_chars):
-    """``full_pass_scans`` with every predicate and the ``Last updated:``
-    date run as its own full RE2 pass of the original pattern."""
-    symbols, _, _ = _FULL_PASS_SCANS(text, url, lang, n_chars)
+    """``full_pass_scans`` with every predicate, first match and the
+    ``Last updated:`` date run as its own full RE2 pass of the original
+    pattern over the whole column."""
+    symbols, _, _, _ = _FULL_PASS_SCANS(text, url, lang, n_chars)
     cols = {"text": text, "url": url, "lang": lang}
     hits = {p: _re2_hits(cols[col], p) for p, (col, _) in R.PREDICATES.items()}
-    return symbols, hits, pc.struct_field(pc.extract_regex(text, R.LAST_UPDATED_RE), "d")
+    hits.update({p: _re2_hits(text, p) for p in R.LINE_PREDICATES})
+    first = {p: pa.array(_re2_first(cols[R.PREDICATES[p][0]], p), pa.string()) for p in R.MATCHED}
+    first.update({p: pa.array(_re2_first(text, p), pa.string())
+                  for p in [*R.DECL_LINE.values(), R.VERSION_LINE_RE]})
+    return symbols, hits, first, pc.struct_field(pc.extract_regex(text, R.LAST_UPDATED_RE), "d")
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.none(), _MIXED), min_size=1, max_size=8))
 def test_guarded_stage_equals_unguarded_passes(texts):
-    """With every predicate run as its own full RE2 pass, the stage
-    gives the same hit columns, keep, scrubbed text and evidence as the
-    one polars query and the RE2 work on hit rows only."""
+    """With every predicate and first match run as its own full RE2
+    pass, the stage gives the same hit columns, keep, scrubbed text and
+    evidence as the one polars query, the declaration-line route and
+    the RE2 work on hit rows only."""
     batch = _stage_batch(texts)
     got = rule_stage_fn(batch, DEFAULT_CONFIG, with_evidence=True)
     with mock.patch.object(R, "full_pass_scans", _re2_scans):
@@ -599,10 +652,11 @@ def test_guarded_stage_equals_unguarded_passes(texts):
 
 
 def test_rule_stage_runs_no_re2_pass_over_the_batch(monkeypatch):
-    """Every regex predicate is a column of the one polars query: on an
-    ASCII batch where no rule fires, no RE2 kernel is handed an array of
-    the batch's length (a predicate that drifted back to its own RE2
-    pass would be). RE2 runs only on fired or hit rows."""
+    """Every whole-text regex predicate is a column of the one polars
+    query: on an ASCII batch where no rule fires, no RE2 kernel is
+    handed an array of the batch's length (a predicate that drifted
+    back to its own RE2 pass would be). RE2 runs only on the extracted
+    declaration lines and on fired or hit rows."""
     from rsmetacheck_ray.functions.vocab import CONTENT
 
     words = CONTENT["en"]
@@ -626,10 +680,11 @@ def test_rule_stage_runs_no_re2_pass_over_the_batch(monkeypatch):
     assert not any(out.column(f"hit_{c}").to_numpy(zero_copy_only=False).any()
                    for c in RULE_CODES)
     assert not [c for c in calls if c[1] == len(batch)], calls
-    # the recorders see the RE2 work on hit rows: one row's author lists
+    # the recorders see the RE2 work on the declaration lines: one row's
+    # author lines, each run on its own anchor's one line
     texts[3] += "\nAuthors: a, b\nContributors: c"
     rule_stage_fn(_stage_batch(texts), DEFAULT_CONFIG, with_evidence=True)
-    assert ("extract_regex", 1) in calls
+    assert ("match_substring_regex", 1) in calls
 
 
 @pytest.mark.parametrize("write_dropped_text", [False, True])

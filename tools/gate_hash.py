@@ -29,8 +29,10 @@ identical. The first line names the pyarrow (RE2) and polars (Rust
 regex) versions the gate's scans ran on: two hash files from different
 engine versions are not expected to diff clean. Polars runs extract's
 tag passes, langid's marker counts and the rule context's query, which
-holds every rule predicate (scrub, text, URL, lang-field and
-metadata-line patterns), so the polars version covers every hit column.
+holds the scrub, text, URL and lang-field predicates and extracts the
+metadata declaration lines. The metadata-line predicates themselves run
+on RE2 over those lines, so their hit columns follow the pyarrow
+version, not the polars one.
 """
 
 from __future__ import annotations
